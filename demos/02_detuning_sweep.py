@@ -13,7 +13,7 @@ base = c.baseline_params()
 axis = c.SweepAxis("delta_a", -2.0, 2.0, 81)
 
 print("Sweeping delta_a/omega_b over [-2, 2] (81 points, both pumps)...")
-rows = c.run_sweep(c.SweepSpec(base=base, axes=(axis,)), threads=4)
+rows = c.run_sweep(c.SweepSpec(base=base, axes=(axis,)))
 
 xs = np.array([r.axis1 for r in rows])
 rmin = np.array([r.r_min for r in rows])
@@ -32,8 +32,7 @@ for x, r, s in zip(xs[::2], rmin[::2], stable[::2]):
 
 # single-pump baselines over the same axis
 for mode in ("magnon-only", "cavity-only"):
-    rows_1p = c.run_sweep(c.SweepSpec(base=base, axes=(axis,), pump_mode=mode),
-                          threads=4)
+    rows_1p = c.run_sweep(c.SweepSpec(base=base, axes=(axis,), pump_mode=mode))
     mx = np.nanmax([r.r_min for r in rows_1p])
     print(f"\n{mode:12s}: max R_min over the sweep = {mx:.6f}")
 print(f"{'both':12s}: max R_min over the sweep = {top:.6f}")

@@ -2,9 +2,9 @@
 mechanics system: mean-field solver, linearized covariance dynamics,
 Gaussian entanglement measures, and a deterministic sweep engine."""
 
-from .params import (PhysicalParams, NoiseOccupations, baseline_params,
-                     drive_amplitude, thermal_occupation, validate,
-                     HBAR, BOLTZMANN, TWO_PI)
+from .params import (PhysicalParams, NoiseOccupations, ParamBatch,
+                     baseline_params, drive_amplitude, thermal_occupation,
+                     validate, HBAR, BOLTZMANN, TWO_PI)
 from .meanfield import (MeanFieldState, magnon_amplitude_approx,
                         solve_steady_state, steady_state_residual)
 from .dynamics import (LinearModel, build_diffusion, build_drift,
@@ -16,8 +16,8 @@ from .entanglement import (EntanglementReport, Partition, check_monogamy,
                            partial_transpose, reduce_cm, residual_contangle,
                            symplectic_eigenvalues, symplectic_form)
 from .sweep import (SweepAxis, SweepRow, SweepSpec, apply_axis,
-                    apply_pump_mode, evaluate_point, optimize_phase,
-                    run_sweep)
+                    apply_pump_mode, evaluate_batch, evaluate_point,
+                    optimize_phase, run_sweep)
 from .errors import (CmmError, ConfigError, IntegrationError,
                      NoStablePointError, NoSteadyStateError, NumericalError,
                      ParameterError, SingularityError, UnstableSystemError)
@@ -25,7 +25,7 @@ from .errors import (CmmError, ConfigError, IntegrationError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PhysicalParams", "NoiseOccupations", "baseline_params",
+    "PhysicalParams", "NoiseOccupations", "ParamBatch", "baseline_params",
     "drive_amplitude", "thermal_occupation", "validate",
     "HBAR", "BOLTZMANN", "TWO_PI",
     "MeanFieldState", "magnon_amplitude_approx", "solve_steady_state",
@@ -37,7 +37,7 @@ __all__ = [
     "min_residual_contangle", "partial_transpose", "reduce_cm",
     "residual_contangle", "symplectic_eigenvalues", "symplectic_form",
     "SweepAxis", "SweepRow", "SweepSpec", "apply_axis", "apply_pump_mode",
-    "evaluate_point", "optimize_phase", "run_sweep",
+    "evaluate_batch", "evaluate_point", "optimize_phase", "run_sweep",
     "CmmError", "ConfigError", "IntegrationError", "NoStablePointError",
     "NoSteadyStateError", "NumericalError", "ParameterError",
     "SingularityError", "UnstableSystemError",

@@ -16,7 +16,6 @@ import argparse
 import sys
 
 from .errors import CmmError, ConfigError
-from .meanfield import solve_steady_state
 from .params import TWO_PI, PhysicalParams, validate
 from .sweep import (AXES, PUMP_MODES, SweepAxis, SweepSpec, apply_axis,
                     apply_pump_mode, evaluate_point, optimize_phase, run_sweep)
@@ -164,11 +163,10 @@ def write_sweep_csv(rows, path: str) -> None:
 def cmd_steady(config_path: str) -> int:
     params, spec = _load(config_path)
     p = apply_pump_mode(params, spec.pump_mode)
-    row = evaluate_point(p)
+    row, state = evaluate_point(p, return_state=True)
     if row.status.startswith("error"):
         print(row.status, file=sys.stderr)
         return 1
-    state = solve_steady_state(p)
     print(f"alpha_s_re = {fmt(state.alpha_s.real)}")
     print(f"alpha_s_im = {fmt(state.alpha_s.imag)}")
     print(f"m_s_re = {fmt(state.m_s.real)}")
@@ -190,11 +188,11 @@ def cmd_steady(config_path: str) -> int:
     return 0
 
 
-def cmd_sweep(config_path: str, out_path: str, threads: int = 1) -> int:
+def cmd_sweep(config_path: str, out_path: str) -> int:
     _, spec = _load(config_path)
     if not 1 <= len(spec.axes) <= 2:
         raise ConfigError("sweep requires one or two sweep.<axis> keys")
-    rows = run_sweep(spec, threads=threads)
+    rows = run_sweep(spec)
     try:
         write_sweep_csv(rows, out_path)
     except OSError as exc:
@@ -227,25 +225,22 @@ def main(argv=None) -> int:
 
     p_steady = sub.add_parser("steady", help="report one operating point")
     p_steady.add_argument("--config", required=True)
-    p_steady.add_argument("--threads", type=int, default=1)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a parameter grid to CSV")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--threads", type=int, default=1)
 
     p_opt = sub.add_parser("phase-opt", help="maximize entanglement over the "
                                              "drive phase difference")
     p_opt.add_argument("--config", required=True)
     p_opt.add_argument("--resolution", type=int, default=64)
-    p_opt.add_argument("--threads", type=int, default=1)
 
     args = parser.parse_args(argv)
     try:
         if args.command == "steady":
             return cmd_steady(args.config)
         if args.command == "sweep":
-            return cmd_sweep(args.config, args.out, threads=args.threads)
+            return cmd_sweep(args.config, args.out)
         if args.command == "phase-opt":
             return cmd_phase_opt(args.config, resolution=args.resolution)
         parser.error(f"unknown command {args.command!r}")

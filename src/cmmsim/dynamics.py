@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError, NumericalError, UnstableSystemError
-from .meanfield import MeanFieldState
-from .params import PhysicalParams
+from .errors import (CmmError, IntegrationError, NumericalError,
+                     UnstableSystemError)
+from .meanfield import MeanFieldBatch, MeanFieldState
+from .params import ParamBatch, PhysicalParams
 
 SQRT2 = math.sqrt(2.0)
 
@@ -78,6 +79,34 @@ def build_diffusion(params: PhysicalParams) -> np.ndarray:
     ])
 
 
+def drift_batch(p: ParamBatch, mf: MeanFieldBatch) -> np.ndarray:
+    """Stacked :func:`build_drift`, shape (n, 6, 6), equal entry for entry."""
+    g, cm = p.g_ma, SQRT2 * p.g_mb
+    dm = mf.delta_m_tilde
+    a = np.zeros((len(p), 6, 6))
+    a[:, 0, 0], a[:, 0, 1], a[:, 0, 3] = -p.kappa_a, p.delta_a, g
+    a[:, 1, 0], a[:, 1, 1], a[:, 1, 2] = -p.delta_a, -p.kappa_a, -g
+    a[:, 2, 1], a[:, 2, 2], a[:, 2, 3] = g, -p.kappa_m, dm
+    a[:, 2, 4] = cm * mf.m_im
+    a[:, 3, 0], a[:, 3, 2], a[:, 3, 3] = -g, -dm, -p.kappa_m
+    a[:, 3, 4] = -cm * mf.m_re
+    a[:, 4, 5] = p.omega_b
+    a[:, 5, 2], a[:, 5, 3] = -cm * mf.m_re, -cm * mf.m_im
+    a[:, 5, 4], a[:, 5, 5] = -p.omega_b, -p.gamma_b
+    return a
+
+
+def diffusion_batch(p: ParamBatch) -> np.ndarray:
+    """Diagonals of the stacked :func:`build_diffusion`, shape (n, 6);
+    non-finite where an occupation is undefined or overflows."""
+    n_a, n_m, n_b = p.occupations()
+    d = np.zeros((len(p), 6))
+    d[:, 0] = d[:, 1] = p.kappa_a * (2.0 * n_a + 1.0)
+    d[:, 2] = d[:, 3] = p.kappa_m * (2.0 * n_m + 1.0)
+    d[:, 5] = p.gamma_b * (2.0 * n_b + 1.0)
+    return d
+
+
 def build_linear_model(params: PhysicalParams,
                        state: MeanFieldState) -> LinearModel:
     return LinearModel(
@@ -93,8 +122,9 @@ def is_stable(a: np.ndarray, eps: float | None = None) -> tuple[bool, float]:
 
     Returns ``(flag, margin)`` with ``margin`` the maximum real part of the
     spectrum of ``a``; the flag is true iff ``margin < -eps``.  ``eps``
-    defaults to STABILITY_EPS times the largest matrix entry; the pipeline
-    passes STABILITY_EPS * omega_b explicitly.  Eigensolver failures
+    defaults to STABILITY_EPS times the largest matrix entry; the sweep
+    engine applies the same test with STABILITY_EPS * omega_b to the
+    eigenvalues of its own ``eig`` call.  Eigensolver failures
     propagate as numpy.linalg.LinAlgError, never as a silent False.
     """
     margin = float(np.linalg.eigvals(np.asarray(a, dtype=float)).real.max())
@@ -107,10 +137,10 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Unique symmetric solution V of a V + V a^T = -d for stable ``a``.
 
     Solved densely through the Kronecker identity
-    (I (x) a + a (x) I) vec(V) = -vec(d); for generic parameter sweeps the
-    6x6 system makes the 36x36 solve trivial.  The result is symmetrized
-    and its relative Frobenius residual verified against
-    LYAPUNOV_RESIDUAL_TOL.
+    (I (x) a + a (x) I) vec(V) = -vec(d), a 36x36 solve for the 6x6
+    system; the fallback and the reference of :func:`modal_lyapunov`.  The
+    result is symmetrized and its relative Frobenius residual (NaN
+    included) verified against LYAPUNOV_RESIDUAL_TOL.
 
     Raises UnstableSystemError when ``a`` is not Hurwitz-stable, and
     NumericalError if the residual contract fails.
@@ -128,10 +158,86 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     v = 0.5 * (v + v.T)
     d_norm = np.linalg.norm(d)
     residual = np.linalg.norm(a @ v + v @ a.T + d) / (d_norm if d_norm > 0 else 1.0)
-    if residual > LYAPUNOV_RESIDUAL_TOL:
+    if not residual <= LYAPUNOV_RESIDUAL_TOL:
         raise NumericalError(
             f"Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:.1e}")
     return v
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Per-entry Frobenius norm, summed along one contiguous axis so that
+    an entry's norm does not depend on the stack around it."""
+    flat = m.reshape(m.shape[0], math.prod(m.shape[1:]))
+    return np.sqrt((flat * flat).sum(axis=1))
+
+
+def _inv_or_nan(s: np.ndarray) -> np.ndarray:
+    """Batched inverse; a singular matrix gets NaN entries instead of
+    failing the whole stack."""
+    try:
+        return np.linalg.inv(s)
+    except np.linalg.LinAlgError:
+        out = np.full_like(s, np.nan)
+        for k, m in enumerate(s):
+            try:
+                out[k] = np.linalg.inv(m)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def modal_lyapunov(a: np.ndarray, d: np.ndarray, lam: np.ndarray,
+                   s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a V + V a^T = -diag(d) for a stack of stable drifts in the
+    eigenbasis of each drift (Bartels-Stewart with a diagonal Schur form).
+
+    ``lam`` and ``s`` are the eigenvalues and eigenvectors from
+    ``np.linalg.eig(a)``.  With D~ = S^-1 diag(d) S^-H,
+    V = S [-D~_ij / (lam_i + conj(lam_j))] S^H; one refinement step solves
+    the same equation for the residual in the same basis.  Returns the
+    symmetrized V, shape (n, 6, 6), and each entry's relative Frobenius
+    residual, which is NaN or large where ``s`` is (nearly) singular.
+    """
+    lam = lam.astype(complex)
+    s = s.astype(complex)
+    s_inv = _inv_or_nan(s)
+    s_h, s_inv_h = s.conj().swapaxes(1, 2), s_inv.conj().swapaxes(1, 2)
+    gap = lam[:, :, None] + lam.conj()[:, None, :]
+    d_full = d[:, :, None] * np.eye(a.shape[1])
+    a_t = a.swapaxes(1, 2)
+
+    def solve(rhs):
+        v = (s @ (-(s_inv @ rhs @ s_inv_h) / gap) @ s_h).real
+        return 0.5 * (v + v.swapaxes(1, 2))
+
+    v = solve(d_full)
+    v = v + solve(a @ v + v @ a_t + d_full)
+    d_norm = _frobenius(d)
+    residual = _frobenius(a @ v + v @ a_t + d_full) / np.where(
+        d_norm > 0, d_norm, 1.0)
+    return v, residual
+
+
+def steady_covariances(a: np.ndarray, d: np.ndarray, lam: np.ndarray,
+                       s: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Steady-state covariances of a stack of stable drifts ``a`` with
+    diffusion diagonals ``d``, given ``lam, s = np.linalg.eig(a)``.
+
+    Uses :func:`modal_lyapunov`; every entry whose residual is not within
+    LYAPUNOV_RESIDUAL_TOL (NaN included) is solved again by the Kronecker
+    :func:`solve_lyapunov`.  Returns the covariances and, keyed by entry,
+    the error message of every entry that fallback failed too (its
+    covariance is NaN).
+    """
+    v, residual = modal_lyapunov(a, d, lam, s)
+    errors = {}
+    for k in np.flatnonzero(~(residual <= LYAPUNOV_RESIDUAL_TOL)).tolist():
+        try:
+            v[k] = solve_lyapunov(a[k], np.diag(d[k]))
+        except (CmmError, np.linalg.LinAlgError) as exc:
+            v[k] = np.nan
+            errors[k] = str(exc)
+    return v, errors
 
 
 def integrate_covariance(a: np.ndarray, d: np.ndarray, v0: np.ndarray,

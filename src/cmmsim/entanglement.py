@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .params import float_squares
 
 MODES = ("a", "m", "b")
 
@@ -108,35 +109,60 @@ def partial_transpose(v: np.ndarray, transposed_mode: str,
     return v * np.outer(signs, signs)
 
 
+def symplectic_spectra(m: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Symplectic spectra of a stack of k symmetric 2n x 2n matrices, from
+    one batched ``eigvals`` of Omega M.
+
+    Returns the spectra, shape (k, n), each ascending, and the message of
+    every matrix that is non-finite (masked before the eigensolver), not
+    symmetric, or whose spectrum fails the +/- pairing to PAIRING_TOL,
+    keyed by its index; the spectra of those matrices are meaningless.
+    """
+    n = m.shape[-1] // 2
+    finite = np.isfinite(m).all(axis=(1, 2))
+    m = np.where(finite[:, None, None], m, 0.0)
+    asym = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2))
+    scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1.0)
+    omega_m = np.empty_like(m)  # Omega M: swap each mode's rows, negate one
+    omega_m[:, 0::2] = m[:, 1::2]
+    omega_m[:, 1::2] = -m[:, 0::2]
+    ev = np.linalg.eigvals(omega_m)
+    im = np.sort(ev.imag, axis=1)
+    nus_pos = im[:, n:]               # n positives, ascending
+    nus_neg = -im[:, n - 1::-1]       # n negatives, matched by magnitude
+    ref = np.maximum(np.abs(ev).max(axis=1), 1e-300)
+    mismatch = np.abs(nus_pos - nus_neg).max(axis=1) / ref
+    off_axis = np.abs(ev.real).max(axis=1) / ref
+    asymmetric = asym > 1e-8 * scale
+    errors = {}
+    for k in np.flatnonzero(~finite | asymmetric | (mismatch > PAIRING_TOL)
+                            | (off_axis > PAIRING_TOL)).tolist():
+        if not finite[k]:
+            errors[k] = "matrix has non-finite entries"
+        elif asymmetric[k]:
+            errors[k] = f"matrix is not symmetric: |V - V^T| = {asym[k]:.3e}"
+        else:
+            errors[k] = ("symplectic spectrum fails +/- pairing "
+                         f"(mismatch {mismatch[k]:.2e}, "
+                         f"real parts {off_axis[k]:.2e})")
+    return 0.5 * (nus_pos + nus_neg), errors
+
+
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a symmetric positive-definite 4x4 or 6x6
     matrix: the n values nu such that Omega V has eigenvalues +/- i nu.
 
-    Returned ascending.  Raises NumericalError if the spectrum does not
-    pair up to PAIRING_TOL (input not symmetric/physical enough).
+    Returned ascending.  Raises NumericalError if the matrix is not finite
+    and symmetric or the spectrum does not pair up to PAIRING_TOL (input
+    not symmetric/physical enough).
     """
     v = np.asarray(v, dtype=float)
     if v.shape not in ((4, 4), (6, 6)):
         raise ValueError(f"expected a 4x4 or 6x6 matrix, got {v.shape}")
-    asym = np.abs(v - v.T).max()
-    scale = max(np.abs(v).max(), 1.0)
-    if asym > 1e-8 * scale:
-        raise NumericalError(f"matrix is not symmetric: |V - V^T| = {asym:.3e}")
-    n = v.shape[0] // 2
-    ev = np.linalg.eigvals(symplectic_form(n) @ v)
-    order = np.argsort(ev.imag)
-    neg = ev[order[:n]]        # imaginary parts ascending: n negatives first
-    pos = ev[order[:n - 1:-1]]  # then n positives, matched largest-to-largest
-    nus_pos = np.sort(pos.imag)
-    nus_neg = np.sort(-neg.imag)
-    ref = max(float(np.abs(ev).max()), 1e-300)
-    mismatch = float(np.abs(nus_pos - nus_neg).max()) / ref
-    off_axis = float(np.abs(ev.real).max()) / ref
-    if mismatch > PAIRING_TOL or off_axis > PAIRING_TOL:
-        raise NumericalError(
-            "symplectic spectrum fails +/- pairing "
-            f"(mismatch {mismatch:.2e}, real parts {off_axis:.2e})")
-    return 0.5 * (nus_pos + nus_neg)
+    nus, errors = symplectic_spectra(v[None])
+    if errors:
+        raise NumericalError(errors[0])
+    return nus[0]
 
 
 def _min_pt_symplectic_eigenvalue(v: np.ndarray, partition: Partition) -> float:
@@ -148,14 +174,22 @@ def _min_pt_symplectic_eigenvalue(v: np.ndarray, partition: Partition) -> float:
         return float(symplectic_eigenvalues(v_pt)[0])
     v_pt = partial_transpose(v, partition.side_u, MODES)
     nus = symplectic_eigenvalues(v_pt)
-    # at most one symplectic eigenvalue of a one-vs-two partial
-    # transposition can drop below vacuum; guard that assumption
-    below = int(np.sum(nus < 0.5 - MONOGAMY_SLACK))
+    below = int(_below_vacuum(nus))
     if below > 1:
-        raise NumericalError(
-            f"{below} symplectic eigenvalues below vacuum after a 1|2 "
-            "partial transposition; covariance matrix is not physical")
+        raise NumericalError(_not_physical(below))
     return float(nus[0])
+
+
+def _below_vacuum(nus: np.ndarray) -> np.ndarray:
+    """Number of symplectic eigenvalues below vacuum, per spectrum (last
+    axis).  At most one of a one-vs-two partial transposition can be; the
+    measures guard that assumption."""
+    return (nus < 0.5 - MONOGAMY_SLACK).sum(axis=-1)
+
+
+def _not_physical(below: int) -> str:
+    return (f"{below} symplectic eigenvalues below vacuum after a 1|2 "
+            "partial transposition; covariance matrix is not physical")
 
 
 def log_negativity(v: np.ndarray, partition: Partition) -> float:
@@ -163,9 +197,7 @@ def log_negativity(v: np.ndarray, partition: Partition) -> float:
     with nu_min the smallest symplectic eigenvalue after partially
     transposing ``side_u``.  Exactly 0.0 for separable-by-PPT states."""
     nu = _min_pt_symplectic_eigenvalue(v, partition)
-    if 2.0 * nu >= 1.0:
-        return 0.0
-    return -math.log(2.0 * nu)
+    return float(_log_negativities(np.array([nu]))[0])
 
 
 def contangle(v: np.ndarray, partition: Partition) -> float:
@@ -215,34 +247,76 @@ def check_physicality(v: np.ndarray):
     return min_eig >= -MONOGAMY_SLACK, min_eig
 
 
+#: columns of entanglement_batch, named as the EntanglementReport fields
+MEASURES = ("en_am", "en_ab", "en_mb", "en_a_mb", "en_m_ab", "en_b_am",
+            "residual_a", "residual_m", "residual_b", "r_min")
+
+#: quadratures kept by the pairs (a, m), (a, b), (m, b); the partial
+#: transposition flips the first kept mode's momentum
+_PAIR_QUADS = np.array([[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]])
+_PAIR_SIGNS = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
+#: sign patterns transposing a, m, b against the other two modes
+_SPLIT_SIGNS = np.array([np.outer(s, s) for s in 1.0 - 2.0 * np.eye(6)[1::2]])
+
+
+def _log_negativities(nu: np.ndarray) -> np.ndarray:
+    """max[0, -ln(2 nu)] entrywise, with the logarithm from :mod:`math`."""
+    two_nu = 2.0 * nu
+    en = np.zeros_like(nu)
+    below = two_nu < 1.0
+    en[below] = [-math.log(x) for x in two_nu[below].tolist()]
+    return en
+
+
+def entanglement_batch(v: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Every measure of :func:`entanglement_report` for a stack of k
+    covariance matrices, shape (k, 6, 6).
+
+    The three pair and three one-vs-two partial transpositions go through
+    two batched :func:`symplectic_spectra` calls.  Returns a (k, 10) array
+    whose columns are MEASURES, and the message of every matrix that fails
+    a spectrum check or has more than one symplectic eigenvalue below
+    vacuum after a 1|2 transposition, keyed by its index (in the order the
+    scalar measures would raise).
+    """
+    k = v.shape[0]
+    pairs = v[:, _PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]]
+    nu_pair, pair_errors = symplectic_spectra(
+        (pairs * _PAIR_SIGNS).reshape(3 * k, 4, 4))
+    splits = v[:, None] * _SPLIT_SIGNS
+    nu_split, split_errors = symplectic_spectra(splits.reshape(3 * k, 6, 6))
+    below = _below_vacuum(nu_split)
+    for j in np.flatnonzero(below > 1).tolist():
+        split_errors.setdefault(j, _not_physical(below[j]))
+    errors = {}
+    for j in sorted(split_errors):
+        errors.setdefault(j // 3, split_errors[j])
+    for j in sorted(pair_errors, reverse=True):
+        errors[j // 3] = pair_errors[j]
+    en = _log_negativities(np.concatenate(
+        [nu_pair[:, 0].reshape(k, 3), nu_split[:, 0].reshape(k, 3)], axis=1))
+    sq = float_squares(en)
+    residuals = np.stack([sq[:, 3] - sq[:, 0] - sq[:, 1],
+                          sq[:, 4] - sq[:, 0] - sq[:, 2],
+                          sq[:, 5] - sq[:, 1] - sq[:, 2]], axis=1)
+    r_min = residuals.min(axis=1, keepdims=True)
+    return np.concatenate([en, residuals, r_min], axis=1), errors
+
+
 def entanglement_report(v: np.ndarray, stable: bool = True) -> EntanglementReport:
-    """Evaluate every measure reported by the sweep engine on one matrix."""
-    en_pairs = {
-        (u, w): log_negativity(v, Partition(u, (w,)))
-        for u, w in (("a", "m"), ("a", "b"), ("m", "b"))
-    }
-    en_one_two = {
-        u: log_negativity(v, Partition(u, tuple(m for m in MODES if m != u)))
-        for u in MODES
-    }
-    residuals = {}
-    for u in MODES:
-        s, t = (m for m in MODES if m != u)
-        pair_s = en_pairs.get((u, s), en_pairs.get((s, u)))
-        pair_t = en_pairs.get((u, t), en_pairs.get((t, u)))
-        residuals[u] = en_one_two[u] ** 2 - pair_s ** 2 - pair_t ** 2
-    margins = (residuals["a"], residuals["m"], residuals["b"])
+    """Evaluate every measure reported by the sweep engine on one matrix.
+
+    Raises NumericalError if a partial transposition fails a spectrum
+    check (see :func:`entanglement_batch`)."""
+    v = np.asarray(v, dtype=float)
+    _mode_positions(v, MODES)
+    measures, errors = entanglement_batch(v[None])
+    if errors:
+        raise NumericalError(errors[0])
+    values = dict(zip(MEASURES, measures[0].tolist()))
+    margins = tuple(values[f"residual_{u}"] for u in MODES)
     return EntanglementReport(
-        en_am=en_pairs[("a", "m")],
-        en_ab=en_pairs[("a", "b")],
-        en_mb=en_pairs[("m", "b")],
-        en_a_mb=en_one_two["a"],
-        en_m_ab=en_one_two["m"],
-        en_b_am=en_one_two["b"],
-        residual_a=residuals["a"],
-        residual_m=residuals["m"],
-        residual_b=residuals["b"],
-        r_min=min(margins),
+        **values,
         monogamy_margins=margins,
         monogamy_ok=all(m >= -MONOGAMY_SLACK for m in margins),
         stable=stable,

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .errors import ParameterError
 
 TWO_PI = 2.0 * math.pi
@@ -138,6 +140,31 @@ def thermal_occupation(omega: float, T: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+def thermal_occupations(omega: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`thermal_occupation` for ``T >= 0``.
+
+    Where the scalar function raises, the entry is NaN (``omega <= 0``) or
+    inf (``hbar*omega/(k_B*T)`` underflows to zero).  ``expm1`` is taken from
+    :mod:`math`, so each entry equals the scalar value bit for bit.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = HBAR * omega / (BOLTZMANN * T)
+        occ = np.zeros_like(x)
+        live = (T != 0.0) & (x <= 700.0)
+        occ[live] = 1.0 / np.array([math.expm1(v) for v in x[live].tolist()])
+    occ[~(omega > 0.0)] = np.nan
+    return occ
+
+
+def float_squares(x: np.ndarray) -> np.ndarray:
+    """``v ** 2`` for every entry, with Python's float power (which can
+    differ from ``v * v`` in the last bit), so batched results equal the
+    scalar code's bit for bit.  Where the square overflows, which the power
+    raises for, the entry is ``v * v`` (inf)."""
+    return np.array([v ** 2 if -1e154 < v < 1e154 else v * v
+                     for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
 def drive_amplitude(kappa: float, P: float, omega_d: float) -> float:
     """Drive amplitude sqrt(2*kappa*P / (hbar*omega_d)) in 1/s.
 
@@ -182,6 +209,73 @@ def validate(params: PhysicalParams) -> PhysicalParams:
     if violations:
         raise ParameterError(violations)
     return params
+
+
+class ParamBatch:
+    """Struct-of-arrays form of :class:`PhysicalParams`: one float64 array
+    per field, of the same name, with one entry per operating point.
+
+    A plain slotted class rather than a dataclass, because creating a
+    dataclass at import time costs milliseconds.
+    """
+
+    __slots__ = tuple(f.name for f in fields(PhysicalParams))
+
+    def __init__(self, **columns):
+        for name in self.__slots__:
+            setattr(self, name, columns[name])
+
+    @classmethod
+    def from_base(cls, base: PhysicalParams, n: int, **columns) -> "ParamBatch":
+        """``n`` copies of ``base`` with the named fields replaced by the
+        given length-``n`` arrays."""
+        return cls(**{name: np.asarray(columns[name], dtype=float)
+                      if name in columns
+                      else np.full(n, float(getattr(base, name)))
+                      for name in cls.__slots__})
+
+    def __len__(self) -> int:
+        return self.omega_a.shape[0]
+
+    def point(self, k: int) -> PhysicalParams:
+        """The scalar parameters of entry ``k``."""
+        return PhysicalParams(**{name: float(getattr(self, name)[k])
+                                 for name in self.__slots__})
+
+    def take(self, index) -> "ParamBatch":
+        """The entries selected by ``index`` (an index array or mask)."""
+        return ParamBatch(**{name: getattr(self, name)[index]
+                             for name in self.__slots__})
+
+    @property
+    def drive_frequency(self) -> np.ndarray:
+        return self.omega_a - self.delta_a
+
+    def drive_amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eps_a, eps_m) for entries that pass :func:`valid_mask`."""
+        wd = self.drive_frequency
+        return (np.sqrt(2.0 * self.kappa_a * self.P_a / (HBAR * wd)),
+                np.sqrt(2.0 * self.kappa_m * self.P_m / (HBAR * wd)))
+
+    def occupations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n_a, n_m, n_b) as in :meth:`PhysicalParams.occupations`; n_m is
+        NaN where the reconstructed magnon frequency is not positive."""
+        return (thermal_occupations(self.omega_a, self.T),
+                thermal_occupations(self.delta_m_tilde_target
+                                    + self.drive_frequency, self.T),
+                thermal_occupations(self.omega_b, self.T))
+
+
+def valid_mask(batch: ParamBatch) -> np.ndarray:
+    """Elementwise :func:`validate`: True where every invariant holds."""
+    ok = batch.drive_frequency > 0.0
+    for name in _POSITIVE:
+        ok &= getattr(batch, name) > 0.0
+    for name in _NON_NEGATIVE:
+        ok &= getattr(batch, name) >= 0.0
+    for name in batch.__slots__:
+        ok &= np.isfinite(getattr(batch, name))
+    return ok
 
 
 def baseline_params(**overrides) -> PhysicalParams:

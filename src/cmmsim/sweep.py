@@ -1,23 +1,25 @@
 """Parameter-sweep engine and phase optimizer.
 
-Each grid point is an independent pure evaluation of the full pipeline
-(mean field -> drift/diffusion -> Lyapunov -> entanglement measures), so a
-sweep may be evaluated by any number of worker threads without changing a
-single bit of the output; rows are always assembled in row-major grid
-order with the first axis outermost.
+Operating points are evaluated as arrays, CHUNK points at a time: mean
+field, drift and diffusion, one eigendecomposition per point (its
+eigenvalues give the stability margin, its eigenvectors the modal Lyapunov
+solve), then the partial-transpose spectra as batched eigenvalue problems.
+A single point is a chunk of one.  Every step treats each point on its own,
+so a point's row is bit-identical whichever chunk it is evaluated in; grid
+rows are assembled in row-major order with the first axis outermost.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics, entanglement, meanfield
-from .errors import CmmError, NoStablePointError
-from .params import PhysicalParams, validate
+from .errors import CmmError, NoStablePointError, ParameterError
+from .params import ParamBatch, PhysicalParams, valid_mask, validate
 
 AXES = ("delta_a", "delta_theta", "T", "P_a")
 PUMP_MODES = ("both", "magnon-only", "cavity-only")
@@ -93,105 +95,215 @@ class SweepRow:
     status: str = "ok"
 
 
+#: the row fields between (axis1, axis2, stable) and status: margin .. q_s
+_FLOAT_FIELDS = tuple(f.name for f in fields(SweepRow))[3:-1]
+
+#: points evaluated together; bounds the stacked arrays' memory
+CHUNK = 128
+
+#: the drive power each pump mode forces to zero
+_PUMP_OFF = {"both": None, "magnon-only": "P_a", "cavity-only": "P_m"}
+
+
 def apply_pump_mode(params: PhysicalParams, pump_mode: str) -> PhysicalParams:
     """magnon-only forces P_a = 0; cavity-only forces P_m = 0."""
-    if pump_mode == "both":
-        return params
-    if pump_mode == "magnon-only":
-        return params.replace(P_a=0.0)
-    if pump_mode == "cavity-only":
-        return params.replace(P_m=0.0)
-    raise ValueError(f"unknown pump_mode {pump_mode!r}")
+    if pump_mode not in _PUMP_OFF:
+        raise ValueError(f"unknown pump_mode {pump_mode!r}")
+    off = _PUMP_OFF[pump_mode]
+    return params if off is None else params.replace(**{off: 0.0})
 
 
-def apply_axis(params: PhysicalParams, name: str, value: float) -> PhysicalParams:
+def _axis_field(params: PhysicalParams, name: str, value):
+    """The field a sweep-axis value sets, and the field's new value;
+    ``value`` may be a float or an array of them."""
     if name == "delta_a":
-        return params.replace(delta_a=value * params.omega_b)
+        return "delta_a", value * params.omega_b
     if name == "delta_theta":
-        return params.replace(theta_a=params.theta_m + value)
-    if name == "T":
-        return params.replace(T=value)
-    if name == "P_a":
-        return params.replace(P_a=value)
+        return "theta_a", params.theta_m + value
+    if name in ("T", "P_a"):
+        return name, value
     raise ValueError(f"unknown sweep axis {name!r}")
 
 
-def evaluate_point(params: PhysicalParams, pump_mode: str = "both",
-                   return_cm: bool = False):
-    """Run the full pipeline at one parameter point.
+def apply_axis(params: PhysicalParams, name: str, value: float) -> PhysicalParams:
+    field, new = _axis_field(params, name, value)
+    return params.replace(**{field: new})
 
-    Never raises for physics reasons: instability and solver errors are
-    captured in the returned row (entanglement fields NaN, ``status`` set).
-    With ``return_cm=True`` returns ``(row, V)`` where V is the steady-state
-    covariance matrix or None.
-    """
-    nan = float("nan")
-    row = SweepRow(axis1=nan, axis2=nan, stable=False, margin=nan,
-                   r_min=nan, residual_a=nan, residual_m=nan, residual_b=nan,
-                   en_am=nan, en_ab=nan, en_mb=nan, en_a_mb=nan,
-                   en_m_ab=nan, en_b_am=nan, abs_ms_sq=nan, q_s=nan)
-    v = None
+
+def _error_of(check, params: PhysicalParams) -> str:
+    """Status of a point the batch rejected, from the scalar ``check``
+    that rejects it, so its message names the offending value."""
     try:
-        p = validate(apply_pump_mode(params, pump_mode))
-        state = meanfield.solve_steady_state(p)
-        row.abs_ms_sq = abs(state.m_s) ** 2
-        row.q_s = state.q_s
-        a = dynamics.build_drift(p, state)
-        d = dynamics.build_diffusion(p)
-        row.stable, row.margin = dynamics.is_stable(
-            a, eps=dynamics.STABILITY_EPS * p.omega_b)
-        if not row.stable:
-            row.status = "unstable"
-            return (row, None) if return_cm else row
-        v = dynamics.solve_lyapunov(a, d)
-        report = entanglement.entanglement_report(v, stable=True)
-        row.r_min = report.r_min
-        row.residual_a = report.residual_a
-        row.residual_m = report.residual_m
-        row.residual_b = report.residual_b
-        row.en_am = report.en_am
-        row.en_ab = report.en_ab
-        row.en_mb = report.en_mb
-        row.en_a_mb = report.en_a_mb
-        row.en_m_ab = report.en_m_ab
-        row.en_b_am = report.en_b_am
-    except CmmError as exc:
-        row.status = f"error: {exc}"
-        v = None
-    return (row, v) if return_cm else row
+        check(params)
+    except (ParameterError, ArithmeticError) as exc:
+        return f"error: {exc}"
+    return "error: invalid parameters"
 
 
-def _grid_points(spec: SweepSpec):
-    """(axis1_value, axis2_value, params) per grid point, row-major."""
-    if not spec.axes:
-        yield float("nan"), float("nan"), spec.base
-        return
-    if len(spec.axes) == 1:
-        for x in spec.axes[0].values():
-            yield float(x), float("nan"), apply_axis(spec.base, spec.axes[0].name, float(x))
-        return
-    ax1, ax2 = spec.axes
-    for x in ax1.values():
-        p1 = apply_axis(spec.base, ax1.name, float(x))
-        for y in ax2.values():
-            yield float(x), float(y), apply_axis(p1, ax2.name, float(y))
+class BatchResult(NamedTuple):
+    """Rows of a batch, with each point's covariance (NaN where the row has
+    none) and the mean field of the points that pass validation, in order
+    (None after a per-point fallback)."""
+
+    rows: list[SweepRow]
+    covariances: np.ndarray
+    mean_field: meanfield.MeanFieldBatch | None
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
-    """Evaluate the grid; deterministic row order and values regardless of
-    ``threads`` (each point is a pure, independent evaluation)."""
-    points = list(_grid_points(spec))
+def evaluate_batch(p: ParamBatch, axis1=None, axis2=None) -> BatchResult:
+    """Run the full pipeline at every point of ``p`` as arrays; the rows'
+    axis values default to NaN.
 
-    def job(point):
-        x, y, params = point
-        row = evaluate_point(params, spec.pump_mode)
-        row.axis1, row.axis2 = x, y
-        return row
+    Like :func:`evaluate_point` this never raises for physics or numerical
+    reasons, and each row equals that point's ``evaluate_point`` row bit
+    for bit.  A linear-algebra or arithmetic failure that the stages do not
+    turn into a per-point status (an eigensolver that does not converge, a
+    domain error) is confined to its point: the batch is evaluated again
+    point by point, and the failing point becomes an error row.
+    """
+    n = len(p)
+    axis1 = np.full(n, np.nan) if axis1 is None else axis1
+    axis2 = np.full(n, np.nan) if axis2 is None else axis2
+    try:
+        with np.errstate(all="ignore"):
+            return _run_stages(p, axis1, axis2)
+    except (CmmError, np.linalg.LinAlgError, ArithmeticError,
+            ValueError) as exc:
+        if n == 1:
+            row = SweepRow(float(axis1[0]), float(axis2[0]), False,
+                           *[float("nan")] * len(_FLOAT_FIELDS),
+                           status=f"error: {exc}")
+            return BatchResult([row], np.full((1, 6, 6), np.nan), None)
+        parts = [evaluate_batch(p.take([k]), axis1[k:k + 1], axis2[k:k + 1])
+                 for k in range(n)]
+        return BatchResult([part.rows[0] for part in parts],
+                           np.concatenate([part.covariances for part in parts]),
+                           None)
 
-    if threads <= 1 or len(points) <= 1:
-        return [job(pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(job, points))
+
+def _run_stages(p: ParamBatch, axis1: np.ndarray,
+                axis2: np.ndarray) -> BatchResult:
+    n = len(p)
+    status = ["ok"] * n
+    stable = [False] * n
+    # float columns of the rows; entries never set share one NaN object,
+    # which keeps the rows of a mostly unstable grid small
+    nan = float("nan")
+    columns = {name: [nan] * n for name in _FLOAT_FIELDS}
+
+    def put(name, at, values):
+        column = columns[name]
+        for k, value in zip(at.tolist(), values.tolist()):
+            column[k] = value
+
+    cov = np.full((n, 6, 6), np.nan)
+
+    # each stage narrows ``idx``, the points still alive, and evaluates
+    # only those, so no invalid or non-finite input reaches a later stage
+    ok = valid_mask(p)
+    for k in np.flatnonzero(~ok).tolist():
+        status[k] = _error_of(validate, p.point(k))
+    idx = np.flatnonzero(ok)
+    q = p.take(idx)
+
+    mf = meanfield.solve_effective_batch(q)
+    for j in np.flatnonzero(mf.singular).tolist():
+        status[idx[j]] = f"error: {meanfield.SINGULAR_RESPONSE}"
+    for j in np.flatnonzero(~mf.singular & ~mf.finite).tolist():
+        status[idx[j]] = "error: non-finite mean-field state"
+    ok = ~mf.singular & mf.finite
+    put("abs_ms_sq", idx[ok], mf.abs_ms_sq[ok])
+    put("q_s", idx[ok], mf.q_s[ok])
+
+    a = dynamics.drift_batch(q, mf)
+    d = dynamics.diffusion_batch(q)
+    bath = q.delta_m_tilde_target + q.drive_frequency > 0.0
+    for j in np.flatnonzero(ok & ~bath).tolist():
+        status[idx[j]] = _error_of(PhysicalParams.occupations, q.point(j))
+    ok &= bath
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(d).all(axis=1)
+    for j in np.flatnonzero(ok & ~finite).tolist():
+        status[idx[j]] = "error: non-finite drift or diffusion matrix"
+    ok &= finite
+    idx, a, d, omega_b = idx[ok], a[ok], d[ok], q.omega_b[ok]
+
+    lam, s = np.linalg.eig(a)
+    margin = lam.real.max(axis=1)
+    put("margin", idx, margin)
+    ok = margin < -dynamics.STABILITY_EPS * omega_b
+    for k in idx[ok].tolist():
+        stable[k] = True
+    for k in idx[~ok].tolist():
+        status[k] = "unstable"
+    idx = idx[ok]
+
+    v, errors = dynamics.steady_covariances(a[ok], d[ok], lam[ok], s[ok])
+    for j, message in errors.items():
+        status[idx[j]] = f"error: {message}"
+    solved = np.delete(np.arange(idx.size), list(errors))
+    idx, v = idx[solved], v[solved]
+
+    values, errors = entanglement.entanglement_batch(v)
+    for j, message in errors.items():
+        status[idx[j]] = f"error: {message}"
+    done = np.delete(np.arange(idx.size), list(errors))
+    for name, values_of in zip(entanglement.MEASURES, values[done].T):
+        put(name, idx[done], values_of)
+    cov[idx[done]] = v[done]
+
+    lists = ([axis1.tolist(), axis2.tolist(), stable]
+             + [columns[name] for name in _FLOAT_FIELDS] + [status])
+    return BatchResult([SweepRow(*vals) for vals in zip(*lists)], cov, mf)
+
+
+def evaluate_point(params: PhysicalParams, pump_mode: str = "both",
+                   return_cm: bool = False, return_state: bool = False):
+    """Run the full pipeline at one parameter point (a batch of one).
+
+    Never raises for physics or numerical reasons: invalid parameters,
+    instability and solver errors are captured in the returned row
+    (entanglement fields NaN, ``status`` set).  With ``return_cm=True`` the
+    steady-state covariance matrix (or None) follows the row; with
+    ``return_state=True`` the MeanFieldState (or None) follows that.
+    """
+    p = ParamBatch.from_base(apply_pump_mode(params, pump_mode), 1)
+    result = evaluate_batch(p)
+    row = result.rows[0]
+    out = [row]
+    if return_cm:
+        out.append(result.covariances[0] if row.status == "ok" else None)
+    if return_state:
+        # abs_ms_sq is set exactly when the mean field was solved
+        solved = result.mean_field is not None and not math.isnan(row.abs_ms_sq)
+        out.append(result.mean_field.state(0) if solved else None)
+    return out[0] if len(out) == 1 else tuple(out)
+
+
+def _chunks(spec: SweepSpec):
+    """(params, axis1, axis2) per chunk of the grid, row-major."""
+    values = [ax.values() for ax in spec.axes]
+    shape = tuple(len(x) for x in values)
+    total = math.prod(shape)
+    off = _PUMP_OFF[spec.pump_mode]
+    for start in range(0, total, CHUNK):
+        k = np.arange(start, min(start + CHUNK, total))
+        coords = ([x[i] for x, i in zip(values, np.unravel_index(k, shape))]
+                  if shape else [])
+        columns = dict(_axis_field(spec.base, ax.name, x)
+                       for ax, x in zip(spec.axes, coords))
+        if off is not None:
+            columns[off] = np.zeros(k.size)
+        axis1, axis2 = (coords + [np.full(k.size, np.nan)] * 2)[:2]
+        yield ParamBatch.from_base(spec.base, k.size, **columns), axis1, axis2
+
+
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Evaluate the grid, CHUNK points at a time; the rows and their values
+    do not depend on the chunking."""
+    rows = []
+    for params, axis1, axis2 in _chunks(spec):
+        rows += evaluate_batch(params, axis1, axis2).rows
+    return rows
 
 
 def _r_min_at_phase(params: PhysicalParams, delta_theta: float) -> float:
@@ -218,7 +330,10 @@ def optimize_phase(params: PhysicalParams, resolution: int,
         raise ValueError("resolution must be >= 8")
     lo, hi = window
     grid = lo + (hi - lo) * np.arange(resolution) / resolution
-    values = [_r_min_at_phase(params, float(x)) for x in grid]
+    field, column = _axis_field(params, "delta_theta", grid)
+    scan = evaluate_batch(
+        ParamBatch.from_base(params, resolution, **{field: column}))
+    values = [row.r_min for row in scan.rows]
     finite = [v for v in values if not math.isnan(v)]
     if not finite:
         raise NoStablePointError(

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import cmmsim as c
-from cmmsim.cli import main as cli_main
+from cmmsim.cli import main as cli_main, parse_config, write_sweep_csv
 from conftest import random_physical_cm, tmsv_cm, embed_with_vacuum
 
 BASE = c.baseline_params()
@@ -330,22 +330,37 @@ def test_criterion_09_physicality_of_produced_covariances():
                    f"min nu = {_COLLECTED['min_nu']:.12f}")
 
 
-def test_criterion_10_csv_determinism(tmp_path):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text(
+def test_criterion_10_csv_determinism(tmp_path, monkeypatch):
+    text = (
         "omega_a_hz = 10e9\nomega_b_hz = 10e6\nkappa_a_hz = 1e6\n"
         "kappa_m_hz = 1e6\ngamma_b_hz = 100\ng_ma_hz = 1e6\ng_mb_hz = 0.28\n"
         "P_a_w = 9e-3\nP_m_w = 0.9\nT_k = 10e-3\n"
         "delta_a_over_omega_b = -1.35\ndelta_m_tilde_over_omega_b = 0.9\n"
         "theta_a_rad = 1.5707963267948966\n"
-        "sweep.delta_a = -2:2:21\nsweep.delta_theta = 0:6.283185307179586:21\n",
-        encoding="utf-8")
+        "sweep.delta_a = -2:2:21\nsweep.delta_theta = 0:6.283185307179586:21\n")
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(text, encoding="utf-8")
     outputs = []
-    for name, threads in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "8")):
+    # a rerun, then a different chunking of the 441 points
+    for name, chunk in (("a.csv", c.sweep.CHUNK), ("b.csv", c.sweep.CHUNK),
+                        ("c.csv", 7)):
+        monkeypatch.setattr(c.sweep, "CHUNK", chunk)
         out = tmp_path / name
-        code = cli_main(["sweep", "--config", str(cfg), "--out", str(out),
-                         "--threads", threads])
+        code = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         outputs.append(out.read_bytes())
-    ok = outputs[0] == outputs[1] == outputs[2]
-    _report(10, ok, f"{len(outputs[0])} bytes, reruns and thread counts identical")
+    # the same grid, one evaluate_point call per row
+    _, spec = parse_config(text)
+    rows = []
+    for x in spec.axes[0].values():
+        for y in spec.axes[1].values():
+            p = c.apply_axis(c.apply_axis(spec.base, "delta_a", float(x)),
+                             "delta_theta", float(y))
+            row = c.evaluate_point(p)
+            row.axis1, row.axis2 = float(x), float(y)
+            rows.append(row)
+    write_sweep_csv(rows, str(tmp_path / "d.csv"))
+    outputs.append((tmp_path / "d.csv").read_bytes())
+    ok = all(out == outputs[0] for out in outputs)
+    _report(10, ok, f"{len(outputs[0])} bytes, reruns, chunkings and "
+                    "per-point rows identical")

@@ -8,7 +8,7 @@ import pytest
 
 from cmmsim import (NoStablePointError, SweepAxis, SweepSpec, apply_axis,
                     apply_pump_mode, baseline_params, evaluate_point,
-                    optimize_phase, run_sweep)
+                    optimize_phase, run_sweep, sweep)
 
 PHYSICS_FIELDS = ("stable", "margin", "r_min", "residual_a", "residual_m",
                   "residual_b", "en_am", "en_ab", "en_mb", "en_a_mb",
@@ -87,21 +87,29 @@ class TestRunSweep:
     def test_phase_periodicity_across_rows(self, base):
         spec = SweepSpec(base=base,
                          axes=(SweepAxis("delta_theta", 0.0, 4.0 * math.pi, 81),))
-        rows = run_sweep(spec, threads=4)
+        rows = run_sweep(spec)
         for k in range(40):
             r1, r2 = rows[k], rows[k + 40]
             assert abs(r1.r_min - r2.r_min) < 1e-10
             assert abs(r1.abs_ms_sq - r2.abs_ms_sq) <= 1e-10 * r1.abs_ms_sq
 
-    def test_thread_count_never_changes_bits(self, base):
-        spec = SweepSpec(base=base, axes=(
-            SweepAxis("delta_a", -2.0, 2.0, 9),
-            SweepAxis("T", 0.01, 0.2, 3),
-        ))
-        rows1 = run_sweep(spec, threads=1)
-        rows8 = run_sweep(spec, threads=8)
-        assert len(rows1) == len(rows8) == 27
-        assert all(rows_equal(a, b) for a, b in zip(rows1, rows8))
+    def test_chunking_never_changes_bits(self, base, monkeypatch):
+        # two full chunks and a partial one, then a different chunking
+        n = 2 * sweep.CHUNK + 3
+        base = base.replace(P_m=1.0)  # about half of the axis is unstable
+        spec = SweepSpec(base=base, axes=(SweepAxis("delta_a", -2.0, 2.0, n),))
+        all_fields = PHYSICS_FIELDS + ("axis1", "axis2", "status")
+        rows = run_sweep(spec)
+        assert len(rows) == n
+        assert {r.status for r in rows} == {"ok", "unstable"}
+        assert all(rows_equal(a, b, all_fields)
+                   for a, b in zip(rows, run_sweep(spec)))
+        monkeypatch.setattr(sweep, "CHUNK", 7)
+        assert all(rows_equal(a, b, all_fields)
+                   for a, b in zip(rows, run_sweep(spec)))
+        for row in rows:
+            alone = evaluate_point(apply_axis(base, "delta_a", row.axis1))
+            assert rows_equal(row, alone, PHYSICS_FIELDS + ("status",))
 
     def test_pump_mode_equivalence(self, base):
         axes = (SweepAxis("delta_a", -1.5, -1.0, 4),)
