@@ -17,8 +17,8 @@ import sys
 
 from .errors import CmmError, ConfigError
 from .params import TWO_PI, PhysicalParams, validate
-from .sweep import (AXES, PUMP_MODES, SweepAxis, SweepSpec, apply_axis,
-                    apply_pump_mode, evaluate_point, optimize_phase, run_sweep)
+from .sweep import (AXES, PUMP_MODES, SweepAxis, SweepSpec, _optimize_phase,
+                    apply_pump_mode, evaluate_point, run_sweep)
 
 FREQ_KEYS = ("omega_a_hz", "omega_b_hz", "kappa_a_hz", "kappa_m_hz",
              "gamma_b_hz", "g_ma_hz", "g_mb_hz")
@@ -143,19 +143,18 @@ def _load(config_path: str) -> tuple[PhysicalParams, SweepSpec]:
     return parse_config(text)
 
 
+#: one CSV row; each %.9g field formats as :func:`fmt` does
+_CSV_ROW = "%.9g,%.9g,%s," + ",".join(["%.9g"] * 13)
+
+
 def write_sweep_csv(rows, path: str) -> None:
     """Write rows as UTF-8 CSV with LF line endings, 9 significant digits."""
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            fmt(r.axis1), fmt(r.axis2),
-            "true" if r.stable else "false",
-            fmt(r.margin), fmt(r.r_min),
-            fmt(r.residual_a), fmt(r.residual_m), fmt(r.residual_b),
-            fmt(r.en_am), fmt(r.en_ab), fmt(r.en_mb),
-            fmt(r.en_a_mb), fmt(r.en_m_ab), fmt(r.en_b_am),
-            fmt(r.abs_ms_sq), fmt(r.q_s),
-        ]))
+    lines += [_CSV_ROW % (
+        r.axis1, r.axis2, "true" if r.stable else "false",
+        r.margin, r.r_min, r.residual_a, r.residual_m, r.residual_b,
+        r.en_am, r.en_ab, r.en_mb, r.en_a_mb, r.en_m_ab, r.en_b_am,
+        r.abs_ms_sq, r.q_s) for r in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -205,11 +204,12 @@ def cmd_sweep(config_path: str, out_path: str) -> int:
 def cmd_phase_opt(config_path: str, resolution: int = 64) -> int:
     params, spec = _load(config_path)
     base = apply_pump_mode(params, spec.pump_mode)
-    theta_star, r_star = optimize_phase(base, resolution)
-    baseline = evaluate_point(apply_axis(base, "delta_theta", 0.0))
+    # the coarse scan starts at the zero phase difference: its first value
+    # is the baseline, bit for bit
+    theta_star, r_star, scan = _optimize_phase(base, resolution)
     print(f"delta_theta_star_rad = {fmt(theta_star % TWO_PI)}")
     print(f"r_min_star = {fmt(r_star)}")
-    print(f"r_min_at_zero_phase = {fmt(baseline.r_min)}")
+    print(f"r_min_at_zero_phase = {fmt(scan[0])}")
     if base.P_a == 0.0 or base.P_m == 0.0:
         print("note = single-pump configuration: r_min is independent of "
               "the phase difference")

@@ -171,16 +171,17 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt((flat * flat).sum(axis=1))
 
 
-def _inv_or_nan(s: np.ndarray) -> np.ndarray:
-    """Batched inverse; a singular matrix gets NaN entries instead of
-    failing the whole stack."""
+def stack_or_nan(func, m: np.ndarray) -> np.ndarray:
+    """A stacked ``numpy.linalg`` function (``inv``, ``cholesky``) applied
+    to a stack of matrices; a matrix it fails on (singular, not positive
+    definite) gets NaN entries instead of failing the whole stack."""
     try:
-        return np.linalg.inv(s)
+        return func(m)
     except np.linalg.LinAlgError:
-        out = np.full_like(s, np.nan)
-        for k, m in enumerate(s):
+        out = np.full_like(m, np.nan)
+        for k, mk in enumerate(m):
             try:
-                out[k] = np.linalg.inv(m)
+                out[k] = func(mk)
             except np.linalg.LinAlgError:
                 pass
         return out
@@ -200,7 +201,7 @@ def modal_lyapunov(a: np.ndarray, d: np.ndarray, lam: np.ndarray,
     """
     lam = lam.astype(complex)
     s = s.astype(complex)
-    s_inv = _inv_or_nan(s)
+    s_inv = stack_or_nan(np.linalg.inv, s)
     s_h, s_inv_h = s.conj().swapaxes(1, 2), s_inv.conj().swapaxes(1, 2)
     gap = lam[:, :, None] + lam.conj()[:, None, :]
     d_full = d[:, :, None] * np.eye(a.shape[1])

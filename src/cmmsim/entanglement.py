@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import stack_or_nan
 from .errors import NumericalError
 from .params import float_squares
 
 MODES = ("a", "m", "b")
 
-#: pairing tolerance for +/- symplectic eigenvalue pairs, relative
+#: tolerance on the pairing of the doubled nu^2 eigenvalues of K^T K (see
+#: symplectic_spectra), relative to the largest of them
 PAIRING_TOL = 1e-9
 
 #: slack on monogamy margins and physicality eigenvalues, absolute
@@ -110,51 +112,65 @@ def partial_transpose(v: np.ndarray, transposed_mode: str,
 
 
 def symplectic_spectra(m: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-    """Symplectic spectra of a stack of k symmetric 2n x 2n matrices, from
-    one batched ``eigvals`` of Omega M.
+    """Symplectic spectra of a stack of k symmetric 2n x 2n matrices, as a
+    symmetric eigenproblem.
+
+    With the Cholesky factor M = L L^T, K = L^T Omega L is similar to
+    Omega M and real antisymmetric, so its eigenvalues are +/- i nu and
+    K^T K has every nu^2 twice; one batched ``eigvalsh`` gives them.  A
+    partially transposed covariance matrix is congruent to the covariance
+    matrix, so the factor exists exactly when the state's matrix is
+    positive definite.
 
     Returns the spectra, shape (k, n), each ascending, and the message of
-    every matrix that is non-finite (masked before the eigensolver), not
-    symmetric, or whose spectrum fails the +/- pairing to PAIRING_TOL,
-    keyed by its index; the spectra of those matrices are meaningless.
+    every matrix that is non-finite, not symmetric (both masked before
+    LAPACK), not positive definite, or whose doubled nu^2 fail to pair up
+    to PAIRING_TOL, keyed by its index; the spectra of those matrices are
+    meaningless (NaN where the matrix is not positive definite).
     """
-    n = m.shape[-1] // 2
     finite = np.isfinite(m).all(axis=(1, 2))
     m = np.where(finite[:, None, None], m, 0.0)
     asym = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2))
     scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1.0)
-    omega_m = np.empty_like(m)  # Omega M: swap each mode's rows, negate one
-    omega_m[:, 0::2] = m[:, 1::2]
-    omega_m[:, 1::2] = -m[:, 0::2]
-    ev = np.linalg.eigvals(omega_m)
-    im = np.sort(ev.imag, axis=1)
-    nus_pos = im[:, n:]               # n positives, ascending
-    nus_neg = -im[:, n - 1::-1]       # n negatives, matched by magnitude
-    ref = np.maximum(np.abs(ev).max(axis=1), 1e-300)
-    mismatch = np.abs(nus_pos - nus_neg).max(axis=1) / ref
-    off_axis = np.abs(ev.real).max(axis=1) / ref
     asymmetric = asym > 1e-8 * scale
+    usable = finite & ~asymmetric
+    l = stack_or_nan(np.linalg.cholesky,
+                     np.where(usable[:, None, None], m, np.eye(m.shape[1])))
+    omega_l = np.empty_like(l)  # Omega L: swap each mode's rows, negate one
+    omega_l[:, 0::2] = l[:, 1::2]
+    omega_l[:, 1::2] = -l[:, 0::2]
+    k = l.swapaxes(1, 2) @ omega_l
+    ktk = k.swapaxes(1, 2) @ k
+    # NaN where the factor does not exist, inf where nu^2 overflows
+    positive = np.isfinite(ktk).all(axis=(1, 2))
+    w = np.linalg.eigvalsh(np.where(positive[:, None, None], ktk, 0.0))
+    nu_sq = w[:, 0::2]
+    positive &= nu_sq[:, 0] > 0.0
+    ref = np.maximum(w[:, -1], 1e-300)
+    mismatch = np.abs(w[:, 1::2] - nu_sq).max(axis=1) / ref
     errors = {}
-    for k in np.flatnonzero(~finite | asymmetric | (mismatch > PAIRING_TOL)
-                            | (off_axis > PAIRING_TOL)).tolist():
-        if not finite[k]:
-            errors[k] = "matrix has non-finite entries"
-        elif asymmetric[k]:
-            errors[k] = f"matrix is not symmetric: |V - V^T| = {asym[k]:.3e}"
+    for j in np.flatnonzero(~usable | ~positive
+                            | (mismatch > PAIRING_TOL)).tolist():
+        if not finite[j]:
+            errors[j] = "matrix has non-finite entries"
+        elif asymmetric[j]:
+            errors[j] = f"matrix is not symmetric: |V - V^T| = {asym[j]:.3e}"
+        elif not positive[j]:
+            errors[j] = "matrix is not positive definite"
         else:
-            errors[k] = ("symplectic spectrum fails +/- pairing "
-                         f"(mismatch {mismatch[k]:.2e}, "
-                         f"real parts {off_axis[k]:.2e})")
-    return 0.5 * (nus_pos + nus_neg), errors
+            errors[j] = ("symplectic spectrum fails +/- pairing "
+                         f"(mismatch {mismatch[j]:.2e})")
+    return np.sqrt(np.where(positive[:, None], nu_sq, np.nan)), errors
 
 
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a symmetric positive-definite 4x4 or 6x6
-    matrix: the n values nu such that Omega V has eigenvalues +/- i nu.
+    matrix: the n values nu such that Omega V has eigenvalues +/- i nu,
+    by the routine of :func:`symplectic_spectra`.
 
-    Returned ascending.  Raises NumericalError if the matrix is not finite
-    and symmetric or the spectrum does not pair up to PAIRING_TOL (input
-    not symmetric/physical enough).
+    Returned ascending.  Raises NumericalError if the matrix is not finite,
+    symmetric and positive definite, or its doubled nu^2 do not pair up to
+    PAIRING_TOL.
     """
     v = np.asarray(v, dtype=float)
     if v.shape not in ((4, 4), (6, 6)):
@@ -163,21 +179,6 @@ def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     if errors:
         raise NumericalError(errors[0])
     return nus[0]
-
-
-def _min_pt_symplectic_eigenvalue(v: np.ndarray, partition: Partition) -> float:
-    if len(partition.side_v) == 1:
-        kept = (partition.side_u, partition.side_v[0])
-        v_red = reduce_cm(v, kept)
-        ordered = tuple(m for m in MODES if m in kept)
-        v_pt = partial_transpose(v_red, partition.side_u, ordered)
-        return float(symplectic_eigenvalues(v_pt)[0])
-    v_pt = partial_transpose(v, partition.side_u, MODES)
-    nus = symplectic_eigenvalues(v_pt)
-    below = int(_below_vacuum(nus))
-    if below > 1:
-        raise NumericalError(_not_physical(below))
-    return float(nus[0])
 
 
 def _below_vacuum(nus: np.ndarray) -> np.ndarray:
@@ -192,12 +193,20 @@ def _not_physical(below: int) -> str:
             "partial transposition; covariance matrix is not physical")
 
 
+def _measure_name(partition: Partition) -> str:
+    """The EntanglementReport field holding ``partition``'s negativity."""
+    rest = "".join(m for m in MODES if m in partition.side_v)
+    if len(rest) == 2:
+        return f"en_{partition.side_u}_{rest}"
+    return "en_" + "".join(m for m in MODES if m in (partition.side_u, rest))
+
+
 def log_negativity(v: np.ndarray, partition: Partition) -> float:
     """Logarithmic negativity max[0, -ln(2 nu_min)] across ``partition``,
     with nu_min the smallest symplectic eigenvalue after partially
-    transposing ``side_u``.  Exactly 0.0 for separable-by-PPT states."""
-    nu = _min_pt_symplectic_eigenvalue(v, partition)
-    return float(_log_negativities(np.array([nu]))[0])
+    transposing ``side_u``.  Exactly 0.0 for separable-by-PPT states.
+    Read from :func:`entanglement_report`, so it raises as that does."""
+    return getattr(entanglement_report(v), _measure_name(partition))
 
 
 def contangle(v: np.ndarray, partition: Partition) -> float:
@@ -206,32 +215,33 @@ def contangle(v: np.ndarray, partition: Partition) -> float:
 
 
 def residual_contangle(v: np.ndarray, pivot: str) -> float:
-    """Contangle of pivot vs the rest minus both pairwise contangles."""
-    s, t = (m for m in MODES if m != pivot)
-    return (contangle(v, Partition(pivot, (s, t)))
-            - contangle(v, Partition(pivot, (s,)))
-            - contangle(v, Partition(pivot, (t,))))
+    """Contangle of pivot vs the rest minus both pairwise contangles, read
+    from :func:`entanglement_report`."""
+    if pivot not in MODES:
+        raise ValueError(f"unknown pivot {pivot!r}; modes are {MODES}")
+    return getattr(entanglement_report(v), f"residual_{pivot}")
 
 
 def min_residual_contangle(v: np.ndarray) -> float:
-    """Minimum residual contangle over the three pivots.
+    """Minimum residual contangle over the three pivots, read from
+    :func:`entanglement_report`.
 
     The pairwise terms are symmetric in the two non-pivot modes, so the
     minimum over mode permutations reduces to the minimum over pivots.
     A strictly positive value certifies genuine tripartite entanglement.
     """
-    return min(residual_contangle(v, r) for r in MODES)
+    return entanglement_report(v).r_min
 
 
 def check_monogamy(v: np.ndarray):
-    """Residual-contangle margins for all pivots.
+    """Residual-contangle margins for all pivots, from one
+    :func:`entanglement_report`.
 
     Returns ``(flags, margins)``: per-pivot booleans
     margin >= -MONOGAMY_SLACK, and the margins themselves.
     """
-    margins = tuple(residual_contangle(v, r) for r in MODES)
-    flags = tuple(m >= -MONOGAMY_SLACK for m in margins)
-    return flags, margins
+    margins = entanglement_report(v).monogamy_margins
+    return tuple(m >= -MONOGAMY_SLACK for m in margins), margins
 
 
 def check_physicality(v: np.ndarray):

@@ -306,9 +306,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def _r_min_at_phase(params: PhysicalParams, delta_theta: float) -> float:
-    row = evaluate_point(apply_axis(params, "delta_theta", delta_theta))
-    return row.r_min
+def _r_min_at_phases(params: PhysicalParams, phases) -> list[float]:
+    """r_min at each phase difference of ``phases``, as one batch; each
+    value equals that phase's ``evaluate_point`` value bit for bit."""
+    field, column = _axis_field(params, "delta_theta",
+                                np.asarray(phases, dtype=float))
+    p = ParamBatch.from_base(params, column.size, **{field: column})
+    return [row.r_min for row in evaluate_batch(p).rows]
 
 
 def optimize_phase(params: PhysicalParams, resolution: int,
@@ -326,14 +330,18 @@ def optimize_phase(params: PhysicalParams, resolution: int,
     Returns ``(delta_theta_star, r_min_star)`` with the phase normalized
     into [0, 2*pi).
     """
+    return _optimize_phase(params, resolution, window)[:2]
+
+
+def _optimize_phase(params: PhysicalParams, resolution: int,
+                    window: tuple[float, float] = (0.0, 2.0 * math.pi)):
+    """:func:`optimize_phase`, followed by the coarse scan's r_min values;
+    the first is at the window start."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     lo, hi = window
     grid = lo + (hi - lo) * np.arange(resolution) / resolution
-    field, column = _axis_field(params, "delta_theta", grid)
-    scan = evaluate_batch(
-        ParamBatch.from_base(params, resolution, **{field: column}))
-    values = [row.r_min for row in scan.rows]
+    values = _r_min_at_phases(params, grid)
     finite = [v for v in values if not math.isnan(v)]
     if not finite:
         raise NoStablePointError(
@@ -345,25 +353,25 @@ def optimize_phase(params: PhysicalParams, resolution: int,
     two_pi = 2.0 * math.pi
     best = max(range(resolution), key=lambda k: key(values[k]))  # first wins ties
     if all(v == values[0] for v in values):
-        return float(grid[0]) % two_pi, values[0]
+        return float(grid[0]) % two_pi, values[0], values
 
     h = (hi - lo) / resolution
     a, b = float(grid[best]) - h, float(grid[best]) + h
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = _r_min_at_phase(params, c), _r_min_at_phase(params, d)
+    fc, fd = _r_min_at_phases(params, [c, d])
     while b - a > 1e-6:
         if key(fc) >= key(fd):
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = _r_min_at_phase(params, c)
+            fc, = _r_min_at_phases(params, [c])
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = _r_min_at_phase(params, d)
+            fd, = _r_min_at_phases(params, [d])
     x_ref = 0.5 * (a + b)
-    f_ref = _r_min_at_phase(params, x_ref)
+    f_ref, = _r_min_at_phases(params, [x_ref])
     # never return less than the best coarse grid point
     if key(f_ref) >= key(values[best]):
-        return x_ref % two_pi, f_ref
-    return float(grid[best]) % two_pi, values[best]
+        return x_ref % two_pi, f_ref, values
+    return float(grid[best]) % two_pi, values[best], values

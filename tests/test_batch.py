@@ -158,6 +158,24 @@ class TestRobustness:
                 assert row.status.startswith("error: ")
         assert sum(r.status == "ok" for r in rows) == 6
 
+    def test_non_positive_definite_covariance_becomes_one_error_row(
+            self, base, monkeypatch):
+        points = [base.replace(delta_a=x * base.omega_b)
+                  for x in (-1.5, -1.35, -1.2)]
+        want = evaluate_batch(stack(points)).rows
+        solve = dynamics.steady_covariances
+
+        def corrupt_second(*args):
+            v, errors = solve(*args)
+            v[1, 4, 4] = -v[1, 4, 4]  # still symmetric, no longer definite
+            return v, errors
+
+        monkeypatch.setattr(dynamics, "steady_covariances", corrupt_second)
+        got = evaluate_batch(stack(points)).rows
+        assert got[1].status == "error: matrix is not positive definite"
+        assert math.isnan(got[1].r_min)
+        assert same_row(got[0], want[0]) and same_row(got[2], want[2])
+
     def test_sweep_with_overflowing_temperatures_writes_csv(self, tmp_path):
         text = (Path(__file__).parent.parent / "configs"
                 / "baseline.cfg").read_text(encoding="utf-8")

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from cmmsim import ConfigError, TWO_PI
-from cmmsim.cli import (CSV_HEADER, fmt, main, parse_config)
+from cmmsim import (ConfigError, SweepRow, TWO_PI, apply_axis, evaluate_point,
+                    optimize_phase, sweep)
+from cmmsim.cli import (CSV_HEADER, fmt, main, parse_config, write_sweep_csv)
 
 BASELINE_CFG = """\
 # baseline parameter set
@@ -101,6 +102,22 @@ class TestFormatting:
     def test_nan_spelling(self):
         assert fmt(float("nan")) == "nan"
 
+    def test_csv_rows_equal_per_value_formatting(self, tmp_path):
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e300,
+                    5e-324, 0.0173489916703, 130646618067369.51]
+        rows = [SweepRow(specials[k % 10], specials[(k + 3) % 10], k % 2 == 0,
+                         *[specials[(k + j) % 10] for j in range(13)])
+                for k in range(20)]
+        path = tmp_path / "rows.csv"
+        write_sweep_csv(rows, str(path))
+        want = [CSV_HEADER] + [",".join(
+            [fmt(r.axis1), fmt(r.axis2), "true" if r.stable else "false"]
+            + [fmt(getattr(r, name)) for name in (
+                "margin", "r_min", "residual_a", "residual_m", "residual_b",
+                "en_am", "en_ab", "en_mb", "en_a_mb", "en_m_ab", "en_b_am",
+                "abs_ms_sq", "q_s")]) for r in rows]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
+
 
 class TestSteadyCommand:
     def test_stable_point_exit_zero(self, tmp_path, capsys):
@@ -177,6 +194,31 @@ class TestPhaseOptCommand:
         out = capsys.readouterr().out
         assert "phase-independent" in out or "independent of" in out
         assert "delta_theta_star_rad = 0" in out
+
+    def test_reuses_the_scan_and_batches_the_first_golden_pair(
+            self, tmp_path, capsys, monkeypatch):
+        sizes = []
+        evaluate_batch = sweep.evaluate_batch
+
+        def spy(p, *args):
+            sizes.append(len(p))
+            return evaluate_batch(p, *args)
+
+        monkeypatch.setattr(sweep, "evaluate_batch", spy)
+        cfg = write_cfg(tmp_path, BASELINE_CFG)
+        assert main(["phase-opt", "--config", cfg, "--resolution", "16"]) == 0
+        # coarse scan, the first golden pair, then one point per step; the
+        # zero-phase baseline is the scan's first point, not evaluated again
+        assert sizes[:2] == [16, 2] and set(sizes[2:]) == {1}
+        monkeypatch.undo()
+        out = capsys.readouterr().out
+        params, _ = parse_config(BASELINE_CFG)
+        theta, r_star = optimize_phase(params, 16)
+        baseline = evaluate_point(apply_axis(params, "delta_theta", 0.0))
+        assert out.splitlines()[:3] == [
+            f"delta_theta_star_rad = {fmt(theta)}",
+            f"r_min_star = {fmt(r_star)}",
+            f"r_min_at_zero_phase = {fmt(baseline.r_min)}"]
 
     def test_all_unstable_exit_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASELINE_CFG.replace("g_mb_hz = 0.28",

@@ -5,14 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmmsim import (NumericalError, Partition, check_monogamy,
                     check_physicality, contangle, entanglement_report,
                     log_negativity, min_residual_contangle, partial_transpose,
                     reduce_cm, residual_contangle, symplectic_eigenvalues,
                     symplectic_form)
+from cmmsim.entanglement import (MEASURES, entanglement_batch,
+                                 symplectic_spectra)
 from conftest import (embed_with_vacuum, random_physical_cm,
-                      single_mode_rotation, tmsv_cm)
+                      random_symplectic, single_mode_rotation, tmsv_cm)
 
 VACUUM6 = 0.5 * np.eye(6)
 
@@ -115,6 +119,59 @@ class TestSymplecticEigenvalues:
             v = random_physical_cm(rng)
             assert symplectic_eigenvalues(v)[0] >= 0.5 - 1e-10
 
+    def test_matches_eig_oracle_on_random_states(self):
+        # Tolerance 1e-10 of the largest partially transposed symplectic
+        # eigenvalue: both sides lose accuracy relative to the spectrum's
+        # scale, and over 3000 such states the worst gap was 3.7e-13 of it.
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            v = random_physical_cm(rng, nu_max=10.0 ** rng.uniform(0.0, 3.0),
+                                   squeeze_max=rng.uniform(0.0, 2.0))
+            splits = [partial_transpose(v, mode) for mode in ("a", "m", "b")]
+            pairs = [partial_transpose(reduce_cm(v, pair), pair[0], pair)
+                     for pair in (("a", "m"), ("a", "b"), ("m", "b"))]
+            for stack, cms in ((np.array(splits), (v,) * 3),
+                               (np.array(pairs),
+                                (reduce_cm(v, ("a", "m")),
+                                 reduce_cm(v, ("a", "b")),
+                                 reduce_cm(v, ("m", "b"))))):
+                nus, errors = symplectic_spectra(stack)
+                assert errors == {}
+                for nu, cm, pos in zip(nus, cms, (0, 1, 2) if len(cms[0]) == 6
+                                       else (0, 0, 0)):
+                    want = pt_symplectic_oracle(cm, pos)
+                    assert np.abs(nu - want).max() <= 1e-10 * want.max()
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.floats(0.5, 1e3), min_size=2, max_size=3),
+           st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
+    def test_williamson_form_is_recovered(self, nus, squeeze, seed):
+        # V = S diag(nu) S^T has symplectic spectrum nu for any symplectic S
+        nus = np.sort(nus)
+        s = random_symplectic(np.random.default_rng(seed), len(nus), squeeze)
+        v = s @ np.diag(np.repeat(nus, 2)) @ s.T
+        got = symplectic_eigenvalues(0.5 * (v + v.T))
+        assert np.abs(got - nus).max() <= 1e-10 * nus.max()
+
+    def test_not_positive_definite_rejected(self):
+        v = np.diag([1.0, 0.5, -0.2, 0.5])  # symmetric, one negative entry
+        with pytest.raises(NumericalError, match="not positive definite"):
+            symplectic_eigenvalues(v)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            symplectic_eigenvalues(np.zeros((6, 6)))
+
+    def test_not_positive_definite_is_confined_to_its_matrix(self):
+        rng = np.random.default_rng(13)
+        good = [random_physical_cm(rng) for _ in range(3)]
+        bad = good[1].copy()
+        bad[4, 4] = -bad[4, 4]
+        measures, errors = entanglement_batch(np.array([good[0], bad, good[2]]))
+        assert list(errors) == [1] and "not positive definite" in errors[1]
+        for k in (0, 2):
+            alone, _ = entanglement_batch(good[k][None])
+            assert np.array_equal(measures[k], alone[0])
+
 
 class TestLogNegativity:
     def test_vacuum_is_separable(self):
@@ -203,6 +260,15 @@ class TestInvariances:
         for eps in (1e-8, 1e-7, 1e-6):
             e1 = log_negativity(v + eps * h, part)
             assert abs(e1 - e0) < 50.0 * eps
+
+
+class TestExactZeros:
+    @pytest.mark.parametrize("v", [VACUUM6,
+                                   np.diag([0.7, 0.7, 1.3, 1.3, 2.0, 2.0])])
+    def test_product_states_report_exact_zeros(self, v):
+        rep = entanglement_report(v)
+        assert [getattr(rep, name) for name in MEASURES] == [0.0] * 10
+        assert rep.monogamy_margins == (0.0, 0.0, 0.0)
 
 
 class TestPhysicality:

@@ -9,6 +9,7 @@ import pytest
 from cmmsim import (NoStablePointError, SweepAxis, SweepSpec, apply_axis,
                     apply_pump_mode, baseline_params, evaluate_point,
                     optimize_phase, run_sweep, sweep)
+from cmmsim.entanglement import MEASURES
 
 PHYSICS_FIELDS = ("stable", "margin", "r_min", "residual_a", "residual_m",
                   "residual_b", "en_am", "en_ab", "en_mb", "en_a_mb",
@@ -32,6 +33,10 @@ class TestEvaluatePoint:
         assert row.r_min == 0.0
         assert row.abs_ms_sq == 0.0
         assert row.status == "ok"
+
+    def test_undriven_system_has_exactly_zero_entanglement(self, base):
+        row = evaluate_point(base.replace(P_a=0.0, P_m=0.0))
+        assert [getattr(row, name) for name in MEASURES] == [0.0] * 10
 
     def test_entangled_operating_point(self, base):
         row = evaluate_point(base)
