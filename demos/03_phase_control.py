@@ -2,7 +2,8 @@
 
 The drive phase difference modulates the steady-state magnon amplitude and
 through it the effective magnomechanical coupling, so R_min(delta_theta) is
-2pi-periodic.  The golden-section optimizer pins the best phase.
+2pi-periodic.  The optimizer scans the phase and then zooms in on the best
+one, batch by batch.
 """
 import numpy as np
 
@@ -21,7 +22,7 @@ for th in ths:
         "#" * int(round(40 * row.r_min / 0.02))
     print(f"  delta_theta = {th / np.pi:5.3f} pi : {mark}")
 
-theta_star, r_star = c.optimize_phase(base, resolution=48)
+theta_star, r_star, _ = c.optimize_phase(base, resolution=48)
 print(f"\noptimizer: delta_theta* = {theta_star / np.pi:.4f} pi, "
       f"R_min* = {r_star:.6f}")
 

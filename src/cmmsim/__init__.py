@@ -7,9 +7,8 @@ from .params import (PhysicalParams, NoiseOccupations, ParamBatch,
                      validate, HBAR, BOLTZMANN, TWO_PI)
 from .meanfield import (MeanFieldState, magnon_amplitude_approx,
                         solve_steady_state, steady_state_residual)
-from .dynamics import (LinearModel, build_diffusion, build_drift,
-                       build_linear_model, integrate_covariance, is_stable,
-                       solve_lyapunov)
+from .dynamics import (build_diffusion, build_drift, integrate_covariance,
+                       is_stable, solve_lyapunov)
 from .entanglement import (EntanglementReport, Partition, check_monogamy,
                            check_physicality, contangle, entanglement_report,
                            log_negativity, min_residual_contangle,
@@ -30,8 +29,8 @@ __all__ = [
     "HBAR", "BOLTZMANN", "TWO_PI",
     "MeanFieldState", "magnon_amplitude_approx", "solve_steady_state",
     "steady_state_residual",
-    "LinearModel", "build_diffusion", "build_drift", "build_linear_model",
-    "integrate_covariance", "is_stable", "solve_lyapunov",
+    "build_diffusion", "build_drift", "integrate_covariance", "is_stable",
+    "solve_lyapunov",
     "EntanglementReport", "Partition", "check_monogamy", "check_physicality",
     "contangle", "entanglement_report", "log_negativity",
     "min_residual_contangle", "partial_transpose", "reduce_cm",

@@ -17,8 +17,8 @@ import sys
 
 from .errors import CmmError, ConfigError
 from .params import TWO_PI, PhysicalParams, validate
-from .sweep import (AXES, PUMP_MODES, SweepAxis, SweepSpec, _optimize_phase,
-                    apply_pump_mode, evaluate_point, run_sweep)
+from .sweep import (AXES, PUMP_MODES, SweepAxis, SweepSpec, apply_pump_mode,
+                    evaluate_point, optimize_phase, run_sweep)
 
 FREQ_KEYS = ("omega_a_hz", "omega_b_hz", "kappa_a_hz", "kappa_m_hz",
              "gamma_b_hz", "g_ma_hz", "g_mb_hz")
@@ -204,10 +204,13 @@ def cmd_sweep(config_path: str, out_path: str) -> int:
 def cmd_phase_opt(config_path: str, resolution: int = 64) -> int:
     params, spec = _load(config_path)
     base = apply_pump_mode(params, spec.pump_mode)
-    # the coarse scan starts at the zero phase difference: its first value
-    # is the baseline, bit for bit
-    theta_star, r_star, scan = _optimize_phase(base, resolution)
-    print(f"delta_theta_star_rad = {fmt(theta_star % TWO_PI)}")
+    try:
+        # the scan starts at the zero phase difference: its first value is
+        # the baseline, bit for bit
+        theta_star, r_star, scan = optimize_phase(base, resolution)
+    except ValueError as exc:  # a resolution below the optimizer's floor
+        raise ConfigError(str(exc)) from None
+    print(f"delta_theta_star_rad = {fmt(theta_star)}")
     print(f"r_min_star = {fmt(r_star)}")
     print(f"r_min_at_zero_phase = {fmt(scan[0])}")
     if base.P_a == 0.0 or base.P_m == 0.0:

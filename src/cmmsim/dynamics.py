@@ -9,7 +9,6 @@ matrix uses the vacuum normalization V_vac = I/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +24,6 @@ STABILITY_EPS = 1e-9
 
 #: enforced relative Frobenius residual of the Lyapunov solve
 LYAPUNOV_RESIDUAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class LinearModel:
-    """Drift matrix ``a``, diagonal diffusion matrix ``d`` and the complex
-    effective magnomechanical coupling i*sqrt(2)*g_mb*m_s, all in rad/s."""
-
-    a: np.ndarray
-    d: np.ndarray
-    g_mb_eff: complex
-    delta_m_tilde: float
 
 
 def build_drift(params: PhysicalParams, state: MeanFieldState) -> np.ndarray:
@@ -105,16 +93,6 @@ def diffusion_batch(p: ParamBatch) -> np.ndarray:
     d[:, 2] = d[:, 3] = p.kappa_m * (2.0 * n_m + 1.0)
     d[:, 5] = p.gamma_b * (2.0 * n_b + 1.0)
     return d
-
-
-def build_linear_model(params: PhysicalParams,
-                       state: MeanFieldState) -> LinearModel:
-    return LinearModel(
-        a=build_drift(params, state),
-        d=build_diffusion(params),
-        g_mb_eff=1j * SQRT2 * params.g_mb * state.m_s,
-        delta_m_tilde=state.delta_m_tilde,
-    )
 
 
 def is_stable(a: np.ndarray, eps: float | None = None) -> tuple[bool, float]:

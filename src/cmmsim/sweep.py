@@ -24,8 +24,6 @@ from .params import ParamBatch, PhysicalParams, valid_mask, validate
 AXES = ("delta_a", "delta_theta", "T", "P_a")
 PUMP_MODES = ("both", "magnon-only", "cavity-only")
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -100,6 +98,10 @@ _FLOAT_FIELDS = tuple(f.name for f in fields(SweepRow))[3:-1]
 
 #: points evaluated together; bounds the stacked arrays' memory
 CHUNK = 128
+
+#: the phase optimizer's zoom factor: each round evaluates 2*ZOOM + 1
+#: phases and then narrows its bracket ZOOM-fold
+ZOOM = 8
 
 #: the drive power each pump mode forces to zero
 _PUMP_OFF = {"both": None, "magnon-only": "P_a", "cavity-only": "P_m"}
@@ -320,58 +322,46 @@ def optimize_phase(params: PhysicalParams, resolution: int,
     """Maximize the minimum residual contangle over the drive phase
     difference.
 
-    Coarse scan of ``resolution`` points over ``window`` (right-open),
-    then golden-section refinement of the best bracket down to 1e-6 rad.
-    Exact ties break toward the smallest phase; a coarse scan that is
-    exactly flat skips refinement and returns the window start.  Unstable
-    phases count as minus infinity; if every phase is unstable,
+    Scans ``resolution`` (>= 8) phases over ``window`` (right-open; finite
+    bounds, lo < hi), then zooms: each round evaluates 2*ZOOM + 1 equally
+    spaced phases across +-h around the best phase so far, centre
+    included, as one batch, and divides h (at first the scan's spacing) by
+    ZOOM, until h <= 1e-6 rad.  The centre's value is evaluated again bit
+    for bit, so the best value never decreases.  The phase is located to
+    about 1e-6 rad, and less precisely where the maximum is flat: there its
+    last digits are noise.
+
+    Exact ties break toward the smallest phase of a batch; an exactly flat
+    scan is not refined and returns the window start.  Unstable phases
+    count as minus infinity; if every scanned phase is unstable,
     NoStablePointError is raised.
 
-    Returns ``(delta_theta_star, r_min_star)`` with the phase normalized
-    into [0, 2*pi).
+    Returns ``(delta_theta_star, r_min_star, scan)``: the phase normalized
+    into [0, 2*pi), its r_min, and the scan's r_min values, the first at
+    the window start.
     """
-    return _optimize_phase(params, resolution, window)[:2]
-
-
-def _optimize_phase(params: PhysicalParams, resolution: int,
-                    window: tuple[float, float] = (0.0, 2.0 * math.pi)):
-    """:func:`optimize_phase`, followed by the coarse scan's r_min values;
-    the first is at the window start."""
     if resolution < 8:
-        raise ValueError("resolution must be >= 8")
+        raise ValueError(f"resolution must be >= 8, got {resolution}")
     lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"window {window!r} must have finite bounds lo < hi")
+
+    def best(phases, values):
+        """The first phase of greatest value, NaN counting as -inf."""
+        k = max(range(len(values)),
+                key=lambda k: -math.inf if math.isnan(values[k]) else values[k])
+        return float(phases[k]), values[k]
+
     grid = lo + (hi - lo) * np.arange(resolution) / resolution
-    values = _r_min_at_phases(params, grid)
-    finite = [v for v in values if not math.isnan(v)]
-    if not finite:
+    scan = _r_min_at_phases(params, grid)
+    if all(math.isnan(v) for v in scan):
         raise NoStablePointError(
             "no stable operating point at any sampled phase")
-
-    def key(v):
-        return -math.inf if math.isnan(v) else v
-
-    two_pi = 2.0 * math.pi
-    best = max(range(resolution), key=lambda k: key(values[k]))  # first wins ties
-    if all(v == values[0] for v in values):
-        return float(grid[0]) % two_pi, values[0], values
-
-    h = (hi - lo) / resolution
-    a, b = float(grid[best]) - h, float(grid[best]) + h
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = _r_min_at_phases(params, [c, d])
-    while b - a > 1e-6:
-        if key(fc) >= key(fd):
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc, = _r_min_at_phases(params, [c])
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd, = _r_min_at_phases(params, [d])
-    x_ref = 0.5 * (a + b)
-    f_ref, = _r_min_at_phases(params, [x_ref])
-    # never return less than the best coarse grid point
-    if key(f_ref) >= key(values[best]):
-        return x_ref % two_pi, f_ref, values
-    return float(grid[best]) % two_pi, values[best], values
+    x, f = best(grid, scan)
+    # an exactly flat scan is not refined: its window start wins the tie
+    h = (hi - lo) / resolution if any(v != scan[0] for v in scan) else 0.0
+    while h > 1e-6:
+        phases = x + h * np.arange(-ZOOM, ZOOM + 1) / ZOOM
+        x, f = best(phases, _r_min_at_phases(params, phases))
+        h /= ZOOM
+    return x % (2.0 * math.pi), f, scan

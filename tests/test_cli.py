@@ -195,8 +195,8 @@ class TestPhaseOptCommand:
         assert "phase-independent" in out or "independent of" in out
         assert "delta_theta_star_rad = 0" in out
 
-    def test_reuses_the_scan_and_batches_the_first_golden_pair(
-            self, tmp_path, capsys, monkeypatch):
+    def test_scans_once_then_zooms_in_batches(self, tmp_path, capsys,
+                                              monkeypatch):
         sizes = []
         evaluate_batch = sweep.evaluate_batch
 
@@ -207,18 +207,26 @@ class TestPhaseOptCommand:
         monkeypatch.setattr(sweep, "evaluate_batch", spy)
         cfg = write_cfg(tmp_path, BASELINE_CFG)
         assert main(["phase-opt", "--config", cfg, "--resolution", "16"]) == 0
-        # coarse scan, the first golden pair, then one point per step; the
-        # zero-phase baseline is the scan's first point, not evaluated again
-        assert sizes[:2] == [16, 2] and set(sizes[2:]) == {1}
+        # the scan, then rounds of 2 * ZOOM + 1 phases; the zero-phase
+        # baseline is the scan's first point, not evaluated again.  The
+        # half-width 2pi/16 shrinks ZOOM-fold per round: 7 rounds to 1e-6
+        assert sizes == [16] + [2 * sweep.ZOOM + 1] * 7
         monkeypatch.undo()
         out = capsys.readouterr().out
         params, _ = parse_config(BASELINE_CFG)
-        theta, r_star = optimize_phase(params, 16)
+        theta, r_star, scan = optimize_phase(params, 16)
         baseline = evaluate_point(apply_axis(params, "delta_theta", 0.0))
+        assert scan[0] == baseline.r_min
         assert out.splitlines()[:3] == [
             f"delta_theta_star_rad = {fmt(theta)}",
             f"r_min_star = {fmt(r_star)}",
             f"r_min_at_zero_phase = {fmt(baseline.r_min)}"]
+
+    def test_resolution_below_floor_is_usage_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASELINE_CFG)
+        assert main(["phase-opt", "--config", cfg, "--resolution", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: resolution must be >= 8, got 4\n"
 
     def test_all_unstable_exit_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASELINE_CFG.replace("g_mb_hz = 0.28",

@@ -8,9 +8,9 @@ import pytest
 import scipy.linalg
 
 from cmmsim import (IntegrationError, UnstableSystemError, baseline_params,
-                    build_diffusion, build_drift, build_linear_model,
-                    check_physicality, integrate_covariance, is_stable,
-                    solve_lyapunov, solve_steady_state, symplectic_eigenvalues)
+                    build_diffusion, build_drift, check_physicality,
+                    integrate_covariance, is_stable, solve_lyapunov,
+                    solve_steady_state, symplectic_eigenvalues)
 from cmmsim.meanfield import MeanFieldState
 
 TWO_NB_PLUS_1 = 41.681236678072901  # mechanical bath at 10 mK, 10 MHz

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,31 +148,52 @@ class TestRunSweep:
 class TestOptimizePhase:
     def test_single_pump_is_flat(self, base):
         p = base.replace(P_a=0.0)
-        theta, value = optimize_phase(p, resolution=16)
+        theta, value, _ = optimize_phase(p, resolution=16)
         assert theta == 0.0
         assert value == evaluate_point(p).r_min
 
     def test_dominates_zero_phase_baseline(self, base):
         p = base.replace(P_a=0.45)
-        theta, value = optimize_phase(p, resolution=24)
+        theta, value, _ = optimize_phase(p, resolution=24)
         baseline = evaluate_point(apply_axis(p, "delta_theta", 0.0)).r_min
         assert value >= baseline
         assert 0.0 <= theta < 2.0 * math.pi + 1e-9
 
     def test_window_shift_finds_same_optimum(self, base):
         p = base.replace(P_a=0.45)
-        _, v1 = optimize_phase(p, resolution=32)
-        _, v2 = optimize_phase(p, resolution=32,
-                               window=(-math.pi, math.pi))
+        _, v1, _ = optimize_phase(p, resolution=32)
+        _, v2, _ = optimize_phase(p, resolution=32,
+                                  window=(-math.pi, math.pi))
         assert v1 == pytest.approx(v2, abs=1e-9)
 
     def test_resolution_floor(self, base):
         with pytest.raises(ValueError):
             optimize_phase(base, resolution=4)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("window", [(1.0, 0.0), (0.0, math.inf),
+                                        (math.nan, 1.0)])
+    def test_rejects_an_empty_or_unbounded_window(self, base, window):
+        with pytest.raises(ValueError, match=re.escape(repr(window))):
+            optimize_phase(base, resolution=8, window=window)
+
     def test_all_unstable_raises(self, base):
         with pytest.raises(NoStablePointError):
             optimize_phase(base.replace(g_mb=50.0 * base.g_mb), resolution=8)
+
+    def test_optimum_beats_the_scan_and_its_neighbours(self, base):
+        rng = np.random.default_rng(20260418)
+        for _ in range(12):
+            p = base.replace(delta_a=rng.uniform(-1.6, -1.1) * base.omega_b,
+                             P_a=math.exp(rng.uniform(math.log(1e-3),
+                                                      math.log(0.5))),
+                             T=rng.uniform(0.01, 0.1))
+            theta, r_star, scan = optimize_phase(p, resolution=16)
+            assert r_star >= max(v for v in scan if not math.isnan(v))
+            for step in (-1e-4, 1e-4):
+                r = evaluate_point(apply_axis(p, "delta_theta",
+                                              theta + step)).r_min
+                assert math.isnan(r) or r_star >= r
 
 
 class TestRowSchema:
