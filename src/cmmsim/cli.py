@@ -144,19 +144,22 @@ def _load(config_path: str) -> tuple[PhysicalParams, SweepSpec]:
 
 
 #: one CSV row; each %.9g field formats as :func:`fmt` does
-_CSV_ROW = "%.9g,%.9g,%s," + ",".join(["%.9g"] * 13)
+_CSV_ROW = "%.9g,%.9g,%s," + ",".join(["%.9g"] * 13) + "\n"
+
+#: rows formatted and written together; bounds the text held at once
+CSV_BLOCK = 1024
 
 
 def write_sweep_csv(rows, path: str) -> None:
     """Write rows as UTF-8 CSV with LF line endings, 9 significant digits."""
-    lines = [CSV_HEADER]
-    lines += [_CSV_ROW % (
-        r.axis1, r.axis2, "true" if r.stable else "false",
-        r.margin, r.r_min, r.residual_a, r.residual_m, r.residual_b,
-        r.en_am, r.en_ab, r.en_mb, r.en_a_mb, r.en_m_ab, r.en_b_am,
-        r.abs_ms_sq, r.q_s) for r in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        for start in range(0, len(rows), CSV_BLOCK):
+            fh.write("".join([_CSV_ROW % (
+                r.axis1, r.axis2, "true" if r.stable else "false",
+                r.margin, r.r_min, r.residual_a, r.residual_m, r.residual_b,
+                r.en_am, r.en_ab, r.en_mb, r.en_a_mb, r.en_m_ab, r.en_b_am,
+                r.abs_ms_sq, r.q_s) for r in rows[start:start + CSV_BLOCK]]))
 
 
 def cmd_steady(config_path: str) -> int:

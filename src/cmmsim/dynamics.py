@@ -102,7 +102,8 @@ def is_stable(a: np.ndarray, eps: float | None = None) -> tuple[bool, float]:
     spectrum of ``a``; the flag is true iff ``margin < -eps``.  ``eps``
     defaults to STABILITY_EPS times the largest matrix entry; the sweep
     engine applies the same test with STABILITY_EPS * omega_b to the
-    eigenvalues of its own ``eig`` call.  Eigensolver failures
+    eigenvalues it computes for its batch (``eig`` where the determinant
+    is positive, ``eigvals`` elsewhere).  Eigensolver failures
     propagate as numpy.linalg.LinAlgError, never as a silent False.
     """
     margin = float(np.linalg.eigvals(np.asarray(a, dtype=float)).real.max())
@@ -200,11 +201,13 @@ def modal_lyapunov(a: np.ndarray, d: np.ndarray, lam: np.ndarray,
 def steady_covariances(a: np.ndarray, d: np.ndarray, lam: np.ndarray,
                        s: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     """Steady-state covariances of a stack of stable drifts ``a`` with
-    diffusion diagonals ``d``, given ``lam, s = np.linalg.eig(a)``.
+    diffusion diagonals ``d``, given ``lam, s = np.linalg.eig(a)``; an
+    entry may carry a NaN basis ``s`` instead (the sweep engine does so
+    for a stable drift whose determinant reads <= 0).
 
     Uses :func:`modal_lyapunov`; every entry whose residual is not within
-    LYAPUNOV_RESIDUAL_TOL (NaN included) is solved again by the Kronecker
-    :func:`solve_lyapunov`.  Returns the covariances and, keyed by entry,
+    LYAPUNOV_RESIDUAL_TOL (NaN included, so every NaN basis) is solved
+    again by the Kronecker :func:`solve_lyapunov`.  Returns the covariances and, keyed by entry,
     the error message of every entry that fallback failed too (its
     covariance is NaN).
     """

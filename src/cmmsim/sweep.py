@@ -1,12 +1,16 @@
 """Parameter-sweep engine and phase optimizer.
 
-Operating points are evaluated as arrays, CHUNK points at a time: mean
-field, drift and diffusion, one eigendecomposition per point (its
-eigenvalues give the stability margin, its eigenvectors the modal Lyapunov
-solve), then the partial-transpose spectra as batched eigenvalue problems.
-A single point is a chunk of one.  Every step treats each point on its own,
-so a point's row is bit-identical whichever chunk it is evaluated in; grid
-rows are assembled in row-major order with the first axis outermost.
+Operating points are evaluated as arrays, a grid BLOCK * CHUNK points at a
+time: mean field, drift and diffusion, and one batched determinant that
+screens the drifts.  A stable real drift has a positive determinant, so
+only those drifts get an eigendecomposition (its eigenvalues give the
+stability margin, its eigenvectors the modal Lyapunov solve); the others
+get their eigenvalues alone, which is all the margin needs.  The
+stable points then go CHUNK at a time through the Lyapunov solve and the
+partial-transpose spectra.  A single point is a batch of one.  Every step
+treats each point on its own, so a point's row is bit-identical whichever
+batch it is evaluated in; grid rows are assembled in row-major order with
+the first axis outermost.
 """
 
 from __future__ import annotations
@@ -96,8 +100,13 @@ class SweepRow:
 #: the row fields between (axis1, axis2, stable) and status: margin .. q_s
 _FLOAT_FIELDS = tuple(f.name for f in fields(SweepRow))[3:-1]
 
-#: points evaluated together; bounds the stacked arrays' memory
+#: stable points solved together by the Lyapunov and entanglement
+#: stages; bounds the stacked arrays' memory
 CHUNK = 128
+
+#: a sweep hands the engine blocks of BLOCK * CHUNK points, so that the
+#: stable points of a mostly unstable grid still fill whole chunks
+BLOCK = 8
 
 #: the phase optimizer's zoom factor: each round evaluates 2*ZOOM + 1
 #: phases and then narrows its bracket ZOOM-fold
@@ -229,7 +238,17 @@ def _run_stages(p: ParamBatch, axis1: np.ndarray,
     ok &= finite
     idx, a, d, omega_b = idx[ok], a[ok], d[ok], q.omega_b[ok]
 
-    lam, s = np.linalg.eig(a)
+    # a Hurwitz-stable real 6x6 drift has det A = prod(lambda) > 0, so the
+    # others need no eigenvectors; a stable drift whose det reads <= 0
+    # keeps a NaN basis, which steady_covariances solves by Kronecker
+    maybe = np.linalg.slogdet(a)[0] > 0.0
+    if maybe.all():
+        lam, s = np.linalg.eig(a)
+    else:
+        lam = np.empty(a.shape[:2], complex)
+        s = np.full(a.shape, np.nan, complex)
+        lam[~maybe] = np.linalg.eigvals(a[~maybe])
+        lam[maybe], s[maybe] = np.linalg.eig(a[maybe])
     margin = lam.real.max(axis=1)
     put("margin", idx, margin)
     ok = margin < -dynamics.STABILITY_EPS * omega_b
@@ -237,21 +256,25 @@ def _run_stages(p: ParamBatch, axis1: np.ndarray,
         stable[k] = True
     for k in idx[~ok].tolist():
         status[k] = "unstable"
-    idx = idx[ok]
+    idx, a, d, lam, s = idx[ok], a[ok], d[ok], lam[ok], s[ok]
 
-    v, errors = dynamics.steady_covariances(a[ok], d[ok], lam[ok], s[ok])
-    for j, message in errors.items():
-        status[idx[j]] = f"error: {message}"
-    solved = np.delete(np.arange(idx.size), list(errors))
-    idx, v = idx[solved], v[solved]
+    # the stable points, CHUNK at a time
+    for start in range(0, idx.size, CHUNK):
+        at = slice(start, start + CHUNK)
+        v, errors = dynamics.steady_covariances(a[at], d[at], lam[at], s[at])
+        sub = idx[at]
+        for j, message in errors.items():
+            status[sub[j]] = f"error: {message}"
+        solved = np.delete(np.arange(sub.size), list(errors))
+        sub, v = sub[solved], v[solved]
 
-    values, errors = entanglement.entanglement_batch(v)
-    for j, message in errors.items():
-        status[idx[j]] = f"error: {message}"
-    done = np.delete(np.arange(idx.size), list(errors))
-    for name, values_of in zip(entanglement.MEASURES, values[done].T):
-        put(name, idx[done], values_of)
-    cov[idx[done]] = v[done]
+        values, errors = entanglement.entanglement_batch(v)
+        for j, message in errors.items():
+            status[sub[j]] = f"error: {message}"
+        done = np.delete(np.arange(sub.size), list(errors))
+        for name, values_of in zip(entanglement.MEASURES, values[done].T):
+            put(name, sub[done], values_of)
+        cov[sub[done]] = v[done]
 
     lists = ([axis1.tolist(), axis2.tolist(), stable]
              + [columns[name] for name in _FLOAT_FIELDS] + [status])
@@ -281,14 +304,16 @@ def evaluate_point(params: PhysicalParams, pump_mode: str = "both",
     return out[0] if len(out) == 1 else tuple(out)
 
 
-def _chunks(spec: SweepSpec):
-    """(params, axis1, axis2) per chunk of the grid, row-major."""
+def _blocks(spec: SweepSpec):
+    """(params, axis1, axis2) per block of BLOCK * CHUNK grid points,
+    row-major."""
     values = [ax.values() for ax in spec.axes]
     shape = tuple(len(x) for x in values)
     total = math.prod(shape)
     off = _PUMP_OFF[spec.pump_mode]
-    for start in range(0, total, CHUNK):
-        k = np.arange(start, min(start + CHUNK, total))
+    size = BLOCK * CHUNK
+    for start in range(0, total, size):
+        k = np.arange(start, min(start + size, total))
         coords = ([x[i] for x, i in zip(values, np.unravel_index(k, shape))]
                   if shape else [])
         columns = dict(_axis_field(spec.base, ax.name, x)
@@ -300,10 +325,10 @@ def _chunks(spec: SweepSpec):
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the grid, CHUNK points at a time; the rows and their values
-    do not depend on the chunking."""
+    """Evaluate the grid, BLOCK * CHUNK points at a time; the rows and
+    their values do not depend on the chunking."""
     rows = []
-    for params, axis1, axis2 in _chunks(spec):
+    for params, axis1, axis2 in _blocks(spec):
         rows += evaluate_batch(params, axis1, axis2).rows
     return rows
 
@@ -326,10 +351,11 @@ def optimize_phase(params: PhysicalParams, resolution: int,
     bounds, lo < hi), then zooms: each round evaluates 2*ZOOM + 1 equally
     spaced phases across +-h around the best phase so far, centre
     included, as one batch, and divides h (at first the scan's spacing) by
-    ZOOM, until h <= 1e-6 rad.  The centre's value is evaluated again bit
-    for bit, so the best value never decreases.  The phase is located to
-    about 1e-6 rad, and less precisely where the maximum is flat: there its
-    last digits are noise.
+    ZOOM, until h <= 1e-6 rad.  A window shorter than 2*pi clips the zoom
+    phases to [lo, hi], so the optimum never leaves it.  The centre's
+    value is evaluated again bit for bit, so the best value never
+    decreases.  The phase is located to about 1e-6 rad, and less precisely
+    where the maximum is flat: there its last digits are noise.
 
     Exact ties break toward the smallest phase of a batch; an exactly flat
     scan is not refined and returns the window start.  Unstable phases
@@ -360,8 +386,12 @@ def optimize_phase(params: PhysicalParams, resolution: int,
     x, f = best(grid, scan)
     # an exactly flat scan is not refined: its window start wins the tie
     h = (hi - lo) / resolution if any(v != scan[0] for v in scan) else 0.0
+    # a window shorter than the period is an interval, a full one a circle
+    clip = hi - lo < 2.0 * math.pi
     while h > 1e-6:
         phases = x + h * np.arange(-ZOOM, ZOOM + 1) / ZOOM
+        if clip:
+            phases = np.clip(phases, lo, hi)
         x, f = best(phases, _r_min_at_phases(params, phases))
         h /= ZOOM
     return x % (2.0 * math.pi), f, scan

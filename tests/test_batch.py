@@ -78,9 +78,8 @@ class TestScalarReference:
             assert np.array_equal(np.diag(d[k]), build_diffusion(p))
 
 
-def grid_systems(p_m):
-    """Drift, diffusion and eigendecomposition of every stable point of a
-    21 x 21 detuning x phase grid."""
+def grid_batch(p_m):
+    """A 21 x 21 detuning x phase grid, and its drifts and diffusions."""
     base = baseline_params(P_m=p_m)
     das, ths = np.meshgrid(np.linspace(-2.0, 2.0, 21),
                            np.linspace(0.0, 2.0 * math.pi, 21), indexing="ij")
@@ -89,11 +88,23 @@ def grid_systems(p_m):
                                  theta_a=base.theta_m + ths.ravel())
     with np.errstate(all="ignore"):
         mf = solve_effective_batch(batch)
-    a = dynamics.drift_batch(batch, mf)
-    d = dynamics.diffusion_batch(batch)
+    return batch, dynamics.drift_batch(batch, mf), dynamics.diffusion_batch(batch)
+
+
+def grid_systems(p_m):
+    """Drift, diffusion and eigendecomposition of every stable point of
+    the 21 x 21 grid."""
+    batch, a, d = grid_batch(p_m)
     lam, s = np.linalg.eig(a)
-    stable = lam.real.max(axis=1) < -dynamics.STABILITY_EPS * base.omega_b
+    stable = lam.real.max(axis=1) < -dynamics.STABILITY_EPS * batch.omega_b
     return a[stable], d[stable], lam[stable], s[stable]
+
+
+def grid_sweep(p_m):
+    """The 21 x 21 grid of :func:`grid_batch` as a sweep."""
+    return run_sweep(SweepSpec(base=baseline_params(P_m=p_m), axes=(
+        SweepAxis("delta_a", -2.0, 2.0, 21),
+        SweepAxis("delta_theta", 0.0, 2.0 * math.pi, 21))))
 
 
 class TestModalLyapunov:
@@ -131,6 +142,56 @@ class TestModalLyapunov:
         assert np.array_equal(v[0], solve_lyapunov(a, np.diag(d)))
         res = np.linalg.norm(a @ v[0] + v[0] @ a.T + np.diag(d))
         assert res <= LYAPUNOV_RESIDUAL_TOL * np.linalg.norm(d)
+
+
+class TestDeterminantScreen:
+    def test_only_drifts_with_positive_det_get_eigenvectors(
+            self, monkeypatch):
+        # at P_m = 1.2 W most of the grid is unstable
+        _, a, _ = grid_batch(1.2)
+        positive = np.linalg.slogdet(a)[0] > 0
+        assert 0 < positive.sum() < positive.size
+        seen = {"eig": [], "eigvals": []}
+        for name in seen:
+            def spy(m, func=getattr(np.linalg, name), name=name):
+                seen[name].append(m.copy())
+                return func(m)
+            monkeypatch.setattr(np.linalg, name, spy)
+        rows = grid_sweep(1.2)
+        monkeypatch.undo()
+        assert [m.shape for m in seen["eig"]] == [a[positive].shape]
+        assert np.array_equal(seen["eig"][0], a[positive])
+        assert [m.shape for m in seen["eigvals"]] == [a[~positive].shape]
+        assert np.array_equal(seen["eigvals"][0], a[~positive])
+        assert {r.status for r in rows} == {"ok", "unstable"}
+        base = baseline_params(P_m=1.2)
+        for row in rows:
+            alone = evaluate_point(base.replace(
+                delta_a=row.axis1 * base.omega_b,
+                theta_a=base.theta_m + row.axis2))
+            alone.axis1, alone.axis2 = row.axis1, row.axis2
+            assert same_row(row, alone)
+
+    @pytest.mark.parametrize("p_m", [0.9, 1.2])
+    def test_a_rejected_stable_drift_is_solved_by_kronecker(
+            self, p_m, monkeypatch):
+        want = grid_sweep(p_m)
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda m: (np.zeros(len(m)), np.zeros(len(m))))
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return solve_lyapunov(*args)
+
+        monkeypatch.setattr(dynamics, "solve_lyapunov", spy)
+        got = grid_sweep(p_m)
+        stable = [r for r in want if r.stable]
+        assert stable and len(calls) == len(stable)
+        for g, w in zip(got, want):
+            assert g.status == w.status
+            assert repr((g.stable, g.margin)) == repr((w.stable, w.margin))
+            assert g.r_min == pytest.approx(w.r_min, rel=1e-9, nan_ok=True)
 
 
 class TestRobustness:

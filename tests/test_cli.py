@@ -6,7 +6,8 @@ import pytest
 
 from cmmsim import (ConfigError, SweepRow, TWO_PI, apply_axis, evaluate_point,
                     optimize_phase, sweep)
-from cmmsim.cli import (CSV_HEADER, fmt, main, parse_config, write_sweep_csv)
+from cmmsim.cli import (CSV_BLOCK, CSV_HEADER, fmt, main, parse_config,
+                        write_sweep_csv)
 
 BASELINE_CFG = """\
 # baseline parameter set
@@ -107,7 +108,7 @@ class TestFormatting:
                     5e-324, 0.0173489916703, 130646618067369.51]
         rows = [SweepRow(specials[k % 10], specials[(k + 3) % 10], k % 2 == 0,
                          *[specials[(k + j) % 10] for j in range(13)])
-                for k in range(20)]
+                for k in range(2 * CSV_BLOCK + 3)]  # past two whole blocks
         path = tmp_path / "rows.csv"
         write_sweep_csv(rows, str(path))
         want = [CSV_HEADER] + [",".join(

@@ -100,22 +100,27 @@ class TestRunSweep:
             assert abs(r1.abs_ms_sq - r2.abs_ms_sq) <= 1e-10 * r1.abs_ms_sq
 
     def test_chunking_never_changes_bits(self, base, monkeypatch):
-        # two full chunks and a partial one, then a different chunking
-        n = 2 * sweep.CHUNK + 3
-        base = base.replace(P_m=1.0)  # about half of the axis is unstable
-        spec = SweepSpec(base=base, axes=(SweepAxis("delta_a", -2.0, 2.0, n),))
+        # a whole block and a partial one, then a different chunking; at
+        # P_m = 1.0 W about half of the axis is unstable, at 1.2 W nearly
+        # all of it, so the stable points of several chunks share a slice
+        n = sweep.BLOCK * sweep.CHUNK + 3
         all_fields = PHYSICS_FIELDS + ("axis1", "axis2", "status")
-        rows = run_sweep(spec)
-        assert len(rows) == n
-        assert {r.status for r in rows} == {"ok", "unstable"}
-        assert all(rows_equal(a, b, all_fields)
-                   for a, b in zip(rows, run_sweep(spec)))
-        monkeypatch.setattr(sweep, "CHUNK", 7)
-        assert all(rows_equal(a, b, all_fields)
-                   for a, b in zip(rows, run_sweep(spec)))
-        for row in rows:
-            alone = evaluate_point(apply_axis(base, "delta_a", row.axis1))
-            assert rows_equal(row, alone, PHYSICS_FIELDS + ("status",))
+        for p_m in (1.0, 1.2):
+            monkeypatch.undo()
+            params = base.replace(P_m=p_m)
+            spec = SweepSpec(base=params,
+                             axes=(SweepAxis("delta_a", -2.0, 2.0, n),))
+            rows = run_sweep(spec)
+            assert len(rows) == n
+            assert {r.status for r in rows} == {"ok", "unstable"}
+            assert all(rows_equal(a, b, all_fields)
+                       for a, b in zip(rows, run_sweep(spec)))
+            monkeypatch.setattr(sweep, "CHUNK", 7)
+            assert all(rows_equal(a, b, all_fields)
+                       for a, b in zip(rows, run_sweep(spec)))
+            for row in rows:
+                alone = evaluate_point(apply_axis(params, "delta_a", row.axis1))
+                assert rows_equal(row, alone, PHYSICS_FIELDS + ("status",))
 
     def test_pump_mode_equivalence(self, base):
         axes = (SweepAxis("delta_a", -1.5, -1.0, 4),)
@@ -176,6 +181,14 @@ class TestOptimizePhase:
     def test_rejects_an_empty_or_unbounded_window(self, base, window):
         with pytest.raises(ValueError, match=re.escape(repr(window))):
             optimize_phase(base, resolution=8, window=window)
+
+    def test_short_window_keeps_the_optimum_inside(self, base):
+        lo, hi = 6.25, 6.5
+        theta, r_star, scan = optimize_phase(base, resolution=8,
+                                             window=(lo, hi))
+        unwrapped = theta if theta >= lo else theta + 2.0 * math.pi
+        assert lo <= unwrapped <= hi
+        assert r_star >= max(scan)
 
     def test_all_unstable_raises(self, base):
         with pytest.raises(NoStablePointError):
