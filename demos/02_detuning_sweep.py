@@ -13,15 +13,13 @@ base = c.baseline_params()
 axis = c.SweepAxis("delta_a", -2.0, 2.0, 81)
 
 print("Sweeping delta_a/omega_b over [-2, 2] (81 points, both pumps)...")
-rows = c.run_sweep(c.SweepSpec(base=base, axes=(axis,)))
+table = c.run_sweep(c.SweepSpec(base=base, axes=(axis,)))
 
-xs = np.array([r.axis1 for r in rows])
-rmin = np.array([r.r_min for r in rows])
-stable = np.array([r.stable for r in rows])
+xs, rmin, stable = table.axis1, table.column("r_min"), table.stable
 
 peak = np.nanargmax(rmin)
 print(f"peak R_min = {rmin[peak]:.5f} at delta_a/omega_b = {xs[peak]:+.3f} "
-      f"({int(stable.sum())}/{len(rows)} stable points)")
+      f"({int(stable.sum())}/{len(table)} stable points)")
 
 top = np.nanmax(rmin)
 print("\n  delta_a/omega_b   R_min")
@@ -32,7 +30,8 @@ for x, r, s in zip(xs[::2], rmin[::2], stable[::2]):
 
 # single-pump baselines over the same axis
 for mode in ("magnon-only", "cavity-only"):
-    rows_1p = c.run_sweep(c.SweepSpec(base=base, axes=(axis,), pump_mode=mode))
-    mx = np.nanmax([r.r_min for r in rows_1p])
+    table_1p = c.run_sweep(c.SweepSpec(base=base, axes=(axis,),
+                                       pump_mode=mode))
+    mx = np.nanmax(table_1p.column("r_min"))
     print(f"\n{mode:12s}: max R_min over the sweep = {mx:.6f}")
 print(f"{'both':12s}: max R_min over the sweep = {top:.6f}")

@@ -14,7 +14,7 @@ from .entanglement import (EntanglementReport, Partition, check_monogamy,
                            log_negativity, min_residual_contangle,
                            partial_transpose, reduce_cm, residual_contangle,
                            symplectic_eigenvalues, symplectic_form)
-from .sweep import (SweepAxis, SweepRow, SweepSpec, apply_axis,
+from .sweep import (SweepAxis, SweepRow, SweepSpec, SweepTable, apply_axis,
                     apply_pump_mode, evaluate_batch, evaluate_point,
                     optimize_phase, run_sweep)
 from .errors import (CmmError, ConfigError, IntegrationError,
@@ -35,8 +35,9 @@ __all__ = [
     "contangle", "entanglement_report", "log_negativity",
     "min_residual_contangle", "partial_transpose", "reduce_cm",
     "residual_contangle", "symplectic_eigenvalues", "symplectic_form",
-    "SweepAxis", "SweepRow", "SweepSpec", "apply_axis", "apply_pump_mode",
-    "evaluate_batch", "evaluate_point", "optimize_phase", "run_sweep",
+    "SweepAxis", "SweepRow", "SweepSpec", "SweepTable", "apply_axis",
+    "apply_pump_mode", "evaluate_batch", "evaluate_point", "optimize_phase",
+    "run_sweep",
     "CmmError", "ConfigError", "IntegrationError", "NoStablePointError",
     "NoSteadyStateError", "NumericalError", "ParameterError",
     "SingularityError", "UnstableSystemError",

@@ -15,10 +15,14 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
+from .entanglement import MEASURES
 from .errors import CmmError, ConfigError
 from .params import TWO_PI, PhysicalParams, validate
-from .sweep import (AXES, PUMP_MODES, SweepAxis, SweepSpec, apply_pump_mode,
-                    evaluate_point, optimize_phase, run_sweep)
+from .sweep import (AXES, FLOAT_FIELDS, PUMP_MODES, SweepAxis, SweepSpec,
+                    SweepTable, apply_pump_mode, evaluate_point,
+                    optimize_phase, run_sweep)
 
 FREQ_KEYS = ("omega_a_hz", "omega_b_hz", "kappa_a_hz", "kappa_m_hz",
              "gamma_b_hz", "g_ma_hz", "g_mb_hz")
@@ -129,8 +133,11 @@ def parse_config(text: str) -> tuple[PhysicalParams, SweepSpec]:
         validate(params)
     except CmmError as exc:
         raise ConfigError(f"invalid parameter values: {exc}") from None
-    spec = SweepSpec(base=params, axes=tuple(axes),
-                     pump_mode=strings.get("pump_mode", "both"))
+    try:
+        spec = SweepSpec(base=params, axes=tuple(axes),
+                         pump_mode=strings.get("pump_mode", "both"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return params, spec
 
 
@@ -143,23 +150,57 @@ def _load(config_path: str) -> tuple[PhysicalParams, SweepSpec]:
     return parse_config(text)
 
 
-#: one CSV row; each %.9g field formats as :func:`fmt` does
-_CSV_ROW = "%.9g,%.9g,%s," + ",".join(["%.9g"] * 13) + "\n"
+#: one CSV row: the two axis values and the stable flag, spelled, then
+#: the FLOAT_FIELDS; each %.9g field formats as :func:`fmt` does
+_CSV_ROW = "%s,%s,%s," + ",".join(["%.9g"] * len(FLOAT_FIELDS)) + "\n"
+
+#: the row of a point whose entanglement measures are all NaN, with their
+#: ``nan`` written in; the fields it formats are the _UNMEASURED columns
+_NAN_ROW = "%s,%s,%s," + ",".join(
+    "nan" if name in MEASURES else "%.9g" for name in FLOAT_FIELDS) + "\n"
+_MEASURED = [FLOAT_FIELDS.index(name) for name in MEASURES]
+_UNMEASURED = [j for j, name in enumerate(FLOAT_FIELDS)
+               if name not in MEASURES]
 
 #: rows formatted and written together; bounds the text held at once
 CSV_BLOCK = 1024
 
 
+def _spelled(column: np.ndarray) -> list[str]:
+    """:func:`fmt` of each entry, each distinct value formatted once.
+    Values are told apart by their bits, so that -0.0 and 0.0 keep their
+    own spelling."""
+    bits, at = np.unique(column.view(np.int64), return_inverse=True)
+    texts = [fmt(x) for x in bits.view(np.float64).tolist()]
+    return [texts[i] for i in at.tolist()]
+
+
+def _csv_lines(axis1, axis2, stable, values) -> str:
+    """The CSV text of a block of points, given as columns."""
+    blank = np.isnan(values[:, _MEASURED]).all(axis=1)
+    lines = [""] * len(values)
+    for rows, template, columns in ((~blank, _CSV_ROW, slice(None)),
+                                    (blank, _NAN_ROW, _UNMEASURED)):
+        at = np.flatnonzero(rows)
+        texts = [template % fields for fields in zip(
+            _spelled(axis1[at]), _spelled(axis2[at]),
+            np.where(stable[at], "true", "false").tolist(),
+            *values[at][:, columns].T.tolist())]
+        for k, text in zip(at.tolist(), texts):
+            lines[k] = text
+    return "".join(lines)
+
+
 def write_sweep_csv(rows, path: str) -> None:
-    """Write rows as UTF-8 CSV with LF line endings, 9 significant digits."""
+    """Write a SweepTable, or a list of SweepRow, as UTF-8 CSV with LF line
+    endings, 9 significant digits."""
+    table = rows if isinstance(rows, SweepTable) else SweepTable.from_rows(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for start in range(0, len(rows), CSV_BLOCK):
-            fh.write("".join([_CSV_ROW % (
-                r.axis1, r.axis2, "true" if r.stable else "false",
-                r.margin, r.r_min, r.residual_a, r.residual_m, r.residual_b,
-                r.en_am, r.en_ab, r.en_mb, r.en_a_mb, r.en_m_ab, r.en_b_am,
-                r.abs_ms_sq, r.q_s) for r in rows[start:start + CSV_BLOCK]]))
+        for start in range(0, len(table), CSV_BLOCK):
+            at = slice(start, start + CSV_BLOCK)
+            fh.write(_csv_lines(table.axis1[at], table.axis2[at],
+                                table.stable[at], table.values[at]))
 
 
 def cmd_steady(config_path: str) -> int:

@@ -9,13 +9,16 @@ get their eigenvalues alone, which is all the margin needs.  The
 stable points then go CHUNK at a time through the Lyapunov solve and the
 partial-transpose spectra.  A single point is a batch of one.  Every step
 treats each point on its own, so a point's row is bit-identical whichever
-batch it is evaluated in; grid rows are assembled in row-major order with
-the first axis outermost.
+batch it is evaluated in.  Results are kept as columns (a SweepTable), a
+grid's points in row-major order with the first axis outermost; a row
+object is built only where one is asked for.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -71,6 +74,11 @@ class SweepSpec:
         if self.pump_mode not in PUMP_MODES:
             raise ValueError(
                 f"unknown pump_mode {self.pump_mode!r}; choose from {PUMP_MODES}")
+        off = _PUMP_OFF[self.pump_mode]
+        if off in names:
+            raise ValueError(
+                f"sweep axis {off} has no effect under pump_mode "
+                f"{self.pump_mode!r}, which forces {off} = 0")
 
 
 @dataclass
@@ -97,8 +105,71 @@ class SweepRow:
     status: str = "ok"
 
 
-#: the row fields between (axis1, axis2, stable) and status: margin .. q_s
-_FLOAT_FIELDS = tuple(f.name for f in fields(SweepRow))[3:-1]
+#: the row fields between (axis1, axis2, stable) and status, margin ..
+#: q_s: the columns of SweepTable.values
+FLOAT_FIELDS = tuple(f.name for f in fields(SweepRow))[3:-1]
+
+#: the columns that the stages fill
+_ABS_MS_SQ, _Q_S, _MARGIN = (FLOAT_FIELDS.index(name)
+                             for name in ("abs_ms_sq", "q_s", "margin"))
+_MEASURE_COLUMNS = [FLOAT_FIELDS.index(name) for name in entanglement.MEASURES]
+
+
+class SweepTable(Sequence):
+    """Evaluated points as columns: the axis values, the stable flags and
+    ``values``, whose column j holds FLOAT_FIELDS[j] of every point.  A
+    point's status is its ``errors`` entry if it has one, else "ok" if it
+    is stable, else "unstable".
+
+    The table is also a read-only sequence of SweepRow; each row is built
+    when it is indexed.
+    """
+
+    def __init__(self, axis1: np.ndarray, axis2: np.ndarray,
+                 stable: np.ndarray, values: np.ndarray,
+                 errors: dict[int, str]):
+        self.axis1, self.axis2, self.stable = axis1, axis2, stable
+        self.values, self.errors = values, errors
+
+    def __len__(self) -> int:
+        return len(self.stable)
+
+    def __getitem__(self, k) -> SweepRow:
+        k = range(len(self))[operator.index(k)]  # from the end if k < 0
+        return SweepRow(float(self.axis1[k]), float(self.axis2[k]),
+                        bool(self.stable[k]), *self.values[k].tolist(),
+                        status=self.status(k))
+
+    def status(self, k: int) -> str:
+        return self.errors.get(k, "ok" if self.stable[k] else "unstable")
+
+    def column(self, name: str) -> np.ndarray:
+        """The column of a FLOAT_FIELDS name (a view)."""
+        return self.values[:, FLOAT_FIELDS.index(name)]
+
+    @classmethod
+    def from_rows(cls, rows) -> SweepTable:
+        """The table of a list of rows; a status that the stable flag does
+        not imply is kept in ``errors``."""
+        values = [[getattr(r, name) for name in FLOAT_FIELDS] for r in rows]
+        return cls(np.array([r.axis1 for r in rows], float),
+                   np.array([r.axis2 for r in rows], float),
+                   np.array([r.stable for r in rows], bool),
+                   np.array(values, float).reshape(-1, len(FLOAT_FIELDS)),
+                   {k: r.status for k, r in enumerate(rows)
+                    if r.status != ("ok" if r.stable else "unstable")})
+
+    @classmethod
+    def concat(cls, tables) -> SweepTable:
+        """The tables' points one after another."""
+        errors, offset = {}, 0
+        for table in tables:
+            errors.update((offset + k, s) for k, s in table.errors.items())
+            offset += len(table)
+        return cls(*(np.concatenate([getattr(t, name) for t in tables])
+                     for name in ("axis1", "axis2", "stable", "values")),
+                   errors)
+
 
 #: stable points solved together by the Lyapunov and entanglement
 #: stages; bounds the stacked arrays' memory
@@ -152,17 +223,22 @@ def _error_of(check, params: PhysicalParams) -> str:
 
 
 class BatchResult(NamedTuple):
-    """Rows of a batch, with each point's covariance (NaN where the row has
-    none) and the mean field of the points that pass validation, in order
-    (None after a per-point fallback)."""
+    """The table of a batch, with each point's covariance (NaN where the
+    point has none) and the mean field of the points that pass validation,
+    in order (None after a per-point fallback)."""
 
-    rows: list[SweepRow]
+    table: SweepTable
     covariances: np.ndarray
     mean_field: meanfield.MeanFieldBatch | None
 
+    @property
+    def rows(self) -> SweepTable:
+        """The table, as the sequence of rows it also is."""
+        return self.table
+
 
 def evaluate_batch(p: ParamBatch, axis1=None, axis2=None) -> BatchResult:
-    """Run the full pipeline at every point of ``p`` as arrays; the rows'
+    """Run the full pipeline at every point of ``p`` as arrays; the table's
     axis values default to NaN.
 
     Like :func:`evaluate_point` this never raises for physics or numerical
@@ -181,13 +257,13 @@ def evaluate_batch(p: ParamBatch, axis1=None, axis2=None) -> BatchResult:
     except (CmmError, np.linalg.LinAlgError, ArithmeticError,
             ValueError) as exc:
         if n == 1:
-            row = SweepRow(float(axis1[0]), float(axis2[0]), False,
-                           *[float("nan")] * len(_FLOAT_FIELDS),
-                           status=f"error: {exc}")
-            return BatchResult([row], np.full((1, 6, 6), np.nan), None)
+            table = SweepTable(axis1, axis2, np.zeros(1, bool),
+                               np.full((1, len(FLOAT_FIELDS)), np.nan),
+                               {0: f"error: {exc}"})
+            return BatchResult(table, np.full((1, 6, 6), np.nan), None)
         parts = [evaluate_batch(p.take([k]), axis1[k:k + 1], axis2[k:k + 1])
                  for k in range(n)]
-        return BatchResult([part.rows[0] for part in parts],
+        return BatchResult(SweepTable.concat([part.table for part in parts]),
                            np.concatenate([part.covariances for part in parts]),
                            None)
 
@@ -195,46 +271,37 @@ def evaluate_batch(p: ParamBatch, axis1=None, axis2=None) -> BatchResult:
 def _run_stages(p: ParamBatch, axis1: np.ndarray,
                 axis2: np.ndarray) -> BatchResult:
     n = len(p)
-    status = ["ok"] * n
-    stable = [False] * n
-    # float columns of the rows; entries never set share one NaN object,
-    # which keeps the rows of a mostly unstable grid small
-    nan = float("nan")
-    columns = {name: [nan] * n for name in _FLOAT_FIELDS}
-
-    def put(name, at, values):
-        column = columns[name]
-        for k, value in zip(at.tolist(), values.tolist()):
-            column[k] = value
-
+    values = np.full((n, len(FLOAT_FIELDS)), np.nan)
+    stable = np.zeros(n, bool)
+    errors = {}
     cov = np.full((n, 6, 6), np.nan)
 
     # each stage narrows ``idx``, the points still alive, and evaluates
     # only those, so no invalid or non-finite input reaches a later stage
     ok = valid_mask(p)
     for k in np.flatnonzero(~ok).tolist():
-        status[k] = _error_of(validate, p.point(k))
+        errors[k] = _error_of(validate, p.point(k))
     idx = np.flatnonzero(ok)
     q = p.take(idx)
 
     mf = meanfield.solve_effective_batch(q)
-    for j in np.flatnonzero(mf.singular).tolist():
-        status[idx[j]] = f"error: {meanfield.SINGULAR_RESPONSE}"
-    for j in np.flatnonzero(~mf.singular & ~mf.finite).tolist():
-        status[idx[j]] = "error: non-finite mean-field state"
+    for k in idx[mf.singular].tolist():
+        errors[k] = f"error: {meanfield.SINGULAR_RESPONSE}"
+    for k in idx[~mf.singular & ~mf.finite].tolist():
+        errors[k] = "error: non-finite mean-field state"
     ok = ~mf.singular & mf.finite
-    put("abs_ms_sq", idx[ok], mf.abs_ms_sq[ok])
-    put("q_s", idx[ok], mf.q_s[ok])
+    values[idx[ok], _ABS_MS_SQ] = mf.abs_ms_sq[ok]
+    values[idx[ok], _Q_S] = mf.q_s[ok]
 
     a = dynamics.drift_batch(q, mf)
     d = dynamics.diffusion_batch(q)
     bath = q.delta_m_tilde_target + q.drive_frequency > 0.0
     for j in np.flatnonzero(ok & ~bath).tolist():
-        status[idx[j]] = _error_of(PhysicalParams.occupations, q.point(j))
+        errors[int(idx[j])] = _error_of(PhysicalParams.occupations, q.point(j))
     ok &= bath
     finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(d).all(axis=1)
-    for j in np.flatnonzero(ok & ~finite).tolist():
-        status[idx[j]] = "error: non-finite drift or diffusion matrix"
+    for k in idx[ok & ~finite].tolist():
+        errors[k] = "error: non-finite drift or diffusion matrix"
     ok &= finite
     idx, a, d, omega_b = idx[ok], a[ok], d[ok], q.omega_b[ok]
 
@@ -250,35 +317,31 @@ def _run_stages(p: ParamBatch, axis1: np.ndarray,
         lam[~maybe] = np.linalg.eigvals(a[~maybe])
         lam[maybe], s[maybe] = np.linalg.eig(a[maybe])
     margin = lam.real.max(axis=1)
-    put("margin", idx, margin)
+    values[idx, _MARGIN] = margin
     ok = margin < -dynamics.STABILITY_EPS * omega_b
-    for k in idx[ok].tolist():
-        stable[k] = True
-    for k in idx[~ok].tolist():
-        status[k] = "unstable"
+    # a stable point keeps its flag and margin if a later stage fails
+    stable[idx[ok]] = True
     idx, a, d, lam, s = idx[ok], a[ok], d[ok], lam[ok], s[ok]
 
     # the stable points, CHUNK at a time
     for start in range(0, idx.size, CHUNK):
         at = slice(start, start + CHUNK)
-        v, errors = dynamics.steady_covariances(a[at], d[at], lam[at], s[at])
+        v, failed = dynamics.steady_covariances(a[at], d[at], lam[at], s[at])
         sub = idx[at]
-        for j, message in errors.items():
-            status[sub[j]] = f"error: {message}"
-        solved = np.delete(np.arange(sub.size), list(errors))
+        for j, message in failed.items():
+            errors[int(sub[j])] = f"error: {message}"
+        solved = np.delete(np.arange(sub.size), list(failed))
         sub, v = sub[solved], v[solved]
 
-        values, errors = entanglement.entanglement_batch(v)
-        for j, message in errors.items():
-            status[sub[j]] = f"error: {message}"
-        done = np.delete(np.arange(sub.size), list(errors))
-        for name, values_of in zip(entanglement.MEASURES, values[done].T):
-            put(name, sub[done], values_of)
+        measures, failed = entanglement.entanglement_batch(v)
+        for j, message in failed.items():
+            errors[int(sub[j])] = f"error: {message}"
+        done = np.delete(np.arange(sub.size), list(failed))
+        values[np.ix_(sub[done], _MEASURE_COLUMNS)] = measures[done]
         cov[sub[done]] = v[done]
 
-    lists = ([axis1.tolist(), axis2.tolist(), stable]
-             + [columns[name] for name in _FLOAT_FIELDS] + [status])
-    return BatchResult([SweepRow(*vals) for vals in zip(*lists)], cov, mf)
+    return BatchResult(SweepTable(axis1, axis2, stable, values, errors),
+                       cov, mf)
 
 
 def evaluate_point(params: PhysicalParams, pump_mode: str = "both",
@@ -293,7 +356,7 @@ def evaluate_point(params: PhysicalParams, pump_mode: str = "both",
     """
     p = ParamBatch.from_base(apply_pump_mode(params, pump_mode), 1)
     result = evaluate_batch(p)
-    row = result.rows[0]
+    row = result.table[0]
     out = [row]
     if return_cm:
         out.append(result.covariances[0] if row.status == "ok" else None)
@@ -324,13 +387,12 @@ def _blocks(spec: SweepSpec):
         yield ParamBatch.from_base(spec.base, k.size, **columns), axis1, axis2
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the grid, BLOCK * CHUNK points at a time; the rows and
-    their values do not depend on the chunking."""
-    rows = []
-    for params, axis1, axis2 in _blocks(spec):
-        rows += evaluate_batch(params, axis1, axis2).rows
-    return rows
+def run_sweep(spec: SweepSpec) -> SweepTable:
+    """Evaluate the grid, BLOCK * CHUNK points at a time, into one table
+    (also the sequence of its rows); its values do not depend on the
+    chunking."""
+    return SweepTable.concat([evaluate_batch(params, axis1, axis2).table
+                              for params, axis1, axis2 in _blocks(spec)])
 
 
 def _r_min_at_phases(params: PhysicalParams, phases) -> list[float]:
@@ -339,7 +401,7 @@ def _r_min_at_phases(params: PhysicalParams, phases) -> list[float]:
     field, column = _axis_field(params, "delta_theta",
                                 np.asarray(phases, dtype=float))
     p = ParamBatch.from_base(params, column.size, **{field: column})
-    return [row.r_min for row in evaluate_batch(p).rows]
+    return evaluate_batch(p).table.column("r_min").tolist()
 
 
 def optimize_phase(params: PhysicalParams, resolution: int,

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmmsim import (NoSteadyStateError, ParamBatch, PhysicalParams,
-                    SweepAxis, SweepSpec, baseline_params, build_diffusion,
-                    build_drift, evaluate_batch, evaluate_point, run_sweep,
-                    solve_lyapunov, solve_steady_state)
-from cmmsim import dynamics
+                    SweepAxis, SweepSpec, apply_axis, baseline_params,
+                    build_diffusion, build_drift, evaluate_batch,
+                    evaluate_point, run_sweep, solve_lyapunov,
+                    solve_steady_state)
+from cmmsim import dynamics, sweep
 from cmmsim.cli import main as cli_main
 from cmmsim.dynamics import LYAPUNOV_RESIDUAL_TOL
 from cmmsim.meanfield import solve_effective_batch
@@ -235,6 +236,9 @@ class TestRobustness:
         got = evaluate_batch(stack(points)).rows
         assert got[1].status == "error: matrix is not positive definite"
         assert math.isnan(got[1].r_min)
+        # a stable point whose entanglement stage fails stays stable
+        assert want[1].stable and got[1].stable
+        assert repr(got[1].margin) == repr(want[1].margin)
         assert same_row(got[0], want[0]) and same_row(got[2], want[2])
 
     def test_sweep_with_overflowing_temperatures_writes_csv(self, tmp_path):
@@ -250,6 +254,60 @@ class TestRobustness:
             outputs.append(out.read_text(encoding="utf-8").splitlines())
         assert len(outputs[0]) == 4
         assert outputs[0][1] == outputs[1][1]
+
+
+#: at P_m = 1.0 W the positive detunings are unstable, and T = 1e300 K
+#: makes the Lyapunov solve of the stable points fail
+OVERFLOW_AXES = (SweepAxis("delta_a", -2.0, 2.0, 9),
+                 SweepAxis("T", 0.01, 1e300, 3))
+
+
+def table_columns(table):
+    """Every column and status, bit for bit (repr keeps the sign of zero)."""
+    return repr((table.axis1.tolist(), table.axis2.tolist(),
+                 table.stable.tolist(), table.values.tolist(),
+                 sorted(table.errors.items())))
+
+
+class TestSweepTable:
+    def test_columns_equal_single_point_rows(self, base):
+        params = base.replace(P_m=1.0)
+        table = run_sweep(SweepSpec(base=params, axes=OVERFLOW_AXES))
+        assert len(table) == 27
+        for k, row in enumerate(table):
+            want = evaluate_point(apply_axis(
+                apply_axis(params, "delta_a", float(table.axis1[k])),
+                "T", float(table.axis2[k])))
+            assert repr((bool(table.stable[k]), table.values[k].tolist(),
+                         table.status(k))) == repr((want.stable, [
+                getattr(want, name) for name in sweep.FLOAT_FIELDS],
+                want.status))
+            want.axis1, want.axis2 = row.axis1, row.axis2
+            assert same_row(row, want) and same_row(table[k - 27], want)
+        statuses = [table.status(k) for k in range(27)]
+        assert {s.split(":")[0] for s in statuses} == {"ok", "unstable",
+                                                      "error"}
+        assert all(table.stable[k] for k in table.errors)
+        with pytest.raises(IndexError):
+            table[27]
+
+    def test_blocks_and_the_per_point_fallback_join_alike(self, base,
+                                                          monkeypatch):
+        spec = SweepSpec(base=base.replace(P_m=1.0), axes=OVERFLOW_AXES)
+        want = table_columns(run_sweep(spec))
+        monkeypatch.setattr(sweep, "BLOCK", 1)
+        monkeypatch.setattr(sweep, "CHUNK", 4)  # blocks of four points
+        assert table_columns(run_sweep(spec)) == want
+        slogdet = np.linalg.slogdet
+
+        def refuse_stacks(m):
+            if len(m) > 1:
+                raise np.linalg.LinAlgError("forced")
+            return slogdet(m)
+
+        # every block of more than one point is evaluated point by point
+        monkeypatch.setattr(np.linalg, "slogdet", refuse_stacks)
+        assert table_columns(run_sweep(spec)) == want
 
 
 EXTREMES = st.one_of(

@@ -85,6 +85,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="pump_mode"):
             parse_config(BASELINE_CFG + "pump_mode = sideways\n")
 
+    def test_swept_power_of_a_switched_off_pump_rejected(self):
+        # magnon-only forces P_a = 0, so every row would be the same point
+        with pytest.raises(ConfigError, match="P_a.*'magnon-only'"):
+            parse_config(BASELINE_CFG + "pump_mode = magnon-only\n"
+                         "sweep.P_a = 0.001:0.1:3\n")
+
     def test_invalid_values_rejected(self):
         bad = BASELINE_CFG.replace("kappa_a_hz = 1e6", "kappa_a_hz = -1e6")
         with pytest.raises(ConfigError, match="kappa_a"):
@@ -109,6 +115,25 @@ class TestFormatting:
         rows = [SweepRow(specials[k % 10], specials[(k + 3) % 10], k % 2 == 0,
                          *[specials[(k + j) % 10] for j in range(13)])
                 for k in range(2 * CSV_BLOCK + 3)]  # past two whole blocks
+        # rows whose ten measures are all NaN, and rows where only r_min
+        # is NaN; the axes take the specials and repeat -0.0, 0.0 and NaNs
+        # of either sign
+        repeats = [-0.0, 0.0, math.nan, -math.nan]
+
+        def axis(k):
+            return specials[k // 2 % 10] if k % 2 == 0 else repeats[k // 2 % 4]
+
+        nan_rows = [SweepRow(axis(k), axis(k + 1), k % 3 == 0,
+                             specials[(k + 1) % 10], *[math.nan] * 10,
+                             specials[(k + 2) % 10], specials[(k + 5) % 10])
+                    for k in range(40)]
+        finite = specials[1:]
+        nan_rows += [SweepRow(axis(k), axis(k + 1), k % 2 == 0,
+                              finite[k % 9], math.nan,
+                              *[finite[(k + j) % 9] for j in range(11)])
+                     for k in range(40)]
+        # across the boundary of the first block
+        rows[CSV_BLOCK - 40:CSV_BLOCK - 40] = nan_rows
         path = tmp_path / "rows.csv"
         write_sweep_csv(rows, str(path))
         want = [CSV_HEADER] + [",".join(
@@ -177,6 +202,43 @@ class TestSweepCommand:
         cfg = write_cfg(tmp_path, BASELINE_CFG + "sweep.delta_a = -1.5:-1.1:3\n")
         assert main(["sweep", "--config", cfg, "--out",
                      "/nonexistent-dir/out.csv"]) == 1
+
+    def test_swept_power_of_a_switched_off_pump_exit_two(self, tmp_path,
+                                                         capsys):
+        cfg = write_cfg(tmp_path, BASELINE_CFG + "pump_mode = magnon-only\n"
+                        "sweep.P_a = 0.001:0.1:3\n")
+        out_path = tmp_path / "out.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep axis P_a ")
+        assert "'magnon-only'" in err
+        assert not out_path.exists()
+
+    def test_builds_no_row_objects(self, tmp_path, monkeypatch):
+        built = []
+        init = SweepRow.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SweepRow, "__init__", spy)
+        params, _ = parse_config(BASELINE_CFG)
+        evaluate_point(params)
+        assert len(built) == 1  # the spy sees the rows the API hands out
+        built.clear()
+        # ok, unstable and error rows (T = 1e300 K overflows)
+        cfg = write_cfg(tmp_path, BASELINE_CFG.replace("P_m_w = 0.9",
+                                                       "P_m_w = 1.0")
+                        + "sweep.delta_a = -2:2:9\nsweep.T = 0.01:1e300:3\n")
+        out_path = tmp_path / "out.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out_path)]) == 0
+        assert built == []
+        # (stable, R_min is nan): ok, error (stable points whose Lyapunov
+        # solve fails) and unstable rows
+        kinds = {(fields[2], fields[4] == "nan") for fields in (
+            line.split(",") for line in out_path.read_text().splitlines()[1:])}
+        assert kinds == {("true", False), ("true", True), ("false", True)}
 
     def test_lf_line_endings(self, tmp_path):
         cfg = write_cfg(tmp_path, BASELINE_CFG + "sweep.delta_a = -1.3:-1.3:1\n")

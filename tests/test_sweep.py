@@ -143,6 +143,16 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepSpec(base=base, pump_mode="nonsense")
 
+    def test_axis_of_a_switched_off_pump_rejected(self, base):
+        axis = SweepAxis("P_a", 0.001, 0.1, 3)
+        with pytest.raises(ValueError, match="P_a.*'magnon-only'"):
+            SweepSpec(base=base, axes=(axis,), pump_mode="magnon-only")
+        # the cavity drive is on in these modes, so the axis is kept
+        for mode in ("both", "cavity-only"):
+            rows = run_sweep(SweepSpec(base=base, axes=(axis,),
+                                       pump_mode=mode))
+            assert len({r.abs_ms_sq for r in rows}) == 3
+
     def test_apply_axis_semantics(self, base):
         assert apply_axis(base, "delta_a", -1.2).delta_a == -1.2 * base.omega_b
         assert apply_axis(base, "delta_theta", 0.7).theta_a == base.theta_m + 0.7
