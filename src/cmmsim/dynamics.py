@@ -27,66 +27,53 @@ LYAPUNOV_RESIDUAL_TOL = 1e-10
 
 
 def build_drift(params: PhysicalParams, state: MeanFieldState) -> np.ndarray:
-    """Real 6x6 drift matrix of the linearized fluctuation dynamics.
+    """Real 6x6 drift matrix of the linearized fluctuation dynamics, the
+    :func:`drift_batch` of one point."""
+    return drift_batch(ParamBatch.from_base(params, 1), state)[0]
+
+
+def build_diffusion(params: PhysicalParams) -> np.ndarray:
+    """Diagonal 6x6 diffusion matrix of the input noises, the
+    :func:`diffusion_batch` of one point.
+
+    Raises ParameterError where a bath occupation is undefined (see
+    :meth:`PhysicalParams.occupations`).
+    """
+    params.occupations()  # for its domain checks
+    return np.diag(diffusion_batch(ParamBatch.from_base(params, 1))[0])
+
+
+def drift_batch(p: ParamBatch,
+                mf: MeanFieldBatch | MeanFieldState) -> np.ndarray:
+    """Real drift matrices of the linearized fluctuation dynamics, shape
+    (n, 6, 6), at the fixed points ``mf`` of ``p``: a MeanFieldBatch, or
+    one MeanFieldState (of either solving mode) shared by every entry.
 
     Rows are the time derivatives of (X, Y, x, y, q, p).  The
     magnon-mechanics entries carry the real and imaginary parts of the
     steady-state magnon amplitude separately, so the matrix is valid for
     arbitrary drive phases.
     """
-    ka, km, gb = params.kappa_a, params.kappa_m, params.gamma_b
-    da, dm = params.delta_a, state.delta_m_tilde
-    g = params.g_ma
-    wb = params.omega_b
-    cm = SQRT2 * params.g_mb
-    mr, mi = state.m_s.real, state.m_s.imag
-    return np.array([
-        [-ka,  da,   0.0,  g,    0.0,      0.0],
-        [-da, -ka,  -g,    0.0,  0.0,      0.0],
-        [0.0,  g,   -km,   dm,   cm * mi,  0.0],
-        [-g,   0.0, -dm,  -km,  -cm * mr,  0.0],
-        [0.0,  0.0,  0.0,  0.0,  0.0,      wb],
-        [0.0,  0.0, -cm * mr, -cm * mi, -wb, -gb],
-    ])
-
-
-def build_diffusion(params: PhysicalParams) -> np.ndarray:
-    """Diagonal 6x6 diffusion matrix of the input noises.
-
-    Entries are kappa_a(2N_a+1) twice, kappa_m(2N_m+1) twice, 0 for the
-    mechanical position, gamma_b(2N_b+1) for the mechanical momentum.
-    """
-    occ = params.occupations()
-    return np.diag([
-        params.kappa_a * (2.0 * occ.n_a + 1.0),
-        params.kappa_a * (2.0 * occ.n_a + 1.0),
-        params.kappa_m * (2.0 * occ.n_m + 1.0),
-        params.kappa_m * (2.0 * occ.n_m + 1.0),
-        0.0,
-        params.gamma_b * (2.0 * occ.n_b + 1.0),
-    ])
-
-
-def drift_batch(p: ParamBatch, mf: MeanFieldBatch) -> np.ndarray:
-    """Stacked :func:`build_drift`, shape (n, 6, 6), equal entry for entry."""
     g, cm = p.g_ma, SQRT2 * p.g_mb
-    dm = mf.delta_m_tilde
+    dm, m_re, m_im = mf.delta_m_tilde, mf.m_s.real, mf.m_s.imag
     a = np.zeros((len(p), 6, 6))
     a[:, 0, 0], a[:, 0, 1], a[:, 0, 3] = -p.kappa_a, p.delta_a, g
     a[:, 1, 0], a[:, 1, 1], a[:, 1, 2] = -p.delta_a, -p.kappa_a, -g
     a[:, 2, 1], a[:, 2, 2], a[:, 2, 3] = g, -p.kappa_m, dm
-    a[:, 2, 4] = cm * mf.m_im
+    a[:, 2, 4] = cm * m_im
     a[:, 3, 0], a[:, 3, 2], a[:, 3, 3] = -g, -dm, -p.kappa_m
-    a[:, 3, 4] = -cm * mf.m_re
+    a[:, 3, 4] = -cm * m_re
     a[:, 4, 5] = p.omega_b
-    a[:, 5, 2], a[:, 5, 3] = -cm * mf.m_re, -cm * mf.m_im
+    a[:, 5, 2], a[:, 5, 3] = -cm * m_re, -cm * m_im
     a[:, 5, 4], a[:, 5, 5] = -p.omega_b, -p.gamma_b
     return a
 
 
 def diffusion_batch(p: ParamBatch) -> np.ndarray:
-    """Diagonals of the stacked :func:`build_diffusion`, shape (n, 6);
-    non-finite where an occupation is undefined or overflows."""
+    """Diagonals of the diffusion matrices, shape (n, 6): kappa_a(2N_a+1)
+    twice, kappa_m(2N_m+1) twice, 0 for the mechanical position and
+    gamma_b(2N_b+1) for the mechanical momentum; non-finite where an
+    occupation is undefined or overflows."""
     n_a, n_m, n_b = p.occupations()
     d = np.zeros((len(p), 6))
     d[:, 0] = d[:, 1] = p.kappa_a * (2.0 * n_a + 1.0)
@@ -122,7 +109,8 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     included) verified against LYAPUNOV_RESIDUAL_TOL.
 
     Raises UnstableSystemError when ``a`` is not Hurwitz-stable, and
-    NumericalError if the residual contract fails.
+    NumericalError if the solution overflows (finite ``a`` and ``d``
+    giving a non-finite residual) or the residual contract fails.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -137,6 +125,12 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     v = 0.5 * (v + v.T)
     d_norm = np.linalg.norm(d)
     residual = np.linalg.norm(a @ v + v @ a.T + d) / (d_norm if d_norm > 0 else 1.0)
+    # from finite a and d, only an overflow of V or of its residual's
+    # products and norms gives a non-finite residual
+    if (not math.isfinite(residual) and np.isfinite(a).all()
+            and np.isfinite(d).all()):
+        raise NumericalError(
+            f"Lyapunov solution overflows (residual {residual:.3e})")
     if not residual <= LYAPUNOV_RESIDUAL_TOL:
         raise NumericalError(
             f"Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:.1e}")

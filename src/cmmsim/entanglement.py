@@ -9,14 +9,12 @@ E^2(r|st) - E^2(r|s) - E^2(r|t).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import stack_or_nan
 from .errors import NumericalError
-from .params import float_squares
 
 MODES = ("a", "m", "b")
 
@@ -270,12 +268,9 @@ _SPLIT_SIGNS = np.array([np.outer(s, s) for s in 1.0 - 2.0 * np.eye(6)[1::2]])
 
 
 def _log_negativities(nu: np.ndarray) -> np.ndarray:
-    """max[0, -ln(2 nu)] entrywise, with the logarithm from :mod:`math`."""
+    """max[0, -ln(2 nu)] entrywise: exactly 0.0 where 2 nu >= 1 (or NaN)."""
     two_nu = 2.0 * nu
-    en = np.zeros_like(nu)
-    below = two_nu < 1.0
-    en[below] = [-math.log(x) for x in two_nu[below].tolist()]
-    return en
+    return np.where(two_nu < 1.0, -np.log(two_nu), 0.0)
 
 
 def entanglement_batch(v: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
@@ -305,7 +300,7 @@ def entanglement_batch(v: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
         errors[j // 3] = pair_errors[j]
     en = _log_negativities(np.concatenate(
         [nu_pair[:, 0].reshape(k, 3), nu_split[:, 0].reshape(k, 3)], axis=1))
-    sq = float_squares(en)
+    sq = en * en
     residuals = np.stack([sq[:, 3] - sq[:, 0] - sq[:, 1],
                           sq[:, 4] - sq[:, 0] - sq[:, 2],
                           sq[:, 5] - sq[:, 1] - sq[:, 2]], axis=1)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoSteadyStateError, SingularityError
-from .params import ParamBatch, PhysicalParams, float_squares
+from .params import ParamBatch, PhysicalParams
 
 _HOMOTOPY_STEPS = 16
 _POLISH_TOL = 1e-14
@@ -55,17 +55,14 @@ class MeanFieldState:
 class MeanFieldBatch(NamedTuple):
     """Effective-mode fixed points of a :class:`ParamBatch`, as arrays.
 
-    Complex amplitudes are split into real and imaginary parts;
     ``abs_ms_sq`` is |m_s|^2.  ``singular`` marks entries whose magnon
-    response has a pole (the scalar solver raises there); ``finite`` marks
-    entries whose every field is finite.  (A NamedTuple: cheaper to create
-    at import time than a dataclass.)
+    response has a pole (``solve_steady_state`` raises there); ``finite``
+    marks entries whose every field is finite.  (A NamedTuple: cheaper to
+    create at import time than a dataclass.)
     """
 
-    alpha_re: np.ndarray
-    alpha_im: np.ndarray
-    m_re: np.ndarray
-    m_im: np.ndarray
+    alpha_s: np.ndarray
+    m_s: np.ndarray
     abs_ms_sq: np.ndarray
     q_s: np.ndarray
     delta_m: np.ndarray
@@ -74,87 +71,45 @@ class MeanFieldBatch(NamedTuple):
 
     @property
     def finite(self) -> np.ndarray:
-        return (np.isfinite(self.alpha_re) & np.isfinite(self.alpha_im)
-                & np.isfinite(self.m_re) & np.isfinite(self.m_im)
+        return (np.isfinite(self.alpha_s) & np.isfinite(self.m_s)
                 & np.isfinite(self.q_s) & np.isfinite(self.delta_m))
 
     def state(self, k: int) -> MeanFieldState:
         """The scalar state of entry ``k``."""
         return MeanFieldState(
-            alpha_s=complex(self.alpha_re[k], self.alpha_im[k]),
-            m_s=complex(self.m_re[k], self.m_im[k]),
+            alpha_s=complex(self.alpha_s[k]), m_s=complex(self.m_s[k]),
             q_s=float(self.q_s[k]), p_s=0.0, delta_m=float(self.delta_m[k]),
             delta_m_tilde=float(self.delta_m_tilde[k]))
 
 
-# Complex numbers as (re, im) pairs of arrays, combined in the order and
-# with the formulas of CPython's complex type (a float x enters as (x, 0.0)),
-# so that solve_effective_batch equals the scalar solver bit for bit.
-
-def _cmul(a, b):
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _cadd(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _csub(a, b):
-    return a[0] - b[0], a[1] - b[1]
-
-
-def _cdiv(a, b):
-    """Smith's quotient as CPython computes it; ``b`` must be nonzero."""
-    real_major = np.abs(b[0]) >= np.abs(b[1])
-    ratio = np.where(real_major, b[1] / b[0], b[0] / b[1])
-    denom = np.where(real_major, b[0] + b[1] * ratio, b[0] * ratio + b[1])
-    re = np.where(real_major, a[0] + a[1] * ratio, a[0] * ratio + a[1])
-    im = np.where(real_major, a[1] - a[0] * ratio, a[1] * ratio - a[0])
-    return re / denom, im / denom
-
-
-def _phase(theta: np.ndarray):
-    """exp(-i theta) as cmath.exp(-1j * theta) evaluates it."""
-    return (np.array([math.cos(t) for t in theta.tolist()]),
-            -np.array([math.sin(t) for t in theta.tolist()]))
-
-
 def solve_effective_batch(p: ParamBatch) -> MeanFieldBatch:
-    """Effective-targeting fixed points (``solve_steady_state(params)``)
-    of every entry of ``p``, bit for bit equal to the scalar solver where
-    it returns.  Entries must pass ``valid_mask``; call under
-    ``np.errstate(all="ignore")``, since entries may overflow."""
+    """Effective-targeting fixed points of every entry of ``p``: the
+    magnon equation is linear once the effective detuning is pinned to
+    ``delta_m_tilde_target``, the displacement follows from |m_s|^2, and
+    the bare detuning is back-solved.  Entries must pass ``valid_mask``;
+    call under ``np.errstate(all="ignore")``, since entries may overflow."""
     eps_a, eps_m = p.drive_amplitudes()
-    zero = np.zeros(len(p))
-    e_a, e_m = _phase(p.theta_a), _phase(p.theta_m)
-    c_a = _cadd(_cmul((0.0, 1.0), (p.delta_a, zero)), (p.kappa_a, zero))
-    num = _cadd(
-        _cmul(_cmul(_cmul((-0.0, -1.0), (p.g_ma, zero)), (eps_a, zero)), e_a),
-        _cmul(_cmul(c_a, (eps_m, zero)), e_m))
-    g2 = float_squares(p.g_ma)
+    e_a, e_m = np.exp(-1j * p.theta_a), np.exp(-1j * p.theta_m)
+    c_a = 1j * p.delta_a + p.kappa_a
+    num = -1j * p.g_ma * eps_a * e_a + c_a * eps_m * e_m
+    g2 = p.g_ma * p.g_ma
     dt = p.delta_m_tilde_target
-    c_m = _cadd(_cmul((0.0, 1.0), (dt, zero)), (p.kappa_m, zero))
-    den = _cadd(_cmul(c_m, c_a), (g2, zero))
+    den = (1j * dt + p.kappa_m) * c_a + g2
     scale = np.maximum(np.maximum(np.abs(dt * p.delta_a),
                                   p.kappa_m * p.kappa_a), g2)
-    singular = np.hypot(den[0], den[1]) < 1e-12 * scale
-    m_s = _cdiv(num, den)
-    abs_ms_sq = float_squares(np.hypot(m_s[0], m_s[1]))
+    singular = np.abs(den) < 1e-12 * scale
+    m_s = num / den
+    abs_ms_sq = np.abs(m_s) ** 2
     q_s = -p.g_mb * abs_ms_sq / p.omega_b
-    alpha = _cdiv(
-        _csub(_cmul((eps_a, zero), e_a),
-              _cmul(_cmul((0.0, 1.0), (p.g_ma, zero)), m_s)), c_a)
-    delta_m = dt - p.g_mb * q_s
-    # undriven entries: the scalar solver returns the zero state directly
+    alpha_s = (eps_a * e_a - 1j * p.g_ma * m_s) / c_a
+    # undriven entries have the zero state, whatever their response
     undriven = (eps_a == 0.0) & (eps_m == 0.0)
     return MeanFieldBatch(
-        alpha_re=np.where(undriven, 0.0, alpha[0]),
-        alpha_im=np.where(undriven, 0.0, alpha[1]),
-        m_re=np.where(undriven, 0.0, m_s[0]),
-        m_im=np.where(undriven, 0.0, m_s[1]),
+        alpha_s=np.where(undriven, 0j, alpha_s),
+        m_s=np.where(undriven, 0j, m_s),
         abs_ms_sq=np.where(undriven, 0.0, abs_ms_sq),
         q_s=np.where(undriven, 0.0, q_s),
-        delta_m=np.where(undriven, dt, delta_m),
+        delta_m=np.where(undriven, dt, dt - p.g_mb * q_s),
         delta_m_tilde=dt,
         singular=singular & ~undriven)
 
@@ -188,40 +143,26 @@ def solve_steady_state(params: PhysicalParams,
     """Solve the classical fixed point.
 
     With ``bare_delta_m=None`` the effective detuning is pinned to
-    ``params.delta_m_tilde_target`` and the bare detuning is back-solved.
-    Passing a bare detuning instead activates the cubic self-consistency
-    mode with homotopy root selection.
+    ``params.delta_m_tilde_target`` and the bare detuning is back-solved,
+    by :func:`solve_effective_batch` on a batch of one.  Passing a bare
+    detuning instead activates the cubic self-consistency mode with
+    homotopy root selection.
 
     Raises NoSteadyStateError if the magnon response has no admissible
     solution (e.g. an exact pole of the linear response).
     """
-    eps_a, eps_m = params.drive_amplitudes()
-    if eps_a == 0.0 and eps_m == 0.0:
-        delta_m_tilde = (params.delta_m_tilde_target if bare_delta_m is None
-                         else bare_delta_m)
-        return MeanFieldState(alpha_s=0j, m_s=0j, q_s=0.0, p_s=0.0,
-                              delta_m=delta_m_tilde,
-                              delta_m_tilde=delta_m_tilde)
+    eps_a, eps_m = params.drive_amplitudes()  # raises outside its domain
     if bare_delta_m is None:
-        return _solve_effective(params, params.delta_m_tilde_target)
+        with np.errstate(all="ignore"):
+            mf = solve_effective_batch(ParamBatch.from_base(params, 1))
+        if mf.singular[0]:
+            raise NoSteadyStateError(SINGULAR_RESPONSE)
+        return mf.state(0)
+    if eps_a == 0.0 and eps_m == 0.0:
+        return MeanFieldState(alpha_s=0j, m_s=0j, q_s=0.0, p_s=0.0,
+                              delta_m=bare_delta_m,
+                              delta_m_tilde=bare_delta_m)
     return _solve_bare(params, bare_delta_m)
-
-
-def _solve_effective(params: PhysicalParams, delta_m_tilde: float) -> MeanFieldState:
-    num = _magnon_numerator(params)
-    den = _magnon_denominator(params, delta_m_tilde)
-    if abs(den) < 1e-12 * _denominator_scale(params, delta_m_tilde):
-        raise NoSteadyStateError(SINGULAR_RESPONSE)
-    m_s = num / den
-    q_s = -params.g_mb * abs(m_s) ** 2 / params.omega_b
-    return MeanFieldState(
-        alpha_s=_cavity_amplitude(params, m_s),
-        m_s=m_s,
-        q_s=q_s,
-        p_s=0.0,
-        delta_m=delta_m_tilde - params.g_mb * q_s,
-        delta_m_tilde=delta_m_tilde,
-    )
 
 
 def _cubic_real_roots(a3: float, a2: float, a1: float, a0: float) -> list[float]:

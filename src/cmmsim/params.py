@@ -123,46 +123,32 @@ class NoiseOccupations:
 
 
 def thermal_occupation(omega: float, T: float) -> float:
-    """Bose-Einstein occupation 1/(exp(hbar*omega/k_B*T) - 1).
+    """Bose-Einstein occupation 1/(exp(hbar*omega/k_B*T) - 1), the
+    :func:`thermal_occupations` of one entry.
 
-    Returns exactly 0.0 at T = 0.  Raises ParameterError for omega <= 0
-    (T < 0 is likewise rejected).
+    Returns exactly 0.0 at T = 0, and inf where hbar*omega/(k_B*T)
+    underflows to zero (for example omega = 1e-300 at T = 1e300).  Raises
+    ParameterError for omega <= 0 (T < 0 is likewise rejected).
     """
     if omega <= 0.0:
         raise ParameterError([f"thermal_occupation: omega must be > 0, got {omega!r}"])
     if T < 0.0:
         raise ParameterError([f"thermal_occupation: T must be >= 0, got {T!r}"])
-    if T == 0.0:
-        return 0.0
-    x = HBAR * omega / (BOLTZMANN * T)
-    if x > 700.0:  # exp would overflow; occupation is below ~1e-304 anyway
-        return 0.0
-    return 1.0 / math.expm1(x)
+    return float(thermal_occupations(np.array([omega], float),
+                                     np.array([T], float))[0])
 
 
 def thermal_occupations(omega: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`thermal_occupation` for ``T >= 0``.
-
-    Where the scalar function raises, the entry is NaN (``omega <= 0``) or
-    inf (``hbar*omega/(k_B*T)`` underflows to zero).  ``expm1`` is taken from
-    :mod:`math`, so each entry equals the scalar value bit for bit.
+    """Elementwise Bose-Einstein occupation for ``T >= 0``: exactly 0.0
+    where ``hbar*omega/(k_B*T)`` exceeds 700 (the occupation is below
+    ~1e-304 there) or is not a number, so at T = 0; inf where that ratio
+    underflows to zero; NaN where ``omega <= 0``.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = HBAR * omega / (BOLTZMANN * T)
-        occ = np.zeros_like(x)
-        live = (T != 0.0) & (x <= 700.0)
-        occ[live] = 1.0 / np.array([math.expm1(v) for v in x[live].tolist()])
+        occ = np.where(x <= 700.0, 1.0 / np.expm1(x), 0.0)
     occ[~(omega > 0.0)] = np.nan
     return occ
-
-
-def float_squares(x: np.ndarray) -> np.ndarray:
-    """``v ** 2`` for every entry, with Python's float power (which can
-    differ from ``v * v`` in the last bit), so batched results equal the
-    scalar code's bit for bit.  Where the square overflows, which the power
-    raises for, the entry is ``v * v`` (inf)."""
-    return np.array([v ** 2 if -1e154 < v < 1e154 else v * v
-                     for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 
 def drive_amplitude(kappa: float, P: float, omega_d: float) -> float:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cmmsim import (IntegrationError, UnstableSystemError, baseline_params,
-                    build_diffusion, build_drift, check_physicality,
-                    integrate_covariance, is_stable, solve_lyapunov,
-                    solve_steady_state, symplectic_eigenvalues)
+from cmmsim import (IntegrationError, ParameterError, PhysicalParams,
+                    UnstableSystemError, baseline_params, build_diffusion,
+                    build_drift, check_physicality, integrate_covariance,
+                    is_stable, solve_lyapunov, solve_steady_state,
+                    symplectic_eigenvalues)
 from cmmsim.meanfield import MeanFieldState
 
 TWO_NB_PLUS_1 = 41.681236678072901  # mechanical bath at 10 mK, 10 MHz
@@ -136,6 +137,20 @@ class TestBuildDiffusion:
     def test_position_row_always_zero(self, base):
         for T in (0.0, 10e-3, 0.3, 10.0):
             assert build_diffusion(base.replace(T=T))[4, 4] == 0.0
+
+    @pytest.mark.parametrize("override, message", [
+        (dict(omega_b=0.0), "omega must be > 0, got 0.0"),
+        (dict(omega_a=-1.0), "omega must be > 0, got -1.0"),
+        (dict(T=-1e-3), "T must be >= 0, got -0.001"),
+        # a magnon bath frequency delta_m_tilde_target + omega_d <= 0
+        (dict(delta_m_tilde_target=-1e12),
+         "omega must be > 0, got -937083323926.5573")])
+    def test_undefined_occupation_raises(self, base, override, message):
+        p = base.replace(**override)
+        for build in (build_diffusion, PhysicalParams.occupations):
+            with pytest.raises(ParameterError) as err:
+                build(p)
+            assert str(err.value) == f"thermal_occupation: {message}"
 
 
 class TestStability:

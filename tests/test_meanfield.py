@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from cmmsim import (SingularityError, baseline_params, magnon_amplitude_approx,
+from cmmsim import (NoSteadyStateError, SingularityError, baseline_params,
+                    evaluate_point, magnon_amplitude_approx,
                     solve_steady_state, steady_state_residual)
-from cmmsim.meanfield import _magnon_denominator, _magnon_numerator
+from cmmsim.meanfield import (SINGULAR_RESPONSE, _magnon_denominator,
+                              _magnon_numerator)
 
 
 def picard_magnon_intensity(params, bare_delta_m, damping=0.5, tol=1e-14):
@@ -58,6 +60,19 @@ class TestEffectiveTargeting:
                        q_s=st.q_s * (1.0 + 1e-3), p_s=st.p_s,
                        delta_m=st.delta_m, delta_m_tilde=st.delta_m_tilde)
         assert steady_state_residual(base, bad) > 1e-6
+
+    def test_pole_of_the_response_raises(self, base):
+        # with vanishing linewidths the response
+        # (i dt + kappa_m)(i delta_a + kappa_a) + g_ma^2 has a pole at
+        # dt * delta_a = g_ma^2
+        p = base.replace(kappa_a=1e-9, kappa_m=1e-9, delta_a=base.g_ma,
+                         delta_m_tilde_target=base.g_ma)
+        with pytest.raises(NoSteadyStateError) as err:
+            solve_steady_state(p)
+        assert str(err.value) == SINGULAR_RESPONSE
+        assert evaluate_point(p).status == (
+            "error: magnon linear response is singular at the requested "
+            "detunings")
 
     def test_zero_drives_give_zero_state(self, base):
         st = solve_steady_state(base.replace(P_a=0.0, P_m=0.0))

@@ -30,6 +30,10 @@ class TestThermalOccupation:
     def test_huge_exponent_underflows_to_zero(self):
         assert thermal_occupation(TWO_PI * 10e9, 1e-9) == 0.0
 
+    def test_underflowing_exponent_gives_inf(self):
+        # hbar*omega/(k_B*T) underflows to 0, and 1/expm1(0) is inf
+        assert thermal_occupation(1e-300, 1e300) == math.inf
+
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
             thermal_occupation(0.0, 1.0)

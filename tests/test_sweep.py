@@ -62,10 +62,16 @@ class TestEvaluatePoint:
         assert not math.isnan(row.abs_ms_sq)
 
     def test_invalid_parameters_become_error_rows(self, base):
-        row = evaluate_point(base.replace(kappa_a=-1.0))
-        assert not row.stable
-        assert row.status.startswith("error:")
-        assert "kappa_a" in row.status
+        for override, status in [
+                (dict(kappa_a=-1.0), "error: kappa_a must be > 0, got -1.0"),
+                (dict(T=-1.0), "error: T must be >= 0, got -1.0"),
+                # a magnon bath frequency delta_m_tilde_target + omega_d <= 0
+                (dict(delta_m_tilde_target=-1e12),
+                 "error: thermal_occupation: omega must be > 0, "
+                 "got -937083323926.5573")]:
+            row = evaluate_point(base.replace(**override))
+            assert not row.stable
+            assert row.status == status
 
     def test_pump_modes_zero_the_right_drive(self, base):
         assert apply_pump_mode(base, "magnon-only").P_a == 0.0
