@@ -19,6 +19,7 @@ import numpy as np
 
 from .entanglement import MEASURES
 from .errors import CmmError, ConfigError
+from .meanfield import solve_steady_state
 from .params import TWO_PI, PhysicalParams, validate
 from .sweep import (AXES, FLOAT_FIELDS, PUMP_MODES, SweepAxis, SweepSpec,
                     SweepTable, apply_pump_mode, evaluate_point,
@@ -32,8 +33,15 @@ REQUIRED_KEYS = FREQ_KEYS + ("P_a_w", "P_m_w", "T_k",
 OPTIONAL_KEYS = ("theta_a_rad", "theta_m_rad", "pump_mode")
 SWEEP_KEYS = tuple(f"sweep.{axis}" for axis in AXES)
 
-CSV_HEADER = ("axis1,axis2,stable,margin,R_min,R_a,R_m,R_b,"
-              "EN_am,EN_ab,EN_mb,EN_a_mb,EN_m_ab,EN_b_am,abs_ms_sq,q_s")
+#: the CSV column and ``steady`` label of each entanglement measure, in
+#: the order ``steady`` prints them
+_LABELS = {"en_am": "EN_am", "en_ab": "EN_ab", "en_mb": "EN_mb",
+           "en_a_mb": "EN_a_mb", "en_m_ab": "EN_m_ab", "en_b_am": "EN_b_am",
+           "residual_a": "R_a", "residual_m": "R_m", "residual_b": "R_b",
+           "r_min": "R_min"}
+
+CSV_HEADER = ",".join(["axis1", "axis2", "stable"]
+                      + [_LABELS.get(name, name) for name in FLOAT_FIELDS])
 
 
 def fmt(x: float) -> str:
@@ -109,8 +117,6 @@ def parse_config(text: str) -> tuple[PhysicalParams, SweepSpec]:
     missing = [key for key in REQUIRED_KEYS if key not in scalars]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
-    if len(axes) > 2:
-        raise ConfigError("at most two sweep axes are supported")
 
     omega_b = TWO_PI * scalars["omega_b_hz"]
     params = PhysicalParams(
@@ -191,10 +197,11 @@ def _csv_lines(axis1, axis2, stable, values) -> str:
     return "".join(lines)
 
 
-def write_sweep_csv(rows, path: str) -> None:
-    """Write a SweepTable, or a list of SweepRow, as UTF-8 CSV with LF line
-    endings, 9 significant digits."""
-    table = rows if isinstance(rows, SweepTable) else SweepTable.from_rows(rows)
+def write_sweep_csv(table: SweepTable, path: str) -> None:
+    """Write a SweepTable to ``path`` as UTF-8 CSV with LF line endings:
+    the CSV_HEADER line, then one line per point, its axis values, its
+    stable flag and its FLOAT_FIELDS, each number as :func:`fmt` spells
+    it."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for start in range(0, len(table), CSV_BLOCK):
@@ -206,10 +213,11 @@ def write_sweep_csv(rows, path: str) -> None:
 def cmd_steady(config_path: str) -> int:
     params, spec = _load(config_path)
     p = apply_pump_mode(params, spec.pump_mode)
-    row, state = evaluate_point(p, return_state=True)
+    row = evaluate_point(p)
     if row.status.startswith("error"):
         print(row.status, file=sys.stderr)
         return 1
+    state = solve_steady_state(p)
     print(f"alpha_s_re = {fmt(state.alpha_s.real)}")
     print(f"alpha_s_im = {fmt(state.alpha_s.imag)}")
     print(f"m_s_re = {fmt(state.m_s.real)}")
@@ -219,12 +227,8 @@ def cmd_steady(config_path: str) -> int:
     print(f"delta_m_bare_rad_s = {fmt(state.delta_m)}")
     print(f"stable = {'true' if row.stable else 'false'}")
     print(f"margin_rad_s = {fmt(row.margin)}")
-    for label, field in (("EN_am", "en_am"), ("EN_ab", "en_ab"),
-                         ("EN_mb", "en_mb"), ("EN_a_mb", "en_a_mb"),
-                         ("EN_m_ab", "en_m_ab"), ("EN_b_am", "en_b_am"),
-                         ("R_a", "residual_a"), ("R_m", "residual_m"),
-                         ("R_b", "residual_b"), ("R_min", "r_min")):
-        print(f"{label} = {fmt(getattr(row, field))}")
+    for name, label in _LABELS.items():
+        print(f"{label} = {fmt(getattr(row, name))}")
     if not row.stable:
         print("note = operating point is unstable; entanglement fields "
               "are undefined (nan)")
@@ -233,15 +237,15 @@ def cmd_steady(config_path: str) -> int:
 
 def cmd_sweep(config_path: str, out_path: str) -> int:
     _, spec = _load(config_path)
-    if not 1 <= len(spec.axes) <= 2:
+    if not spec.axes:
         raise ConfigError("sweep requires one or two sweep.<axis> keys")
-    rows = run_sweep(spec)
+    table = run_sweep(spec)
     try:
-        write_sweep_csv(rows, out_path)
+        write_sweep_csv(table, out_path)
     except OSError as exc:
         print(f"cannot write {out_path!r}: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(rows)} rows to {out_path}")
+    print(f"wrote {len(table)} rows to {out_path}")
     return 0
 
 
@@ -288,16 +292,13 @@ def main(argv=None) -> int:
             return cmd_steady(args.config)
         if args.command == "sweep":
             return cmd_sweep(args.config, args.out)
-        if args.command == "phase-opt":
-            return cmd_phase_opt(args.config, resolution=args.resolution)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_phase_opt(args.config, resolution=args.resolution)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CmmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -123,10 +123,9 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     k = np.kron(eye, a) + np.kron(a, eye)
     v = np.linalg.solve(k, -d.flatten(order="F")).reshape((n, n), order="F")
     v = 0.5 * (v + v.T)
-    d_norm = np.linalg.norm(d)
-    residual = np.linalg.norm(a @ v + v @ a.T + d) / (d_norm if d_norm > 0 else 1.0)
+    residual = lyapunov_residual(a[None], v[None], d[None])[0]
     # from finite a and d, only an overflow of V or of its residual's
-    # products and norms gives a non-finite residual
+    # products gives a non-finite residual
     if (not math.isfinite(residual) and np.isfinite(a).all()
             and np.isfinite(d).all()):
         raise NumericalError(
@@ -137,11 +136,22 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return v
 
 
-def _frobenius(m: np.ndarray) -> np.ndarray:
-    """Per-entry Frobenius norm, summed along one contiguous axis so that
-    an entry's norm does not depend on the stack around it."""
-    flat = m.reshape(m.shape[0], math.prod(m.shape[1:]))
-    return np.sqrt((flat * flat).sum(axis=1))
+def lyapunov_residual(a: np.ndarray, v: np.ndarray,
+                      d: np.ndarray) -> np.ndarray:
+    """Relative Frobenius residual |a V + V a^T + d| / |d| of each entry of
+    a stack of square matrices (the absolute residual where d = 0).
+
+    Both matrices are divided by d's largest |entry| before their entries
+    are squared, so that neither norm overflows however large d is.  The
+    sums run along one contiguous axis, so that an entry's residual does
+    not depend on the stack around it.
+    """
+    scale = np.abs(d).max(axis=(1, 2))
+    scale = np.where(scale > 0, scale, 1.0)[:, None]
+    r = (a @ v + v @ a.swapaxes(1, 2) + d).reshape(len(d), -1) / scale
+    d = d.reshape(len(d), -1) / scale
+    d_norm = np.sqrt((d * d).sum(axis=1))
+    return np.sqrt((r * r).sum(axis=1)) / np.where(d_norm > 0, d_norm, 1.0)
 
 
 def stack_or_nan(func, m: np.ndarray) -> np.ndarray:
@@ -186,10 +196,7 @@ def modal_lyapunov(a: np.ndarray, d: np.ndarray, lam: np.ndarray,
 
     v = solve(d_full)
     v = v + solve(a @ v + v @ a_t + d_full)
-    d_norm = _frobenius(d)
-    residual = _frobenius(a @ v + v @ a_t + d_full) / np.where(
-        d_norm > 0, d_norm, 1.0)
-    return v, residual
+    return v, lyapunov_residual(a, v, d_full)
 
 
 def steady_covariances(a: np.ndarray, d: np.ndarray, lam: np.ndarray,

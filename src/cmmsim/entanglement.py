@@ -46,7 +46,7 @@ class Partition:
 @dataclass(frozen=True)
 class EntanglementReport:
     """All pairwise and one-vs-two log-negativities, the three residual
-    contangles, their minimum, and the monogamy/stability flags."""
+    contangles, their minimum, and the monogamy flag."""
 
     en_am: float
     en_ab: float
@@ -60,7 +60,6 @@ class EntanglementReport:
     r_min: float
     monogamy_margins: tuple[float, float, float]
     monogamy_ok: bool
-    stable: bool = True
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -308,7 +307,7 @@ def entanglement_batch(v: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     return np.concatenate([en, residuals, r_min], axis=1), errors
 
 
-def entanglement_report(v: np.ndarray, stable: bool = True) -> EntanglementReport:
+def entanglement_report(v: np.ndarray) -> EntanglementReport:
     """Evaluate every measure reported by the sweep engine on one matrix.
 
     Raises NumericalError if a partial transposition fails a spectrum
@@ -324,5 +323,4 @@ def entanglement_report(v: np.ndarray, stable: bool = True) -> EntanglementRepor
         **values,
         monogamy_margins=margins,
         monogamy_ok=all(m >= -MONOGAMY_SLACK for m in margins),
-        stable=stable,
     )

@@ -148,18 +148,6 @@ class SweepTable(Sequence):
         return self.values[:, FLOAT_FIELDS.index(name)]
 
     @classmethod
-    def from_rows(cls, rows) -> SweepTable:
-        """The table of a list of rows; a status that the stable flag does
-        not imply is kept in ``errors``."""
-        values = [[getattr(r, name) for name in FLOAT_FIELDS] for r in rows]
-        return cls(np.array([r.axis1 for r in rows], float),
-                   np.array([r.axis2 for r in rows], float),
-                   np.array([r.stable for r in rows], bool),
-                   np.array(values, float).reshape(-1, len(FLOAT_FIELDS)),
-                   {k: r.status for k, r in enumerate(rows)
-                    if r.status != ("ok" if r.stable else "unstable")})
-
-    @classmethod
     def concat(cls, tables) -> SweepTable:
         """The tables' points one after another."""
         errors, offset = {}, 0
@@ -223,18 +211,12 @@ def _error_of(check, params: PhysicalParams) -> str:
 
 
 class BatchResult(NamedTuple):
-    """The table of a batch, with each point's covariance (NaN where the
-    point has none) and the mean field of the points that pass validation,
-    in order (None after a per-point fallback)."""
+    """What the engine returns for a batch: its table, and ``covariances``,
+    shape (n, 6, 6), each point's steady-state covariance matrix (NaN
+    unless the point's status is "ok")."""
 
     table: SweepTable
     covariances: np.ndarray
-    mean_field: meanfield.MeanFieldBatch | None
-
-    @property
-    def rows(self) -> SweepTable:
-        """The table, as the sequence of rows it also is."""
-        return self.table
 
 
 def evaluate_batch(p: ParamBatch, axis1=None, axis2=None) -> BatchResult:
@@ -260,12 +242,11 @@ def evaluate_batch(p: ParamBatch, axis1=None, axis2=None) -> BatchResult:
             table = SweepTable(axis1, axis2, np.zeros(1, bool),
                                np.full((1, len(FLOAT_FIELDS)), np.nan),
                                {0: f"error: {exc}"})
-            return BatchResult(table, np.full((1, 6, 6), np.nan), None)
+            return BatchResult(table, np.full((1, 6, 6), np.nan))
         parts = [evaluate_batch(p.take([k]), axis1[k:k + 1], axis2[k:k + 1])
                  for k in range(n)]
         return BatchResult(SweepTable.concat([part.table for part in parts]),
-                           np.concatenate([part.covariances for part in parts]),
-                           None)
+                           np.concatenate([part.covariances for part in parts]))
 
 
 def _run_stages(p: ParamBatch, axis1: np.ndarray,
@@ -340,31 +321,20 @@ def _run_stages(p: ParamBatch, axis1: np.ndarray,
         values[np.ix_(sub[done], _MEASURE_COLUMNS)] = measures[done]
         cov[sub[done]] = v[done]
 
-    return BatchResult(SweepTable(axis1, axis2, stable, values, errors),
-                       cov, mf)
+    return BatchResult(SweepTable(axis1, axis2, stable, values, errors), cov)
 
 
-def evaluate_point(params: PhysicalParams, pump_mode: str = "both",
-                   return_cm: bool = False, return_state: bool = False):
-    """Run the full pipeline at one parameter point (a batch of one).
+def evaluate_point(params: PhysicalParams) -> SweepRow:
+    """The row of one parameter point: :func:`evaluate_batch` of a batch
+    of one.
 
     Never raises for physics or numerical reasons: invalid parameters,
-    instability and solver errors are captured in the returned row
-    (entanglement fields NaN, ``status`` set).  With ``return_cm=True`` the
-    steady-state covariance matrix (or None) follows the row; with
-    ``return_state=True`` the MeanFieldState (or None) follows that.
+    instability and solver errors are captured in the row (entanglement
+    fields NaN, ``status`` set).  The point's covariance matrix is the
+    batch's ``covariances[0]``; apply a pump mode with
+    :func:`apply_pump_mode` first.
     """
-    p = ParamBatch.from_base(apply_pump_mode(params, pump_mode), 1)
-    result = evaluate_batch(p)
-    row = result.table[0]
-    out = [row]
-    if return_cm:
-        out.append(result.covariances[0] if row.status == "ok" else None)
-    if return_state:
-        # abs_ms_sq is set exactly when the mean field was solved
-        solved = result.mean_field is not None and not math.isnan(row.abs_ms_sq)
-        out.append(result.mean_field.state(0) if solved else None)
-    return out[0] if len(out) == 1 else tuple(out)
+    return evaluate_batch(ParamBatch.from_base(params, 1)).table[0]
 
 
 def _blocks(spec: SweepSpec):
@@ -373,18 +343,16 @@ def _blocks(spec: SweepSpec):
     values = [ax.values() for ax in spec.axes]
     shape = tuple(len(x) for x in values)
     total = math.prod(shape)
-    off = _PUMP_OFF[spec.pump_mode]
+    base = apply_pump_mode(spec.base, spec.pump_mode)
     size = BLOCK * CHUNK
     for start in range(0, total, size):
         k = np.arange(start, min(start + size, total))
         coords = ([x[i] for x, i in zip(values, np.unravel_index(k, shape))]
                   if shape else [])
-        columns = dict(_axis_field(spec.base, ax.name, x)
+        columns = dict(_axis_field(base, ax.name, x)
                        for ax, x in zip(spec.axes, coords))
-        if off is not None:
-            columns[off] = np.zeros(k.size)
         axis1, axis2 = (coords + [np.full(k.size, np.nan)] * 2)[:2]
-        yield ParamBatch.from_base(spec.base, k.size, **columns), axis1, axis2
+        yield ParamBatch.from_base(base, k.size, **columns), axis1, axis2
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:

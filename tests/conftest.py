@@ -3,13 +3,24 @@
 import numpy as np
 import pytest
 
-from cmmsim import baseline_params
+from cmmsim import SweepTable, baseline_params
+from cmmsim.sweep import FLOAT_FIELDS
 
 
 @pytest.fixture
 def base():
     """Calibrated baseline parameter set (entangled operating point)."""
     return baseline_params()
+
+
+def table_of(rows):
+    """The SweepTable of a list of SweepRow, statuses aside (the CSV does
+    not hold them)."""
+    return SweepTable(np.array([r.axis1 for r in rows]),
+                      np.array([r.axis2 for r in rows]),
+                      np.array([r.stable for r in rows]),
+                      np.array([[getattr(r, name) for name in FLOAT_FIELDS]
+                                for r in rows]), {})
 
 
 def haar_unitary(rng, n):

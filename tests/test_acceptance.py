@@ -19,7 +19,7 @@ import pytest
 
 import cmmsim as c
 from cmmsim.cli import main as cli_main, parse_config, write_sweep_csv
-from conftest import random_physical_cm, tmsv_cm, embed_with_vacuum
+from conftest import random_physical_cm, table_of, tmsv_cm, embed_with_vacuum
 
 BASE = c.baseline_params()
 OMEGA_B = BASE.omega_b
@@ -47,6 +47,14 @@ def _report(number, ok, detail=""):
 def _point(delta_a_over_wb, delta_theta, **overrides):
     p = BASE.replace(delta_a=delta_a_over_wb * OMEGA_B, **overrides)
     return c.apply_axis(p, "delta_theta", delta_theta)
+
+
+def _evaluate(p):
+    """The evaluate_point row of ``p`` and, where its status is ok, its
+    covariance matrix (else None), from one batch of one."""
+    result = c.evaluate_batch(c.ParamBatch.from_base(p, 1))
+    row = result.table[0]
+    return row, result.covariances[0] if row.status == "ok" else None
 
 
 def test_criterion_01_lyapunov_ode_equivalence():
@@ -92,8 +100,8 @@ def test_criterion_03_monogamy_grid_and_random_states():
     for x in das:
         p1 = c.apply_axis(BASE, "delta_a", float(x))
         for y in ths:
-            results.append(c.evaluate_point(
-                c.apply_axis(p1, "delta_theta", float(y)), return_cm=True))
+            results.append(_evaluate(
+                c.apply_axis(p1, "delta_theta", float(y))))
     elapsed = time.time() - t0
 
     worst_margin = math.inf
@@ -128,7 +136,7 @@ def test_criterion_04_double_pump_enhancement():
         best = -math.inf
         for x in das:
             p = _point(float(x), delta_theta, P_a=0.45)
-            row, v = c.evaluate_point(p, pump_mode=pump_mode, return_cm=True)
+            row, v = _evaluate(c.apply_pump_mode(p, pump_mode))
             if row.stable:
                 _record_cm(v)
                 best = max(best, row.r_min)
@@ -167,8 +175,7 @@ def test_criterion_05_peak_location():
     grid = np.concatenate([-xs[::-1], xs])
     best_val, best_x = -math.inf, None
     for x in grid:
-        row, v = c.evaluate_point(_point(float(x), math.pi / 2.0),
-                                  return_cm=True)
+        row, v = _evaluate(_point(float(x), math.pi / 2.0))
         if row.stable:
             _record_cm(v)
             if row.r_min > best_val:
@@ -183,8 +190,7 @@ def test_criterion_06_phase_periodicity_and_gauge():
     worst_period = 0.0
     for sign in (-1.0, +1.0):
         for th in np.linspace(0.0, 2.0 * math.pi, 81):
-            r1, v1 = c.evaluate_point(_point(sign * 1.35, float(th)),
-                                      return_cm=True)
+            r1, v1 = _evaluate(_point(sign * 1.35, float(th)))
             r2 = c.evaluate_point(_point(sign * 1.35, float(th) + 2.0 * math.pi))
             worst_period = max(worst_period, abs(r1.r_min - r2.r_min))
             if v1 is not None:
@@ -213,8 +219,7 @@ def test_criterion_07_thermal_fragility():
         for th, label in ((math.pi / 2.0, "half"), (0.0, "zero")):
             vals = []
             for T in temps:
-                row, v = c.evaluate_point(_point(sign * 1.35, th, T=float(T)),
-                                          return_cm=True)
+                row, v = _evaluate(_point(sign * 1.35, th, T=float(T)))
                 vals.append(row.r_min)
                 if v is not None:
                     _record_cm(v)
@@ -319,8 +324,7 @@ def test_criterion_08_stability_cross_check():
 def test_criterion_09_physicality_of_produced_covariances():
     if _COLLECTED["count"] == 0:  # running this test in isolation
         for x in np.linspace(-2.0, 2.0, 41):
-            row, v = c.evaluate_point(
-                c.apply_axis(BASE, "delta_a", float(x)), return_cm=True)
+            row, v = _evaluate(c.apply_axis(BASE, "delta_a", float(x)))
             if v is not None:
                 _record_cm(v)
     ok = (_COLLECTED["min_uncertainty_eig"] >= -1e-10
@@ -359,7 +363,7 @@ def test_criterion_10_csv_determinism(tmp_path, monkeypatch):
             row = c.evaluate_point(p)
             row.axis1, row.axis2 = float(x), float(y)
             rows.append(row)
-    write_sweep_csv(rows, str(tmp_path / "d.csv"))
+    write_sweep_csv(table_of(rows), str(tmp_path / "d.csv"))
     outputs.append((tmp_path / "d.csv").read_bytes())
     ok = all(out == outputs[0] for out in outputs)
     _report(10, ok, f"{len(outputs[0])} bytes, reruns, chunkings and "

@@ -309,7 +309,7 @@ class TestRobustness:
             self, base, monkeypatch):
         points = [base.replace(delta_a=x * base.omega_b)
                   for x in (-1.5, -1.35, -1.2)]
-        want = evaluate_batch(stack(points)).rows
+        want = evaluate_batch(stack(points)).table
         solve = dynamics.steady_covariances
 
         def corrupt_second(*args):
@@ -318,7 +318,7 @@ class TestRobustness:
             return v, errors
 
         monkeypatch.setattr(dynamics, "steady_covariances", corrupt_second)
-        got = evaluate_batch(stack(points)).rows
+        got = evaluate_batch(stack(points)).table
         assert got[1].status == "error: matrix is not positive definite"
         assert math.isnan(got[1].r_min)
         # a stable point whose entanglement stage fails stays stable
@@ -427,7 +427,7 @@ def parameter_points(draw):
 @given(st.lists(parameter_points(), min_size=1, max_size=4))
 def test_batch_rows_equal_single_point_rows_and_never_raise(points):
     singles = [evaluate_point(p) for p in points]
-    batch = evaluate_batch(stack(points)).rows
+    batch = evaluate_batch(stack(points)).table
     assert len(batch) == len(points)
     for got, want in zip(batch, singles):
         assert same_row(got, want)

@@ -1,13 +1,16 @@
 """Config parsing, CSV output, subcommands, exit codes."""
 
 import math
+from pathlib import Path
 
 import pytest
 
-from cmmsim import (ConfigError, SweepRow, TWO_PI, apply_axis, evaluate_point,
-                    optimize_phase, sweep)
+from cmmsim import (ConfigError, SweepRow, TWO_PI, apply_axis,
+                    apply_pump_mode, evaluate_point, optimize_phase,
+                    solve_steady_state, sweep)
 from cmmsim.cli import (CSV_BLOCK, CSV_HEADER, fmt, main, parse_config,
                         write_sweep_csv)
+from conftest import table_of
 
 BASELINE_CFG = """\
 # baseline parameter set
@@ -26,6 +29,9 @@ delta_m_tilde_over_omega_b = 0.9
 theta_a_rad = 1.5707963267948966
 theta_m_rad = 0.0
 """
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_cfg(tmp_path, text, name="test.cfg"):
@@ -135,7 +141,7 @@ class TestFormatting:
         # across the boundary of the first block
         rows[CSV_BLOCK - 40:CSV_BLOCK - 40] = nan_rows
         path = tmp_path / "rows.csv"
-        write_sweep_csv(rows, str(path))
+        write_sweep_csv(table_of(rows), str(path))
         want = [CSV_HEADER] + [",".join(
             [fmt(r.axis1), fmt(r.axis2), "true" if r.stable else "false"]
             + [fmt(getattr(r, name)) for name in (
@@ -164,6 +170,37 @@ class TestSteadyCommand:
         assert "stable = false" in out
         assert "unstable" in out
         assert "R_min = nan" in out
+
+    @pytest.mark.parametrize("name, mode", [
+        ("baseline.cfg", "both"), ("sweep_detuning.cfg", None),
+        ("sweep_phase_grid.cfg", None), ("sweep_thermal.cfg", None),
+        ("baseline.cfg", "cavity-only")])
+    def test_prints_the_mean_field_and_the_row(self, tmp_path, capsys, name,
+                                               mode):
+        text = (CONFIG_DIR / name).read_text(encoding="utf-8")
+        if mode is not None:  # the shipped baseline sets pump_mode = both
+            text = text.replace("pump_mode = both", f"pump_mode = {mode}")
+        params, spec = parse_config(text)
+        assert spec.pump_mode == (mode or "both")
+        p = apply_pump_mode(params, spec.pump_mode)
+        state, row = solve_steady_state(p), evaluate_point(p)
+        assert main(["steady", "--config", write_cfg(tmp_path, text)]) == 0
+        want = [f"alpha_s_re = {fmt(state.alpha_s.real)}",
+                f"alpha_s_im = {fmt(state.alpha_s.imag)}",
+                f"m_s_re = {fmt(state.m_s.real)}",
+                f"m_s_im = {fmt(state.m_s.imag)}",
+                f"abs_ms_sq = {fmt(row.abs_ms_sq)}",
+                f"q_s = {fmt(row.q_s)}",
+                f"delta_m_bare_rad_s = {fmt(state.delta_m)}",
+                f"stable = {'true' if row.stable else 'false'}",
+                f"margin_rad_s = {fmt(row.margin)}"]
+        want += [f"{label} = {fmt(getattr(row, field))}" for label, field in (
+            ("EN_am", "en_am"), ("EN_ab", "en_ab"), ("EN_mb", "en_mb"),
+            ("EN_a_mb", "en_a_mb"), ("EN_m_ab", "en_m_ab"),
+            ("EN_b_am", "en_b_am"), ("R_a", "residual_a"),
+            ("R_m", "residual_m"), ("R_b", "residual_b"), ("R_min", "r_min"))]
+        assert row.stable  # so no note line follows
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
 
     def test_invalid_config_exit_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "omega_a_hz = ??\n")

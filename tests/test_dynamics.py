@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import scipy.linalg
 
 from cmmsim import (IntegrationError, ParameterError, PhysicalParams,
                     UnstableSystemError, baseline_params, build_diffusion,
-                    build_drift, check_physicality, integrate_covariance,
-                    is_stable, solve_lyapunov, solve_steady_state,
-                    symplectic_eigenvalues)
+                    build_drift, check_physicality, dynamics,
+                    integrate_covariance, is_stable, solve_lyapunov,
+                    solve_steady_state, symplectic_eigenvalues)
 from cmmsim.meanfield import MeanFieldState
 
 TWO_NB_PLUS_1 = 41.681236678072901  # mechanical bath at 10 mK, 10 MHz
@@ -193,6 +194,33 @@ class TestSolveLyapunov:
             res = np.linalg.norm(a @ v + v @ a.T + d)
             d_norm = np.linalg.norm(d)
             assert res <= 1e-10 * max(d_norm, 1e-300)
+
+    def test_residual_gate_holds_when_squared_diffusion_overflows(self):
+        # at T = 1e150 K the largest diffusion entry squares past the
+        # float range; the gate must still read the unscaled residual
+        p = baseline_params(T=1e150)
+        a, d = build_drift(p, solve_steady_state(p)), build_diffusion(p)
+        assert np.abs(d).max() > math.sqrt(sys.float_info.max)
+
+        def unscaled(v):
+            """The relative residual of v by math.hypot, which scales its
+            arguments itself; the residual matrix is formed as the gate
+            forms it, a stack of one, so that both norm the same bits."""
+            r = (a[None] @ v[None] + v[None] @ a.T[None] + d[None])[0]
+            return math.hypot(*r.ravel()) / math.hypot(*d.ravel())
+
+        lam, s = np.linalg.eig(a)
+        v, residual = dynamics.modal_lyapunov(
+            a[None], np.diag(d)[None], lam[None], s[None])
+        assert residual[0] == pytest.approx(unscaled(v[0]), rel=1e-6, abs=0.0)
+        assert residual[0] <= dynamics.LYAPUNOV_RESIDUAL_TOL
+        assert np.isfinite(solve_lyapunov(a, d)).all()
+        perturbed = v[0] * (1.0 + 1e-6)
+        residual = dynamics.lyapunov_residual(
+            a[None], perturbed[None], d[None])[0]
+        assert residual == pytest.approx(unscaled(perturbed), rel=1e-6,
+                                         abs=0.0)
+        assert residual > dynamics.LYAPUNOV_RESIDUAL_TOL
 
     def test_against_schur_based_solver(self, base):
         st = solve_steady_state(base)

@@ -292,7 +292,6 @@ class TestReport:
         rep = entanglement_report(v)
         assert rep.r_min == min(rep.residual_a, rep.residual_m, rep.residual_b)
         assert rep.monogamy_ok
-        assert rep.stable
         assert rep.en_am == log_negativity(v, Partition("a", ("m",)))
         assert rep.en_b_am == log_negativity(v, Partition("b", ("a", "m")))
 
