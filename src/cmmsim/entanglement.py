@@ -128,9 +128,14 @@ def symplectic_spectra(m: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     finite = np.isfinite(m).all(axis=(1, 2))
     m = np.where(finite[:, None, None], m, 0.0)
     asym = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2))
-    scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1.0)
-    asymmetric = asym > 1e-8 * scale
+    top = np.abs(m).max(axis=(1, 2))
+    asymmetric = asym > 1e-8 * np.maximum(top, 1.0)
     usable = finite & ~asymmetric
+    # divide each matrix by an even power of two near its largest |entry|,
+    # 2**shift, so that K^T K cannot overflow; exact, and L, K and nu
+    # scale by exact powers of two with it
+    shift = np.frexp(top)[1] // 2 * 2
+    np.ldexp(m, -shift[:, None, None], out=m)
     l = stack_or_nan(np.linalg.cholesky,
                      np.where(usable[:, None, None], m, np.eye(m.shape[1])))
     omega_l = np.empty_like(l)  # Omega L: swap each mode's rows, negate one
@@ -157,7 +162,8 @@ def symplectic_spectra(m: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
         else:
             errors[j] = ("symplectic spectrum fails +/- pairing "
                          f"(mismatch {mismatch[j]:.2e})")
-    return np.sqrt(np.where(positive[:, None], nu_sq, np.nan)), errors
+    nu = np.sqrt(np.where(positive[:, None], nu_sq, np.nan))
+    return np.ldexp(nu, shift[:, None]), errors
 
 
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 The mean-field equations close on the magnon amplitude once the effective
 magnon detuning (bare detuning plus the static magnomechanical frequency
-pull) is known.  Two solving modes are supported:
+pull) is known: m_s = num / den, where the two drives interfere in num.
+That response is written once, in ``_magnon_response``.  Two solving
+modes are supported:
 
 * effective targeting (default): the effective detuning is an *input*;
   the magnon equation is then linear, the displacement follows from
@@ -10,14 +12,16 @@ pull) is known.  Two solving modes are supported:
 * bare mode: the bare detuning is given, and |m_s|^2 must satisfy a cubic
   self-consistency condition.  The cubic is solved in closed form, each
   root polished by one Newton step, and the physical root selected by a
-  16-step homotopy continued from the zero-coupling solution.
+  16-step homotopy continued from the zero-coupling solution.  That finds
+  the self-consistent effective detuning; the effective solver gives the
+  state there.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +86,21 @@ class MeanFieldBatch(NamedTuple):
             delta_m_tilde=float(self.delta_m_tilde[k]))
 
 
+def _magnon_response(p, eps_a, eps_m, delta_m_tilde):
+    """The steady magnon amplitude m_s = num / den at effective detuning
+    ``delta_m_tilde``, where the two drives interfere in ``num``, and the
+    scale below which |den| counts as a pole.  Reads only parameter
+    attributes, so ``p`` is a ParamBatch or a PhysicalParams."""
+    c_a = 1j * p.delta_a + p.kappa_a
+    num = (-1j * p.g_ma * eps_a * np.exp(-1j * p.theta_a)
+           + c_a * eps_m * np.exp(-1j * p.theta_m))
+    g2 = p.g_ma * p.g_ma
+    den = (1j * delta_m_tilde + p.kappa_m) * c_a + g2
+    scale = np.maximum(np.maximum(np.abs(delta_m_tilde * p.delta_a),
+                                  p.kappa_m * p.kappa_a), g2)
+    return num, den, scale
+
+
 def solve_effective_batch(p: ParamBatch) -> MeanFieldBatch:
     """Effective-targeting fixed points of every entry of ``p``: the
     magnon equation is linear once the effective detuning is pinned to
@@ -89,19 +108,14 @@ def solve_effective_batch(p: ParamBatch) -> MeanFieldBatch:
     the bare detuning is back-solved.  Entries must pass ``valid_mask``;
     call under ``np.errstate(all="ignore")``, since entries may overflow."""
     eps_a, eps_m = p.drive_amplitudes()
-    e_a, e_m = np.exp(-1j * p.theta_a), np.exp(-1j * p.theta_m)
-    c_a = 1j * p.delta_a + p.kappa_a
-    num = -1j * p.g_ma * eps_a * e_a + c_a * eps_m * e_m
-    g2 = p.g_ma * p.g_ma
     dt = p.delta_m_tilde_target
-    den = (1j * dt + p.kappa_m) * c_a + g2
-    scale = np.maximum(np.maximum(np.abs(dt * p.delta_a),
-                                  p.kappa_m * p.kappa_a), g2)
+    num, den, scale = _magnon_response(p, eps_a, eps_m, dt)
     singular = np.abs(den) < 1e-12 * scale
     m_s = num / den
     abs_ms_sq = np.abs(m_s) ** 2
     q_s = -p.g_mb * abs_ms_sq / p.omega_b
-    alpha_s = (eps_a * e_a - 1j * p.g_ma * m_s) / c_a
+    alpha_s = ((eps_a * np.exp(-1j * p.theta_a) - 1j * p.g_ma * m_s)
+               / (1j * p.delta_a + p.kappa_a))
     # undriven entries have the zero state, whatever their response
     undriven = (eps_a == 0.0) & (eps_m == 0.0)
     return MeanFieldBatch(
@@ -112,30 +126,6 @@ def solve_effective_batch(p: ParamBatch) -> MeanFieldBatch:
         delta_m=np.where(undriven, dt, dt - p.g_mb * q_s),
         delta_m_tilde=dt,
         singular=singular & ~undriven)
-
-
-def _magnon_numerator(params: PhysicalParams) -> complex:
-    eps_a, eps_m = params.drive_amplitudes()
-    return (-1j * params.g_ma * eps_a * cmath.exp(-1j * params.theta_a)
-            + (1j * params.delta_a + params.kappa_a)
-            * eps_m * cmath.exp(-1j * params.theta_m))
-
-
-def _magnon_denominator(params: PhysicalParams, delta_m_tilde: float) -> complex:
-    return ((1j * delta_m_tilde + params.kappa_m)
-            * (1j * params.delta_a + params.kappa_a) + params.g_ma ** 2)
-
-
-def _cavity_amplitude(params: PhysicalParams, m_s: complex) -> complex:
-    eps_a, _ = params.drive_amplitudes()
-    return ((eps_a * cmath.exp(-1j * params.theta_a) - 1j * params.g_ma * m_s)
-            / (1j * params.delta_a + params.kappa_a))
-
-
-def _denominator_scale(params: PhysicalParams, delta_m_tilde: float) -> float:
-    return max(abs(delta_m_tilde * params.delta_a),
-               params.kappa_m * params.kappa_a,
-               params.g_ma ** 2)
 
 
 def solve_steady_state(params: PhysicalParams,
@@ -162,7 +152,7 @@ def solve_steady_state(params: PhysicalParams,
         return MeanFieldState(alpha_s=0j, m_s=0j, q_s=0.0, p_s=0.0,
                               delta_m=bare_delta_m,
                               delta_m_tilde=bare_delta_m)
-    return _solve_bare(params, bare_delta_m)
+    return _solve_bare(params, eps_a, eps_m, bare_delta_m)
 
 
 def _cubic_real_roots(a3: float, a2: float, a1: float, a0: float) -> list[float]:
@@ -188,18 +178,16 @@ def _cubic_real_roots(a3: float, a2: float, a1: float, a0: float) -> list[float]
                   for turn in (0.0, 2.0 * math.pi, 4.0 * math.pi))
 
 
-def _self_consistency_roots(params: PhysicalParams, delta_m: float,
-                            g_mb: float) -> list[float]:
+def _self_consistency_roots(num2: float, d0: complex, c: complex,
+                            beta: float) -> list[float]:
     """Admissible (real, non-negative) roots u = |m_s|^2 of
-    u * |den(u)|^2 = |num|^2 at coupling ``g_mb``.
+    u * |d0 - i*beta*c*u|^2 = num2: num2 is |num|^2 and d0 the response's
+    den at the bare detuning, c the cavity response i*delta_a + kappa_a,
+    and beta = g_mb^2 / omega_b.
 
     The cubic is solved in a normalized variable w = u / u_ref with
     u_ref the zero-coupling solution, which keeps coefficients O(1).
     """
-    num2 = abs(_magnon_numerator(params)) ** 2
-    c = 1j * params.delta_a + params.kappa_a
-    d0 = (1j * delta_m + params.kappa_m) * c + params.g_ma ** 2
-    beta = g_mb ** 2 / params.omega_b
     if abs(d0) == 0.0 and beta == 0.0:
         raise NoSteadyStateError(SINGULAR_RESPONSE)
     if beta == 0.0:
@@ -247,13 +235,19 @@ def _self_consistency_roots(params: PhysicalParams, delta_m: float,
     return dedup
 
 
-def _solve_bare(params: PhysicalParams, delta_m: float) -> MeanFieldState:
+def _solve_bare(params: PhysicalParams, eps_a: float, eps_m: float,
+                delta_m: float) -> MeanFieldState:
+    """Find the self-consistent effective detuning at the bare detuning
+    ``delta_m``; :func:`solve_effective_batch` gives the state there."""
+    num, d0, _ = _magnon_response(params, eps_a, eps_m, delta_m)
+    num2, d0 = float(abs(num) ** 2), complex(d0)
+    c = 1j * params.delta_a + params.kappa_a
     # homotopy in the coupling, continued from the zero-coupling solution
-    u = _self_consistency_roots(params, delta_m, 0.0)[0]
+    u = _self_consistency_roots(num2, d0, c, 0.0)[0]
     roots = [u]
     for k in range(1, _HOMOTOPY_STEPS + 1):
         g_k = params.g_mb * k / _HOMOTOPY_STEPS
-        roots = _self_consistency_roots(params, delta_m, g_k)
+        roots = _self_consistency_roots(num2, d0, c, g_k ** 2 / params.omega_b)
         u = min(roots, key=lambda r: abs(r - u))
     # tie-break: smallest admissible root wins if continuation is ambiguous
     ambiguous = [r for r in roots if abs(r - u) <= 1e-9 * max(u, roots[-1])]
@@ -261,25 +255,20 @@ def _solve_bare(params: PhysicalParams, delta_m: float) -> MeanFieldState:
         u = min(ambiguous)
     q_s = -params.g_mb * u / params.omega_b
     delta_m_tilde = delta_m + params.g_mb * q_s
-    den = _magnon_denominator(params, delta_m_tilde)
-    if abs(den) < 1e-12 * _denominator_scale(params, delta_m_tilde):
+    with np.errstate(all="ignore"):
+        mf = solve_effective_batch(ParamBatch.from_base(
+            params.replace(delta_m_tilde_target=delta_m_tilde), 1))
+    if mf.singular[0]:
         raise NoSteadyStateError(
             "magnon linear response is singular at the self-consistent detuning")
-    m_s = _magnon_numerator(params) / den
-    return MeanFieldState(
-        alpha_s=_cavity_amplitude(params, m_s),
-        m_s=m_s,
-        q_s=q_s,
-        p_s=0.0,
-        delta_m=delta_m,
-        delta_m_tilde=delta_m_tilde,
-        root_multiplicity=len(roots),
-    )
+    return replace(mf.state(0), q_s=q_s, delta_m=delta_m,
+                   root_multiplicity=len(roots))
 
 
 def magnon_amplitude_approx(params: PhysicalParams,
                             delta_m_tilde: float) -> complex:
-    """Large-detuning approximation of the magnon amplitude,
+    """Large-detuning approximation of the magnon amplitude: the magnon
+    response with both linewidths set to zero,
     (-i g_ma eps_a e^{-i theta_a} + i delta_a eps_m e^{-i theta_m})
     / (g_ma^2 - delta_m_tilde * delta_a).
 
@@ -287,14 +276,12 @@ def magnon_amplitude_approx(params: PhysicalParams,
     SingularityError at the pole g_ma^2 = delta_m_tilde * delta_a.
     """
     eps_a, eps_m = params.drive_amplitudes()
-    den = params.g_ma ** 2 - delta_m_tilde * params.delta_a
-    scale = max(params.g_ma ** 2, abs(delta_m_tilde * params.delta_a))
+    num, den, scale = _magnon_response(
+        params.replace(kappa_a=0.0, kappa_m=0.0), eps_a, eps_m, delta_m_tilde)
     if scale == 0.0 or abs(den) < 1e-12 * scale:
         raise SingularityError(
             "approximate magnon response pole: g_ma^2 = delta_m_tilde * delta_a")
-    num = (-1j * params.g_ma * eps_a * cmath.exp(-1j * params.theta_a)
-           + 1j * params.delta_a * eps_m * cmath.exp(-1j * params.theta_m))
-    return num / den
+    return complex(num / den)
 
 
 def classical_rhs(params: PhysicalParams, alpha: complex, m: complex,

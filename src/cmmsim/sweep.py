@@ -219,9 +219,9 @@ class BatchResult(NamedTuple):
     covariances: np.ndarray
 
 
-def evaluate_batch(p: ParamBatch, axis1=None, axis2=None) -> BatchResult:
+def evaluate_batch(p: ParamBatch) -> BatchResult:
     """Run the full pipeline at every point of ``p`` as arrays; the table's
-    axis values default to NaN.
+    axis values are NaN (:func:`run_sweep` fills in a grid's).
 
     Like :func:`evaluate_point` this never raises for physics or numerical
     reasons, and each row equals that point's ``evaluate_point`` row bit
@@ -231,26 +231,22 @@ def evaluate_batch(p: ParamBatch, axis1=None, axis2=None) -> BatchResult:
     point by point, and the failing point becomes an error row.
     """
     n = len(p)
-    axis1 = np.full(n, np.nan) if axis1 is None else axis1
-    axis2 = np.full(n, np.nan) if axis2 is None else axis2
     try:
         with np.errstate(all="ignore"):
-            return _run_stages(p, axis1, axis2)
+            return _run_stages(p)
     except (CmmError, np.linalg.LinAlgError, ArithmeticError,
             ValueError) as exc:
         if n == 1:
-            table = SweepTable(axis1, axis2, np.zeros(1, bool),
+            table = SweepTable(*np.full((2, 1), np.nan), np.zeros(1, bool),
                                np.full((1, len(FLOAT_FIELDS)), np.nan),
                                {0: f"error: {exc}"})
             return BatchResult(table, np.full((1, 6, 6), np.nan))
-        parts = [evaluate_batch(p.take([k]), axis1[k:k + 1], axis2[k:k + 1])
-                 for k in range(n)]
+        parts = [evaluate_batch(p.take([k])) for k in range(n)]
         return BatchResult(SweepTable.concat([part.table for part in parts]),
                            np.concatenate([part.covariances for part in parts]))
 
 
-def _run_stages(p: ParamBatch, axis1: np.ndarray,
-                axis2: np.ndarray) -> BatchResult:
+def _run_stages(p: ParamBatch) -> BatchResult:
     n = len(p)
     values = np.full((n, len(FLOAT_FIELDS)), np.nan)
     stable = np.zeros(n, bool)
@@ -321,7 +317,8 @@ def _run_stages(p: ParamBatch, axis1: np.ndarray,
         values[np.ix_(sub[done], _MEASURE_COLUMNS)] = measures[done]
         cov[sub[done]] = v[done]
 
-    return BatchResult(SweepTable(axis1, axis2, stable, values, errors), cov)
+    return BatchResult(SweepTable(*np.full((2, n), np.nan), stable, values,
+                                  errors), cov)
 
 
 def evaluate_point(params: PhysicalParams) -> SweepRow:
@@ -337,30 +334,37 @@ def evaluate_point(params: PhysicalParams) -> SweepRow:
     return evaluate_batch(ParamBatch.from_base(params, 1)).table[0]
 
 
-def _blocks(spec: SweepSpec):
-    """(params, axis1, axis2) per block of BLOCK * CHUNK grid points,
-    row-major."""
+def _coordinates(spec: SweepSpec, k: np.ndarray) -> list[np.ndarray]:
+    """Each axis's value at the grid points ``k``, numbered row-major with
+    the first axis outermost."""
     values = [ax.values() for ax in spec.axes]
     shape = tuple(len(x) for x in values)
-    total = math.prod(shape)
+    return ([x[i] for x, i in zip(values, np.unravel_index(k, shape))]
+            if shape else [])
+
+
+def _blocks(spec: SweepSpec):
+    """The parameters of each block of BLOCK * CHUNK grid points,
+    row-major."""
+    total = math.prod(ax.count for ax in spec.axes)
     base = apply_pump_mode(spec.base, spec.pump_mode)
     size = BLOCK * CHUNK
     for start in range(0, total, size):
         k = np.arange(start, min(start + size, total))
-        coords = ([x[i] for x, i in zip(values, np.unravel_index(k, shape))]
-                  if shape else [])
         columns = dict(_axis_field(base, ax.name, x)
-                       for ax, x in zip(spec.axes, coords))
-        axis1, axis2 = (coords + [np.full(k.size, np.nan)] * 2)[:2]
-        yield ParamBatch.from_base(base, k.size, **columns), axis1, axis2
+                       for ax, x in zip(spec.axes, _coordinates(spec, k)))
+        yield ParamBatch.from_base(base, k.size, **columns)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid, BLOCK * CHUNK points at a time, into one table
-    (also the sequence of its rows); its values do not depend on the
-    chunking."""
-    return SweepTable.concat([evaluate_batch(params, axis1, axis2).table
-                              for params, axis1, axis2 in _blocks(spec)])
+    (also the sequence of its rows) whose axis columns hold the grid's
+    coordinates; its values do not depend on the chunking."""
+    table = SweepTable.concat([evaluate_batch(p).table for p in _blocks(spec)])
+    for name, x in zip(("axis1", "axis2"),
+                       _coordinates(spec, np.arange(len(table)))):
+        setattr(table, name, x)
+    return table
 
 
 def _r_min_at_phases(params: PhysicalParams, phases) -> list[float]:

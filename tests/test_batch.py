@@ -22,6 +22,7 @@ from cmmsim import (NoSteadyStateError, ParamBatch, PhysicalParams,
 from cmmsim import dynamics, sweep
 from cmmsim.cli import main as cli_main
 from cmmsim.dynamics import LYAPUNOV_RESIDUAL_TOL
+from cmmsim.entanglement import MEASURES
 from cmmsim.meanfield import MeanFieldState, solve_effective_batch
 from cmmsim.params import BOLTZMANN, HBAR
 
@@ -280,15 +281,58 @@ class TestDeterminantScreen:
             assert g.r_min == pytest.approx(w.r_min, rel=1e-9, nan_ok=True)
 
 
+#: the status of the baseline point at temperatures where its covariance
+#: overflows (1e300 K) or its occupations do (1e305 K)
+HOT_STATUS = {1e300: "error: Lyapunov solution overflows (residual nan)",
+              1e305: "error: non-finite drift or diffusion matrix"}
+
+
 class TestRobustness:
     @pytest.mark.parametrize("override", [
         dict(P_m=1e300), dict(T=1e300), dict(kappa_a=1e300),
         dict(omega_b=1e-300), dict(g_mb=1e300),
-        dict(delta_m_tilde_target=-1e12)])
+        dict(delta_m_tilde_target=-1e12), dict(T=1e305)])
     def test_extreme_points_become_error_rows(self, base, override):
         row = evaluate_point(base.replace(**override))
         assert row.status.startswith("error: ")
         assert math.isnan(row.r_min)
+        if "T" in override:
+            assert row.status == HOT_STATUS[override["T"]]
+
+    @pytest.mark.parametrize("T", [1e154, 1e200, 1e250])
+    def test_hot_points_are_separable_not_errors(self, base, T):
+        # the covariance entries are about ten times T; unscaled, K^T K
+        # of the spectra would overflow from about 1e154 K
+        row = evaluate_point(base.replace(T=T))
+        assert row.status == "ok"
+        assert all(getattr(row, name) == 0.0 for name in MEASURES)
+
+    def test_a_stage_that_raises_becomes_error_rows(self, base, tmp_path,
+                                                    monkeypatch):
+        # a failure no stage turns into a status: the batch is evaluated
+        # point by point, and each point that still raises is an error row
+        def refuse(m):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "slogdet", refuse)
+        points = [base.replace(delta_a=x * base.omega_b)
+                  for x in (-1.5, -1.35, -1.2)]
+        result = evaluate_batch(stack(points))
+        assert [result.table.status(k) for k in range(3)] == [
+            "error: forced"] * 3
+        assert not result.table.stable.any()
+        assert np.isnan(result.table.values).all()
+        assert np.isnan(result.covariances).all()
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text((Path(__file__).parent.parent / "configs"
+                        / "baseline.cfg").read_text(encoding="utf-8")
+                       + "sweep.delta_a = -1.5:-1.2:3\n", encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert cli_main(["sweep", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [f"{x},nan,false" + ",nan" * 13
+                             for x in ("-1.5", "-1.35", "-1.2")]
 
     def test_bad_points_do_not_disturb_their_chunk(self, base):
         # good (10 mK) and overflowing (1e300 K) points alternate in a chunk

@@ -202,6 +202,31 @@ class TestSteadyCommand:
         assert row.stable  # so no note line follows
         assert capsys.readouterr().out == "\n".join(want) + "\n"
 
+    def test_error_row_exit_one(self, tmp_path, capsys):
+        # the magnon bath's frequency, delta_m_tilde + omega_d, is negative
+        text = BASELINE_CFG.replace("delta_m_tilde_over_omega_b = 0.9",
+                                    "delta_m_tilde_over_omega_b = -1e5")
+        row = evaluate_point(parse_config(text)[0])
+        assert row.status.startswith("error: thermal_occupation: omega must")
+        assert main(["steady", "--config", write_cfg(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == row.status + "\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("sweep.delta_a", "expected 'key = value', got 'sweep.delta_a'"),
+        ("sweep.delta_a = -1.5:-1.1:three",
+         "malformed count 'three' for key 'sweep.delta_a'"),
+        ("sweep.delta_a = -1.1:-1.5:3",
+         "axis delta_a: start must be <= stop")])
+    def test_config_error_exit_two_names_the_line(self, tmp_path, capsys,
+                                                  line, message):
+        line_no = len(BASELINE_CFG.splitlines()) + 1
+        cfg = write_cfg(tmp_path, BASELINE_CFG + line + "\n")
+        assert main(["steady", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: line {line_no}: {message}\n")
+
     def test_invalid_config_exit_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "omega_a_hz = ??\n")
         assert main(["steady", "--config", cfg]) == 2

@@ -142,6 +142,25 @@ class TestSymplecticEigenvalues:
                     want = pt_symplectic_oracle(cm, pos)
                     assert np.abs(nu - want).max() <= 1e-10 * want.max()
 
+    def test_powers_of_four_scale_the_spectra_bit_for_bit(self):
+        # each matrix is divided by a power of four near its largest
+        # entry, which is exact, so scaling by 4**k only scales nu, even
+        # where K^T K of the unscaled matrix would overflow or underflow
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            v = random_physical_cm(rng, nu_max=10.0 ** rng.uniform(0.0, 3.0),
+                                   squeeze_max=rng.uniform(0.0, 2.0))
+            for stack in (np.array([v] + [partial_transpose(v, mode)
+                                          for mode in ("a", "m", "b")]),
+                          np.array([partial_transpose(reduce_cm(v, pair),
+                                                      pair[0], pair)
+                                    for pair in (("a", "m"), ("m", "b"))])):
+                nus, errors = symplectic_spectra(stack)
+                for k in (-200, -130, -1, 1, 75, 200):
+                    got, got_errors = symplectic_spectra(4.0 ** k * stack)
+                    assert got_errors == errors
+                    assert np.array_equal(got, 4.0 ** k * nus)
+
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
     @given(st.lists(st.floats(0.5, 1e3), min_size=2, max_size=3),

@@ -9,8 +9,21 @@ import pytest
 from cmmsim import (NoSteadyStateError, SingularityError, baseline_params,
                     evaluate_point, magnon_amplitude_approx,
                     solve_steady_state, steady_state_residual)
-from cmmsim.meanfield import (SINGULAR_RESPONSE, _magnon_denominator,
-                              _magnon_numerator)
+from cmmsim.meanfield import SINGULAR_RESPONSE
+
+
+def magnon_numerator(p):
+    """Where the two drives interfere: the numerator of m_s, written out
+    with cmath, independently of the solver's array code."""
+    eps_a, eps_m = p.drive_amplitudes()
+    return (-1j * p.g_ma * eps_a * cmath.exp(-1j * p.theta_a)
+            + (1j * p.delta_a + p.kappa_a) * eps_m * cmath.exp(-1j * p.theta_m))
+
+
+def magnon_denominator(p, delta_m_tilde):
+    """The denominator of m_s at effective detuning ``delta_m_tilde``."""
+    return ((1j * delta_m_tilde + p.kappa_m) * (1j * p.delta_a + p.kappa_a)
+            + p.g_ma ** 2)
 
 
 def picard_magnon_intensity(params, bare_delta_m, damping=0.5, tol=1e-14):
@@ -18,8 +31,8 @@ def picard_magnon_intensity(params, bare_delta_m, damping=0.5, tol=1e-14):
     u = 0.0
     for _ in range(100000):
         delta_tilde = bare_delta_m - params.g_mb ** 2 * u / params.omega_b
-        num = _magnon_numerator(params)
-        den = _magnon_denominator(params, delta_tilde)
+        num = magnon_numerator(params)
+        den = magnon_denominator(params, delta_tilde)
         u_new = (1.0 - damping) * u + damping * abs(num / den) ** 2
         if u > 0.0 and abs(u_new - u) / u < tol:
             return u_new
@@ -31,12 +44,9 @@ class TestEffectiveTargeting:
     def test_decoupled_closed_form(self, base):
         p = base.replace(g_mb=0.0)
         st = solve_steady_state(p)
-        eps_a, eps_m = p.drive_amplitudes()
-        num = (-1j * p.g_ma * eps_a * cmath.exp(-1j * p.theta_a)
-               + (1j * p.delta_a + p.kappa_a) * eps_m * cmath.exp(-1j * p.theta_m))
-        den = ((1j * p.delta_m_tilde_target + p.kappa_m)
-               * (1j * p.delta_a + p.kappa_a) + p.g_ma ** 2)
-        assert st.m_s == pytest.approx(num / den, rel=1e-14)
+        assert st.m_s == pytest.approx(
+            magnon_numerator(p) / magnon_denominator(p, p.delta_m_tilde_target),
+            rel=1e-14)
         assert st.q_s == 0.0
         assert steady_state_residual(p, st) < 1e-13
 
@@ -118,8 +128,8 @@ class TestBareDetuningMode:
             bare = rng.uniform(-2.0, 2.0) * p.omega_b
             st = solve_steady_state(p, bare_delta_m=bare)
             u = abs(st.m_s) ** 2
-            den = _magnon_denominator(p, bare - p.g_mb ** 2 * u / p.omega_b)
-            num2 = abs(_magnon_numerator(p)) ** 2
+            den = magnon_denominator(p, bare - p.g_mb ** 2 * u / p.omega_b)
+            num2 = abs(magnon_numerator(p)) ** 2
             if num2 == 0.0:
                 assert u == 0.0
                 continue
@@ -133,10 +143,10 @@ class TestBareDetuningMode:
         assert st.root_multiplicity == 3
         assert steady_state_residual(base, st) < 1e-9
         u = abs(st.m_s) ** 2
-        den = _magnon_denominator(base, 1.6 * base.omega_b
-                                  - base.g_mb ** 2 * u / base.omega_b)
+        den = magnon_denominator(base, 1.6 * base.omega_b
+                                 - base.g_mb ** 2 * u / base.omega_b)
         assert u * abs(den) ** 2 == pytest.approx(
-            abs(_magnon_numerator(base)) ** 2, rel=1e-10)
+            abs(magnon_numerator(base)) ** 2, rel=1e-10)
 
     def test_homotopy_continuity_in_coupling(self, base):
         # the selected branch varies continuously as g_mb ramps up
