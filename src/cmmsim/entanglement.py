@@ -129,7 +129,7 @@ def symplectic_spectra(m: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     m = np.where(finite[:, None, None], m, 0.0)
     asym = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2))
     top = np.abs(m).max(axis=(1, 2))
-    asymmetric = asym > 1e-8 * np.maximum(top, 1.0)
+    asymmetric = asym > 1e-8 * top
     usable = finite & ~asymmetric
     # divide each matrix by an even power of two near its largest |entry|,
     # 2**shift, so that K^T K cannot overflow; exact, and L, K and nu
@@ -182,18 +182,6 @@ def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     if errors:
         raise NumericalError(errors[0])
     return nus[0]
-
-
-def _below_vacuum(nus: np.ndarray) -> np.ndarray:
-    """Number of symplectic eigenvalues below vacuum, per spectrum (last
-    axis).  At most one of a one-vs-two partial transposition can be; the
-    measures guard that assumption."""
-    return (nus < 0.5 - MONOGAMY_SLACK).sum(axis=-1)
-
-
-def _not_physical(below: int) -> str:
-    return (f"{below} symplectic eigenvalues below vacuum after a 1|2 "
-            "partial transposition; covariance matrix is not physical")
 
 
 def _measure_name(partition: Partition) -> str:
@@ -286,8 +274,8 @@ def entanglement_batch(v: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     two batched :func:`symplectic_spectra` calls.  Returns a (k, 10) array
     whose columns are MEASURES, and the message of every matrix that fails
     a spectrum check or has more than one symplectic eigenvalue below
-    vacuum after a 1|2 transposition, keyed by its index (in the order the
-    scalar measures would raise).
+    vacuum after a 1|2 transposition, keyed by its index: its first pair
+    error, else its first one-vs-two error.
     """
     k = v.shape[0]
     pairs = v[:, _PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]]
@@ -295,14 +283,16 @@ def entanglement_batch(v: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
         (pairs * _PAIR_SIGNS).reshape(3 * k, 4, 4))
     splits = v[:, None] * _SPLIT_SIGNS
     nu_split, split_errors = symplectic_spectra(splits.reshape(3 * k, 6, 6))
-    below = _below_vacuum(nu_split)
+    # at most one symplectic eigenvalue of a physical state's 1|2 partial
+    # transposition is below vacuum; the measures rely on that
+    below = (nu_split < 0.5 - MONOGAMY_SLACK).sum(axis=1)
     for j in np.flatnonzero(below > 1).tolist():
-        split_errors.setdefault(j, _not_physical(below[j]))
+        split_errors.setdefault(
+            j, f"{below[j]} symplectic eigenvalues below vacuum after a 1|2 "
+            "partial transposition; covariance matrix is not physical")
     errors = {}
-    for j in sorted(split_errors):
-        errors.setdefault(j // 3, split_errors[j])
-    for j in sorted(pair_errors, reverse=True):
-        errors[j // 3] = pair_errors[j]
+    for j, message in sorted(pair_errors.items()) + sorted(split_errors.items()):
+        errors.setdefault(j // 3, message)
     en = _log_negativities(np.concatenate(
         [nu_pair[:, 0].reshape(k, 3), nu_split[:, 0].reshape(k, 3)], axis=1))
     sq = en * en

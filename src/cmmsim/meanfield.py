@@ -105,7 +105,7 @@ def solve_effective_batch(p: ParamBatch) -> MeanFieldBatch:
     """Effective-targeting fixed points of every entry of ``p``: the
     magnon equation is linear once the effective detuning is pinned to
     ``delta_m_tilde_target``, the displacement follows from |m_s|^2, and
-    the bare detuning is back-solved.  Entries must pass ``valid_mask``;
+    the bare detuning is back-solved.  Entries must have no ``violations``;
     call under ``np.errstate(all="ignore")``, since entries may overflow."""
     eps_a, eps_m = p.drive_amplitudes()
     dt = p.delta_m_tilde_target

@@ -11,6 +11,13 @@ Both drive tones share one frequency ``omega_d = omega_a - delta_a``; it is
 always derived, never user-supplied, so detunings are the only frequency
 handles exposed.
 
+The parameter domain (every field finite; frequencies, linewidths and
+damping positive; powers, temperature and couplings non-negative; the
+drive frequency positive) is one rule list, read by :func:`violations` for
+a batch of points.  :func:`validate` is its batch of one and the sweep
+engine's front gate reads it too, so both reject the same points with the
+same messages.
+
 Physical constants are the exact SI-2019 (CODATA 2018) values:
 
     h   = 6.62607015e-34 J s        (exact)
@@ -165,38 +172,6 @@ def drive_amplitude(kappa: float, P: float, omega_d: float) -> float:
     return math.sqrt(2.0 * kappa * P / (HBAR * omega_d))
 
 
-_POSITIVE = ("omega_a", "omega_b", "kappa_a", "kappa_m", "gamma_b")
-_NON_NEGATIVE = ("P_a", "P_m", "T", "g_ma", "g_mb")
-
-
-def validate(params: PhysicalParams) -> PhysicalParams:
-    """Check every type invariant; return ``params`` unchanged if all hold.
-
-    Raises ParameterError carrying the *complete* list of violations,
-    each naming the offending field and value.
-    """
-    violations = []
-    for name in _POSITIVE:
-        value = getattr(params, name)
-        if not value > 0.0:
-            violations.append(f"{name} must be > 0, got {value!r}")
-    for name in _NON_NEGATIVE:
-        value = getattr(params, name)
-        if not value >= 0.0:
-            violations.append(f"{name} must be >= 0, got {value!r}")
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if not math.isfinite(value):
-            violations.append(f"{f.name} must be finite, got {value!r}")
-    if not violations and not params.drive_frequency > 0.0:
-        violations.append(
-            "derived drive frequency omega_a - delta_a must be > 0, "
-            f"got {params.drive_frequency!r}")
-    if violations:
-        raise ParameterError(violations)
-    return params
-
-
 class ParamBatch:
     """Struct-of-arrays form of :class:`PhysicalParams`: one float64 array
     per field, of the same name, with one entry per operating point.
@@ -238,7 +213,7 @@ class ParamBatch:
         return self.omega_a - self.delta_a
 
     def drive_amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eps_a, eps_m) for entries that pass :func:`valid_mask`."""
+        """(eps_a, eps_m) for entries without :func:`violations`."""
         wd = self.drive_frequency
         return (np.sqrt(2.0 * self.kappa_a * self.P_a / (HBAR * wd)),
                 np.sqrt(2.0 * self.kappa_m * self.P_m / (HBAR * wd)))
@@ -252,16 +227,48 @@ class ParamBatch:
                 thermal_occupations(self.omega_b, self.T))
 
 
-def valid_mask(batch: ParamBatch) -> np.ndarray:
-    """Elementwise :func:`validate`: True where every invariant holds."""
-    ok = batch.drive_frequency > 0.0
-    for name in _POSITIVE:
-        ok &= getattr(batch, name) > 0.0
-    for name in _NON_NEGATIVE:
-        ok &= getattr(batch, name) >= 0.0
-    for name in batch.__slots__:
-        ok &= np.isfinite(getattr(batch, name))
-    return ok
+#: the domain's sign and finiteness rules as (fields, test, message), in
+#: the order that violations reports them
+_RULES = (
+    (("omega_a", "omega_b", "kappa_a", "kappa_m", "gamma_b"),
+     lambda x: x > 0.0, "must be > 0"),
+    (("P_a", "P_m", "T", "g_ma", "g_mb"), lambda x: x >= 0.0, "must be >= 0"),
+    (ParamBatch.__slots__, np.isfinite, "must be finite"),
+)
+
+
+def violations(p: ParamBatch) -> dict[int, list[str]]:
+    """The entries of ``p`` outside the parameter domain, each with the
+    messages of the rules it breaks, in rule order, each naming the field
+    and its value printed as a Python float.  The derived drive frequency
+    is checked only where every other rule holds.
+    """
+    found = {}
+    with np.errstate(invalid="ignore"):
+        for names, holds, rule in _RULES:
+            values = np.array([getattr(p, name) for name in names])
+            for f, k in zip(*np.nonzero(~holds(values))):
+                found.setdefault(int(k), []).append(
+                    f"{names[f]} {rule}, got {float(values[f, k])!r}")
+        wd = p.drive_frequency
+        for k in np.flatnonzero(~(wd > 0.0)).tolist():
+            if k not in found:
+                found[k] = ["derived drive frequency omega_a - delta_a must "
+                            f"be > 0, got {float(wd[k])!r}"]
+    return found
+
+
+def validate(params: PhysicalParams) -> PhysicalParams:
+    """Check every type invariant; return ``params`` unchanged if all hold.
+
+    Raises ParameterError carrying the *complete* list of violations,
+    each naming the offending field and value: the :func:`violations` of
+    a batch of one.
+    """
+    found = violations(ParamBatch.from_base(params, 1))
+    if found:
+        raise ParameterError(found[0])
+    return params
 
 
 def baseline_params(**overrides) -> PhysicalParams:

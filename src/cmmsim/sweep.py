@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dynamics, entanglement, meanfield
 from .errors import CmmError, NoStablePointError, ParameterError
-from .params import ParamBatch, PhysicalParams, valid_mask, validate
+from .params import ParamBatch, PhysicalParams, violations
 
 AXES = ("delta_a", "delta_theta", "T", "P_a")
 PUMP_MODES = ("both", "magnon-only", "cavity-only")
@@ -200,16 +200,6 @@ def apply_axis(params: PhysicalParams, name: str, value: float) -> PhysicalParam
     return params.replace(**{field: new})
 
 
-def _error_of(check, params: PhysicalParams) -> str:
-    """Status of a point the batch rejected, from the scalar ``check``
-    that rejects it, so its message names the offending value."""
-    try:
-        check(params)
-    except (ParameterError, ArithmeticError) as exc:
-        return f"error: {exc}"
-    return "error: invalid parameters"
-
-
 class BatchResult(NamedTuple):
     """What the engine returns for a batch: its table, and ``covariances``,
     shape (n, 6, 6), each point's steady-state covariance matrix (NaN
@@ -255,9 +245,10 @@ def _run_stages(p: ParamBatch) -> BatchResult:
 
     # each stage narrows ``idx``, the points still alive, and evaluates
     # only those, so no invalid or non-finite input reaches a later stage
-    ok = valid_mask(p)
-    for k in np.flatnonzero(~ok).tolist():
-        errors[k] = _error_of(validate, p.point(k))
+    ok = np.ones(n, bool)
+    for k, messages in violations(p).items():
+        ok[k] = False
+        errors[k] = f"error: {ParameterError(messages)}"
     idx = np.flatnonzero(ok)
     q = p.take(idx)
 
@@ -274,7 +265,10 @@ def _run_stages(p: ParamBatch) -> BatchResult:
     d = dynamics.diffusion_batch(q)
     bath = q.delta_m_tilde_target + q.drive_frequency > 0.0
     for j in np.flatnonzero(ok & ~bath).tolist():
-        errors[int(idx[j])] = _error_of(PhysicalParams.occupations, q.point(j))
+        try:
+            q.point(j).occupations()
+        except ParameterError as exc:
+            errors[int(idx[j])] = f"error: {exc}"
     ok &= bath
     finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(d).all(axis=1)
     for k in idx[ok & ~finite].tolist():

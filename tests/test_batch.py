@@ -14,11 +14,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmmsim import (NoSteadyStateError, ParamBatch, PhysicalParams,
-                    SweepAxis, SweepSpec, apply_axis, baseline_params,
-                    build_diffusion, build_drift, evaluate_batch,
-                    evaluate_point, run_sweep, solve_lyapunov,
-                    solve_steady_state)
+from cmmsim import (NoSteadyStateError, ParamBatch, ParameterError,
+                    PhysicalParams, SweepAxis, SweepSpec, apply_axis,
+                    baseline_params, build_diffusion, build_drift,
+                    evaluate_batch, evaluate_point, run_sweep,
+                    solve_lyapunov, solve_steady_state, validate)
 from cmmsim import dynamics, sweep
 from cmmsim.cli import main as cli_main
 from cmmsim.dynamics import LYAPUNOV_RESIDUAL_TOL
@@ -473,7 +473,12 @@ def test_batch_rows_equal_single_point_rows_and_never_raise(points):
     singles = [evaluate_point(p) for p in points]
     batch = evaluate_batch(stack(points)).table
     assert len(batch) == len(points)
-    for got, want in zip(batch, singles):
+    for p, got, want in zip(points, batch, singles):
         assert same_row(got, want)
         assert (want.status in ("ok", "unstable")
                 or want.status.startswith("error: "))
+        # the engine's gate and validate read one rule list
+        try:
+            validate(p)
+        except ParameterError as exc:
+            assert want.status == f"error: {exc}"

@@ -160,6 +160,14 @@ class TestSymplecticEigenvalues:
                     got, got_errors = symplectic_spectra(4.0 ** k * stack)
                     assert got_errors == errors
                     assert np.array_equal(got, 4.0 ** k * nus)
+        # the symmetry check is relative too: an asymmetry of 1e-6 of the
+        # largest entry is rejected at every scale
+        v = random_physical_cm(rng)
+        v[0, 2] += 1e-6 * np.abs(v).max()
+        for k in (-200, -130, -1, 0, 1, 75, 200):
+            _, errors = symplectic_spectra(4.0 ** k * v[None])
+            assert list(errors) == [0]
+            assert errors[0].startswith("matrix is not symmetric")
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -313,6 +321,19 @@ class TestReport:
         assert rep.monogamy_ok
         assert rep.en_am == log_negativity(v, Partition("a", ("m",)))
         assert rep.en_b_am == log_negativity(v, Partition("b", ("a", "m")))
+
+    def test_unphysical_matrix_rejected(self):
+        # every 1|2 transposition of 0.1 * I has three eigenvalues 0.1
+        with pytest.raises(NumericalError) as err:
+            entanglement_report(0.1 * np.eye(6))
+        assert str(err.value) == (
+            "3 symplectic eigenvalues below vacuum after a 1|2 partial "
+            "transposition; covariance matrix is not physical")
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(NumericalError,
+                           match="^matrix has non-finite entries$"):
+            entanglement_report(np.full((6, 6), np.nan))
 
     def test_symplectic_form_structure(self):
         omega = symplectic_form(3)

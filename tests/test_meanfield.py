@@ -85,9 +85,14 @@ class TestEffectiveTargeting:
             "detunings")
 
     def test_zero_drives_give_zero_state(self, base):
-        st = solve_steady_state(base.replace(P_a=0.0, P_m=0.0))
-        assert st.alpha_s == 0 and st.m_s == 0 and st.q_s == 0.0
-        assert steady_state_residual(base.replace(P_a=0.0, P_m=0.0), st) == 0.0
+        p = base.replace(P_a=0.0, P_m=0.0)
+        bare = -1.1 * p.omega_b
+        for st in (solve_steady_state(p),
+                   solve_steady_state(p, bare_delta_m=bare)):
+            assert st.alpha_s == 0 and st.m_s == 0 and st.q_s == 0.0
+            assert steady_state_residual(p, st) == 0.0
+        # without a displacement the bare detuning is the effective one
+        assert st.delta_m == st.delta_m_tilde == bare
 
 
 class TestBareDetuningMode:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cmmsim import (TWO_PI, ParameterError, baseline_params, drive_amplitude,
@@ -90,6 +91,13 @@ class TestValidate:
     def test_negative_temperature_names_the_field(self, base):
         with pytest.raises(ParameterError, match="T must be >= 0"):
             validate(base.replace(T=-1e-3))
+
+    def test_values_print_as_floats(self, base):
+        # an int or numpy field prints as the float the engine reads
+        for value in (0, np.float64(0.0)):
+            with pytest.raises(ParameterError) as err:
+                validate(base.replace(kappa_a=value))
+            assert err.value.violations == ["kappa_a must be > 0, got 0.0"]
 
     def test_all_violations_reported_at_once(self, base):
         bad = base.replace(kappa_a=0.0, gamma_b=-1.0, P_m=-2.0)
