@@ -9,7 +9,9 @@ import numpy as np
 
 import cmmsim as c
 
-base = c.baseline_params(P_a=0.45)  # strong cavity drive: deep modulation
+# strong cavity drive: the interference depth of the two drives,
+# rho = |g_ma eps_a| / (|i delta_a + kappa_a| eps_m), is about 0.05
+base = c.baseline_params(P_a=0.45)
 print("R_min versus drive phase difference at delta_a/omega_b = "
       f"{base.delta_a / base.omega_b:+.2f}, P_a = {base.P_a} W")
 

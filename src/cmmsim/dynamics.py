@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (CmmError, IntegrationError, NumericalError,
                      UnstableSystemError)
 from .meanfield import MeanFieldBatch, MeanFieldState
-from .params import ParamBatch, PhysicalParams
+from .params import ParamBatch, PhysicalParams, batch_of_one
 
 SQRT2 = math.sqrt(2.0)
 
@@ -36,11 +36,9 @@ def build_diffusion(params: PhysicalParams) -> np.ndarray:
     """Diagonal 6x6 diffusion matrix of the input noises, the
     :func:`diffusion_batch` of one point.
 
-    Raises ParameterError where a bath occupation is undefined (see
-    :meth:`PhysicalParams.occupations`).
+    Raises ParameterError outside the parameter domain.
     """
-    params.occupations()  # for its domain checks
-    return np.diag(diffusion_batch(ParamBatch.from_base(params, 1))[0])
+    return np.diag(diffusion_batch(batch_of_one(params))[0])
 
 
 def drift_batch(p: ParamBatch,
@@ -72,8 +70,8 @@ def drift_batch(p: ParamBatch,
 def diffusion_batch(p: ParamBatch) -> np.ndarray:
     """Diagonals of the diffusion matrices, shape (n, 6): kappa_a(2N_a+1)
     twice, kappa_m(2N_m+1) twice, 0 for the mechanical position and
-    gamma_b(2N_b+1) for the mechanical momentum; non-finite where an
-    occupation is undefined or overflows."""
+    gamma_b(2N_b+1) for the mechanical momentum, for entries without
+    ``violations``; non-finite where an occupation overflows."""
     n_a, n_m, n_b = p.occupations()
     d = np.zeros((len(p), 6))
     d[:, 0] = d[:, 1] = p.kappa_a * (2.0 * n_a + 1.0)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoSteadyStateError, SingularityError
-from .params import ParamBatch, PhysicalParams
+from .params import ParamBatch, PhysicalParams, batch_of_one
 
 _HOMOTOPY_STEPS = 16
 _POLISH_TOL = 1e-14
@@ -138,16 +138,18 @@ def solve_steady_state(params: PhysicalParams,
     detuning instead activates the cubic self-consistency mode with
     homotopy root selection.
 
-    Raises NoSteadyStateError if the magnon response has no admissible
-    solution (e.g. an exact pole of the linear response).
+    Raises ParameterError outside the parameter domain, and
+    NoSteadyStateError if the magnon response has no admissible solution
+    (e.g. an exact pole of the linear response).
     """
-    eps_a, eps_m = params.drive_amplitudes()  # raises outside its domain
+    p = batch_of_one(params)
     if bare_delta_m is None:
         with np.errstate(all="ignore"):
-            mf = solve_effective_batch(ParamBatch.from_base(params, 1))
+            mf = solve_effective_batch(p)
         if mf.singular[0]:
             raise NoSteadyStateError(SINGULAR_RESPONSE)
         return mf.state(0)
+    eps_a, eps_m = (float(eps[0]) for eps in p.drive_amplitudes())
     if eps_a == 0.0 and eps_m == 0.0:
         return MeanFieldState(alpha_s=0j, m_s=0j, q_s=0.0, p_s=0.0,
                               delta_m=bare_delta_m,

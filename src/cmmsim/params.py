@@ -13,10 +13,11 @@ handles exposed.
 
 The parameter domain (every field finite; frequencies, linewidths and
 damping positive; powers, temperature and couplings non-negative; the
-drive frequency positive) is one rule list, read by :func:`violations` for
-a batch of points.  :func:`validate` is its batch of one and the sweep
-engine's front gate reads it too, so both reject the same points with the
-same messages.
+derived drive and magnon-bath frequencies positive) is one rule list, read
+by :func:`violations` for a batch of points.  Every scalar entry point is a
+checked batch of one, :func:`batch_of_one`, and the sweep engine's front
+gate reads the list too, so all reject the same points with the same
+messages.
 
 Physical constants are the exact SI-2019 (CODATA 2018) values:
 
@@ -96,25 +97,16 @@ class PhysicalParams:
         return self.theta_a - self.theta_m
 
     def drive_amplitudes(self) -> tuple[float, float]:
-        """(eps_a, eps_m), both in 1/s, from the shared drive frequency."""
-        wd = self.drive_frequency
-        return (drive_amplitude(self.kappa_a, self.P_a, wd),
-                drive_amplitude(self.kappa_m, self.P_m, wd))
+        """(eps_a, eps_m), both in 1/s, from the shared drive frequency:
+        :meth:`ParamBatch.drive_amplitudes` of the :func:`batch_of_one`."""
+        eps_a, eps_m = batch_of_one(self).drive_amplitudes()
+        return float(eps_a[0]), float(eps_m[0])
 
     def occupations(self) -> "NoiseOccupations":
-        """Thermal occupations of the three baths.
-
-        The magnon bath is evaluated at the magnon frequency reconstructed
-        from the effective detuning, ``delta_m_tilde_target + omega_d``;
-        at millikelvin temperatures this choice is numerically irrelevant
-        because both gigahertz occupations are ~1e-21.
-        """
-        wd = self.drive_frequency
-        return NoiseOccupations(
-            n_a=thermal_occupation(self.omega_a, self.T),
-            n_m=thermal_occupation(self.delta_m_tilde_target + wd, self.T),
-            n_b=thermal_occupation(self.omega_b, self.T),
-        )
+        """Thermal occupations of the three baths:
+        :meth:`ParamBatch.occupations` of the :func:`batch_of_one`."""
+        n_a, n_m, n_b = batch_of_one(self).occupations()
+        return NoiseOccupations(float(n_a[0]), float(n_m[0]), float(n_b[0]))
 
     def replace(self, **changes) -> "PhysicalParams":
         return replace(self, **changes)
@@ -135,41 +127,43 @@ def thermal_occupation(omega: float, T: float) -> float:
 
     Returns exactly 0.0 at T = 0, and inf where hbar*omega/(k_B*T)
     underflows to zero (for example omega = 1e-300 at T = 1e300).  Raises
-    ParameterError for omega <= 0 (T < 0 is likewise rejected).
+    ParameterError unless omega > 0 and T >= 0 are both finite.
     """
-    if omega <= 0.0:
-        raise ParameterError([f"thermal_occupation: omega must be > 0, got {omega!r}"])
-    if T < 0.0:
-        raise ParameterError([f"thermal_occupation: T must be >= 0, got {T!r}"])
+    _check_argument("thermal_occupation", "omega", omega, "> 0")
+    _check_argument("thermal_occupation", "T", T, ">= 0")
     return float(thermal_occupations(np.array([omega], float),
                                      np.array([T], float))[0])
 
 
 def thermal_occupations(omega: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Elementwise Bose-Einstein occupation for ``T >= 0``: exactly 0.0
-    where ``hbar*omega/(k_B*T)`` exceeds 700 (the occupation is below
-    ~1e-304 there) or is not a number, so at T = 0; inf where that ratio
-    underflows to zero; NaN where ``omega <= 0``.
+    """Elementwise Bose-Einstein occupation for ``omega > 0`` and
+    ``T >= 0``: exactly 0.0 where ``hbar*omega/(k_B*T)`` exceeds 700 (the
+    occupation is below ~1e-304 there) or is not a number, so at T = 0;
+    inf where that ratio underflows to zero.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = HBAR * omega / (BOLTZMANN * T)
-        occ = np.where(x <= 700.0, 1.0 / np.expm1(x), 0.0)
-    occ[~(omega > 0.0)] = np.nan
-    return occ
+        return np.where(x <= 700.0, 1.0 / np.expm1(x), 0.0)
 
 
 def drive_amplitude(kappa: float, P: float, omega_d: float) -> float:
     """Drive amplitude sqrt(2*kappa*P / (hbar*omega_d)) in 1/s.
 
-    Zero iff P = 0.  Scales exactly as sqrt(P).
-    """
-    if omega_d <= 0.0:
-        raise ParameterError([f"drive_amplitude: omega_d must be > 0, got {omega_d!r}"])
-    if kappa <= 0.0:
-        raise ParameterError([f"drive_amplitude: kappa must be > 0, got {kappa!r}"])
-    if P < 0.0:
-        raise ParameterError([f"drive_amplitude: P must be >= 0, got {P!r}"])
+    Zero iff P = 0; scales exactly as sqrt(P).  Raises ParameterError
+    unless kappa > 0, omega_d > 0 and P >= 0 are all finite."""
+    _check_argument("drive_amplitude", "omega_d", omega_d, "> 0")
+    _check_argument("drive_amplitude", "kappa", kappa, "> 0")
+    _check_argument("drive_amplitude", "P", P, ">= 0")
     return math.sqrt(2.0 * kappa * P / (HBAR * omega_d))
+
+
+def _check_argument(func: str, name: str, x: float, rule: str) -> None:
+    """Raise ParameterError, in :func:`validate`'s style, unless argument
+    ``name`` of ``func`` obeys ``rule`` ("> 0" or ">= 0") and is finite."""
+    holds = x > 0.0 if rule == "> 0" else x >= 0.0
+    if not holds or x == math.inf:
+        raise ParameterError([f"{func}: {name} must be "
+                              f"{'finite' if holds else rule}, got {x!r}"])
 
 
 class ParamBatch:
@@ -198,11 +192,6 @@ class ParamBatch:
     def __len__(self) -> int:
         return self.omega_a.shape[0]
 
-    def point(self, k: int) -> PhysicalParams:
-        """The scalar parameters of entry ``k``."""
-        return PhysicalParams(**{name: float(getattr(self, name)[k])
-                                 for name in self.__slots__})
-
     def take(self, index) -> "ParamBatch":
         """The entries selected by ``index`` (an index array or mask)."""
         return ParamBatch(**{name: getattr(self, name)[index]
@@ -212,18 +201,24 @@ class ParamBatch:
     def drive_frequency(self) -> np.ndarray:
         return self.omega_a - self.delta_a
 
+    @property
+    def magnon_frequency(self) -> np.ndarray:
+        """delta_m_tilde_target + omega_d, the magnon bath's frequency."""
+        return self.delta_m_tilde_target + self.drive_frequency
+
     def drive_amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
         """(eps_a, eps_m) for entries without :func:`violations`."""
         wd = self.drive_frequency
-        return (np.sqrt(2.0 * self.kappa_a * self.P_a / (HBAR * wd)),
-                np.sqrt(2.0 * self.kappa_m * self.P_m / (HBAR * wd)))
+        with np.errstate(all="ignore"):
+            return (np.sqrt(2.0 * self.kappa_a * self.P_a / (HBAR * wd)),
+                    np.sqrt(2.0 * self.kappa_m * self.P_m / (HBAR * wd)))
 
     def occupations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(n_a, n_m, n_b) as in :meth:`PhysicalParams.occupations`; n_m is
-        NaN where the reconstructed magnon frequency is not positive."""
+        """(n_a, n_m, n_b), the bath occupations at omega_a,
+        :attr:`magnon_frequency` and omega_b (at millikelvin, both gigahertz
+        ones are ~1e-21), for entries without :func:`violations`."""
         return (thermal_occupations(self.omega_a, self.T),
-                thermal_occupations(self.delta_m_tilde_target
-                                    + self.drive_frequency, self.T),
+                thermal_occupations(self.magnon_frequency, self.T),
                 thermal_occupations(self.omega_b, self.T))
 
 
@@ -240,22 +235,34 @@ _RULES = (
 def violations(p: ParamBatch) -> dict[int, list[str]]:
     """The entries of ``p`` outside the parameter domain, each with the
     messages of the rules it breaks, in rule order, each naming the field
-    and its value printed as a Python float.  The derived drive frequency
-    is checked only where every other rule holds.
+    and its value printed as a Python float.  The derived drive, then
+    magnon, frequency is checked only where every earlier rule holds.
     """
     found = {}
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for names, holds, rule in _RULES:
             values = np.array([getattr(p, name) for name in names])
             for f, k in zip(*np.nonzero(~holds(values))):
                 found.setdefault(int(k), []).append(
                     f"{names[f]} {rule}, got {float(values[f, k])!r}")
-        wd = p.drive_frequency
-        for k in np.flatnonzero(~(wd > 0.0)).tolist():
-            if k not in found:
-                found[k] = ["derived drive frequency omega_a - delta_a must "
-                            f"be > 0, got {float(wd[k])!r}"]
+        derived = ("drive frequency omega_a - delta_a",
+                   "magnon frequency delta_m_tilde_target + omega_a - delta_a")
+        values = np.array([p.drive_frequency, p.magnon_frequency])
+        for f, k in zip(*np.nonzero(~(values > 0.0))):
+            found.setdefault(int(k), [f"derived {derived[f]} must be > 0, "
+                                      f"got {float(values[f, k])!r}"])
     return found
+
+
+def batch_of_one(params: PhysicalParams) -> ParamBatch:
+    """``params`` as a :class:`ParamBatch` of one entry, checked: raises
+    ParameterError with :func:`validate`'s messages if it breaks a rule of
+    the domain.  The scalar entry points evaluate through it."""
+    p = ParamBatch.from_base(params, 1)
+    found = violations(p)
+    if found:
+        raise ParameterError(found[0])
+    return p
 
 
 def validate(params: PhysicalParams) -> PhysicalParams:
@@ -263,11 +270,9 @@ def validate(params: PhysicalParams) -> PhysicalParams:
 
     Raises ParameterError carrying the *complete* list of violations,
     each naming the offending field and value: the :func:`violations` of
-    a batch of one.
+    a batch of one (see :func:`batch_of_one`).
     """
-    found = violations(ParamBatch.from_base(params, 1))
-    if found:
-        raise ParameterError(found[0])
+    batch_of_one(params)
     return params
 
 

@@ -263,13 +263,6 @@ def _run_stages(p: ParamBatch) -> BatchResult:
 
     a = dynamics.drift_batch(q, mf)
     d = dynamics.diffusion_batch(q)
-    bath = q.delta_m_tilde_target + q.drive_frequency > 0.0
-    for j in np.flatnonzero(ok & ~bath).tolist():
-        try:
-            q.point(j).occupations()
-        except ParameterError as exc:
-            errors[int(idx[j])] = f"error: {exc}"
-    ok &= bath
     finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(d).all(axis=1)
     for k in idx[ok & ~finite].tolist():
         errors[k] = "error: non-finite drift or diffusion matrix"

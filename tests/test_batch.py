@@ -467,6 +467,12 @@ def parameter_points(draw):
     return PhysicalParams(**values)
 
 
+#: the public scalar functions that take a PhysicalParams
+SCALAR_ENTRY_POINTS = (build_diffusion, solve_steady_state,
+                       PhysicalParams.occupations,
+                       PhysicalParams.drive_amplitudes)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.lists(parameter_points(), min_size=1, max_size=4))
 def test_batch_rows_equal_single_point_rows_and_never_raise(points):
@@ -477,8 +483,21 @@ def test_batch_rows_equal_single_point_rows_and_never_raise(points):
         assert same_row(got, want)
         assert (want.status in ("ok", "unstable")
                 or want.status.startswith("error: "))
-        # the engine's gate and validate read one rule list
+        # the engine's gate, validate and the scalar entry points read
+        # one rule list
         try:
             validate(p)
         except ParameterError as exc:
             assert want.status == f"error: {exc}"
+            for build in SCALAR_ENTRY_POINTS:
+                with pytest.raises(ParameterError) as err:
+                    build(p)
+                assert str(err.value) == str(exc)
+        else:
+            for build in SCALAR_ENTRY_POINTS:
+                try:
+                    build(p)
+                except ParameterError as exc:
+                    raise AssertionError(f"{build.__name__}: {exc}") from exc
+                except NoSteadyStateError:
+                    pass  # solve_steady_state at a pole of the magnon response

@@ -203,11 +203,10 @@ class TestSteadyCommand:
         assert capsys.readouterr().out == "\n".join(want) + "\n"
 
     def test_error_row_exit_one(self, tmp_path, capsys):
-        # the magnon bath's frequency, delta_m_tilde + omega_d, is negative
-        text = BASELINE_CFG.replace("delta_m_tilde_over_omega_b = 0.9",
-                                    "delta_m_tilde_over_omega_b = -1e5")
+        # a magnon drive so strong that the mean-field state overflows
+        text = BASELINE_CFG.replace("P_m_w = 0.9", "P_m_w = 1e308")
         row = evaluate_point(parse_config(text)[0])
-        assert row.status.startswith("error: thermal_occupation: omega must")
+        assert row.status == "error: non-finite mean-field state"
         assert main(["steady", "--config", write_cfg(tmp_path, text)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

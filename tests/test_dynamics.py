@@ -140,18 +140,22 @@ class TestBuildDiffusion:
             assert build_diffusion(base.replace(T=T))[4, 4] == 0.0
 
     @pytest.mark.parametrize("override, message", [
-        (dict(omega_b=0.0), "omega must be > 0, got 0.0"),
-        (dict(omega_a=-1.0), "omega must be > 0, got -1.0"),
+        (dict(omega_b=0.0), "omega_b must be > 0, got 0.0"),
+        (dict(omega_a=-1.0), "omega_a must be > 0, got -1.0"),
         (dict(T=-1e-3), "T must be >= 0, got -0.001"),
         # a magnon bath frequency delta_m_tilde_target + omega_d <= 0
         (dict(delta_m_tilde_target=-1e12),
-         "omega must be > 0, got -937083323926.5573")])
+         "derived magnon frequency delta_m_tilde_target + omega_a - delta_a "
+         "must be > 0, got -937083323926.5573"),
+        (dict(T=math.nan), "T must be >= 0, got nan; T must be finite, got nan")])
     def test_undefined_occupation_raises(self, base, override, message):
+        # every scalar entry point reads validate's rule list
         p = base.replace(**override)
-        for build in (build_diffusion, PhysicalParams.occupations):
+        for build in (build_diffusion, PhysicalParams.occupations,
+                      solve_steady_state, PhysicalParams.drive_amplitudes):
             with pytest.raises(ParameterError) as err:
                 build(p)
-            assert str(err.value) == f"thermal_occupation: {message}"
+            assert str(err.value) == message
 
 
 class TestStability:

@@ -42,6 +42,16 @@ class TestThermalOccupation:
             thermal_occupation(-1.0, 1.0)
         with pytest.raises(ParameterError):
             thermal_occupation(1.0, -1e-3)
+        # NaN fails every sign rule, and an infinite argument is rejected
+        for args, message in [
+                ((math.nan, 1.0), "omega must be > 0, got nan"),
+                ((1e9, math.nan), "T must be >= 0, got nan"),
+                ((math.inf, 1.0), "omega must be finite, got inf"),
+                ((-math.inf, 1.0), "omega must be > 0, got -inf"),
+                ((1e9, math.inf), "T must be finite, got inf")]:
+            with pytest.raises(ParameterError) as err:
+                thermal_occupation(*args)
+            assert str(err.value) == f"thermal_occupation: {message}"
 
     def test_monotone_in_temperature_and_frequency(self):
         temps = [1e-3, 3e-3, 10e-3, 30e-3, 100e-3]
@@ -78,6 +88,18 @@ class TestDriveAmplitude:
             drive_amplitude(0.0, 1.0, TWO_PI * 10e9)
         with pytest.raises(ParameterError):
             drive_amplitude(TWO_PI * 1e6, -1.0, TWO_PI * 10e9)
+        # NaN fails every sign rule, and an infinite argument is rejected
+        for args, message in [
+                ((math.nan, 1.0, 1e10), "kappa must be > 0, got nan"),
+                ((1.0, math.nan, 1e10), "P must be >= 0, got nan"),
+                ((1.0, 1.0, math.nan), "omega_d must be > 0, got nan"),
+                ((math.inf, 0.0, 1e10), "kappa must be finite, got inf"),
+                ((1.0, math.inf, 1e10), "P must be finite, got inf"),
+                ((1.0, 1.0, math.inf), "omega_d must be finite, got inf"),
+                ((1.0, -math.inf, 1e10), "P must be >= 0, got -inf")]:
+            with pytest.raises(ParameterError) as err:
+                drive_amplitude(*args)
+            assert str(err.value) == f"drive_amplitude: {message}"
 
 
 class TestValidate:

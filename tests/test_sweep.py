@@ -67,8 +67,8 @@ class TestEvaluatePoint:
                 (dict(T=-1.0), "error: T must be >= 0, got -1.0"),
                 # a magnon bath frequency delta_m_tilde_target + omega_d <= 0
                 (dict(delta_m_tilde_target=-1e12),
-                 "error: thermal_occupation: omega must be > 0, "
-                 "got -937083323926.5573")]:
+                 "error: derived magnon frequency delta_m_tilde_target "
+                 "+ omega_a - delta_a must be > 0, got -937083323926.5573")]:
             row = evaluate_point(base.replace(**override))
             assert not row.stable
             assert row.status == status
