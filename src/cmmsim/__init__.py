@@ -9,10 +9,8 @@ from .meanfield import (MeanFieldState, magnon_amplitude_approx,
                         solve_steady_state, steady_state_residual)
 from .dynamics import (build_diffusion, build_drift, integrate_covariance,
                        is_stable, solve_lyapunov)
-from .entanglement import (EntanglementReport, Partition, check_monogamy,
-                           check_physicality, contangle, entanglement_report,
-                           log_negativity, min_residual_contangle,
-                           partial_transpose, reduce_cm, residual_contangle,
+from .entanglement import (EntanglementReport, check_physicality,
+                           entanglement_report, partial_transpose, reduce_cm,
                            symplectic_eigenvalues, symplectic_form)
 from .sweep import (SweepAxis, SweepRow, SweepSpec, SweepTable, apply_axis,
                     apply_pump_mode, evaluate_batch, evaluate_point,
@@ -31,10 +29,9 @@ __all__ = [
     "steady_state_residual",
     "build_diffusion", "build_drift", "integrate_covariance", "is_stable",
     "solve_lyapunov",
-    "EntanglementReport", "Partition", "check_monogamy", "check_physicality",
-    "contangle", "entanglement_report", "log_negativity",
-    "min_residual_contangle", "partial_transpose", "reduce_cm",
-    "residual_contangle", "symplectic_eigenvalues", "symplectic_form",
+    "EntanglementReport", "check_physicality", "entanglement_report",
+    "partial_transpose", "reduce_cm", "symplectic_eigenvalues",
+    "symplectic_form",
     "SweepAxis", "SweepRow", "SweepSpec", "SweepTable", "apply_axis",
     "apply_pump_mode", "evaluate_batch", "evaluate_point", "optimize_phase",
     "run_sweep",

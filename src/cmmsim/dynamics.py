@@ -74,9 +74,10 @@ def diffusion_batch(p: ParamBatch) -> np.ndarray:
     ``violations``; non-finite where an occupation overflows."""
     n_a, n_m, n_b = p.occupations()
     d = np.zeros((len(p), 6))
-    d[:, 0] = d[:, 1] = p.kappa_a * (2.0 * n_a + 1.0)
-    d[:, 2] = d[:, 3] = p.kappa_m * (2.0 * n_m + 1.0)
-    d[:, 5] = p.gamma_b * (2.0 * n_b + 1.0)
+    with np.errstate(over="ignore"):
+        d[:, 0] = d[:, 1] = p.kappa_a * (2.0 * n_a + 1.0)
+        d[:, 2] = d[:, 3] = p.kappa_m * (2.0 * n_m + 1.0)
+        d[:, 5] = p.gamma_b * (2.0 * n_b + 1.0)
     return d
 
 

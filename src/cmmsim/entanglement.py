@@ -27,26 +27,14 @@ MONOGAMY_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
-class Partition:
-    """One-vs-one or one-vs-two bipartition of {a, m, b}."""
-
-    side_u: str
-    side_v: tuple[str, ...]
-
-    def __post_init__(self):
-        sides = (self.side_u, *self.side_v)
-        if self.side_u in self.side_v:
-            raise ValueError(f"side_u {self.side_u!r} repeated in side_v")
-        if len(set(sides)) != len(sides) or not set(sides) <= set(MODES):
-            raise ValueError(f"invalid partition {sides!r}; modes are {MODES}")
-        if len(self.side_v) not in (1, 2):
-            raise ValueError("side_v must contain one or two modes")
-
-
-@dataclass(frozen=True)
 class EntanglementReport:
-    """All pairwise and one-vs-two log-negativities, the three residual
-    contangles, their minimum, and the monogamy flag."""
+    """Every measure of one covariance matrix, named as the columns of
+    :func:`entanglement_batch`: the pairwise (``en_am``, ...) and
+    one-vs-two (``en_a_mb``, ...) log-negativities, each exactly 0.0 for a
+    PPT-separable split, the three residual contangles and their minimum.
+    The pairwise terms are symmetric in the two non-pivot modes, so
+    ``r_min`` is the minimum over mode permutations; r_min > 0 certifies
+    genuine tripartite entanglement."""
 
     en_am: float
     en_ab: float
@@ -58,8 +46,12 @@ class EntanglementReport:
     residual_m: float
     residual_b: float
     r_min: float
-    monogamy_margins: tuple[float, float, float]
-    monogamy_ok: bool
+
+    @property
+    def monogamy_ok(self) -> bool:
+        """Whether every residual contangle is >= -MONOGAMY_SLACK."""
+        return all(r >= -MONOGAMY_SLACK for r in
+                   (self.residual_a, self.residual_m, self.residual_b))
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -184,57 +176,6 @@ def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     return nus[0]
 
 
-def _measure_name(partition: Partition) -> str:
-    """The EntanglementReport field holding ``partition``'s negativity."""
-    rest = "".join(m for m in MODES if m in partition.side_v)
-    if len(rest) == 2:
-        return f"en_{partition.side_u}_{rest}"
-    return "en_" + "".join(m for m in MODES if m in (partition.side_u, rest))
-
-
-def log_negativity(v: np.ndarray, partition: Partition) -> float:
-    """Logarithmic negativity max[0, -ln(2 nu_min)] across ``partition``,
-    with nu_min the smallest symplectic eigenvalue after partially
-    transposing ``side_u``.  Exactly 0.0 for separable-by-PPT states.
-    Read from :func:`entanglement_report`, so it raises as that does."""
-    return getattr(entanglement_report(v), _measure_name(partition))
-
-
-def contangle(v: np.ndarray, partition: Partition) -> float:
-    """Squared logarithmic negativity."""
-    return log_negativity(v, partition) ** 2
-
-
-def residual_contangle(v: np.ndarray, pivot: str) -> float:
-    """Contangle of pivot vs the rest minus both pairwise contangles, read
-    from :func:`entanglement_report`."""
-    if pivot not in MODES:
-        raise ValueError(f"unknown pivot {pivot!r}; modes are {MODES}")
-    return getattr(entanglement_report(v), f"residual_{pivot}")
-
-
-def min_residual_contangle(v: np.ndarray) -> float:
-    """Minimum residual contangle over the three pivots, read from
-    :func:`entanglement_report`.
-
-    The pairwise terms are symmetric in the two non-pivot modes, so the
-    minimum over mode permutations reduces to the minimum over pivots.
-    A strictly positive value certifies genuine tripartite entanglement.
-    """
-    return entanglement_report(v).r_min
-
-
-def check_monogamy(v: np.ndarray):
-    """Residual-contangle margins for all pivots, from one
-    :func:`entanglement_report`.
-
-    Returns ``(flags, margins)``: per-pivot booleans
-    margin >= -MONOGAMY_SLACK, and the margins themselves.
-    """
-    margins = entanglement_report(v).monogamy_margins
-    return tuple(m >= -MONOGAMY_SLACK for m in margins), margins
-
-
 def check_physicality(v: np.ndarray):
     """Uncertainty-principle test: V + (i/2) Omega >= 0.
 
@@ -313,10 +254,4 @@ def entanglement_report(v: np.ndarray) -> EntanglementReport:
     measures, errors = entanglement_batch(v[None])
     if errors:
         raise NumericalError(errors[0])
-    values = dict(zip(MEASURES, measures[0].tolist()))
-    margins = tuple(values[f"residual_{u}"] for u in MODES)
-    return EntanglementReport(
-        **values,
-        monogamy_margins=margins,
-        monogamy_ok=all(m >= -MONOGAMY_SLACK for m in margins),
-    )
+    return EntanglementReport(**dict(zip(MEASURES, measures[0].tolist())))

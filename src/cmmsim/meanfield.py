@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoSteadyStateError, SingularityError
+from .errors import NoSteadyStateError, NumericalError, SingularityError
 from .params import ParamBatch, PhysicalParams, batch_of_one
 
 _HOMOTOPY_STEPS = 16
@@ -34,6 +34,9 @@ _POLISH_TOL = 1e-14
 
 #: message of the NoSteadyStateError raised at a pole of the magnon response
 SINGULAR_RESPONSE = "magnon linear response is singular at the requested detunings"
+
+#: message of the NumericalError raised where a state overflows to inf or NaN
+NON_FINITE_STATE = "non-finite mean-field state"
 
 
 @dataclass(frozen=True)
@@ -138,23 +141,23 @@ def solve_steady_state(params: PhysicalParams,
     detuning instead activates the cubic self-consistency mode with
     homotopy root selection.
 
-    Raises ParameterError outside the parameter domain, and
-    NoSteadyStateError if the magnon response has no admissible solution
-    (e.g. an exact pole of the linear response).
+    Raises ParameterError outside the parameter domain, NoSteadyStateError
+    if the magnon response has no admissible solution (e.g. at an exact
+    pole), and NumericalError if a field of the state is not finite.
     """
     p = batch_of_one(params)
-    if bare_delta_m is None:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        if bare_delta_m is None:
             mf = solve_effective_batch(p)
-        if mf.singular[0]:
-            raise NoSteadyStateError(SINGULAR_RESPONSE)
-        return mf.state(0)
-    eps_a, eps_m = (float(eps[0]) for eps in p.drive_amplitudes())
-    if eps_a == 0.0 and eps_m == 0.0:
-        return MeanFieldState(alpha_s=0j, m_s=0j, q_s=0.0, p_s=0.0,
-                              delta_m=bare_delta_m,
-                              delta_m_tilde=bare_delta_m)
-    return _solve_bare(params, eps_a, eps_m, bare_delta_m)
+            if mf.singular[0]:
+                raise NoSteadyStateError(SINGULAR_RESPONSE)
+            state = mf.state(0)
+        else:
+            eps_a, eps_m = (float(eps[0]) for eps in p.drive_amplitudes())
+            state = _solve_bare(params, eps_a, eps_m, bare_delta_m)
+    if not np.isfinite(list(vars(state).values())).all():
+        raise NumericalError(NON_FINITE_STATE)
+    return state
 
 
 def _cubic_real_roots(a3: float, a2: float, a1: float, a0: float) -> list[float]:
@@ -240,7 +243,11 @@ def _self_consistency_roots(num2: float, d0: complex, c: complex,
 def _solve_bare(params: PhysicalParams, eps_a: float, eps_m: float,
                 delta_m: float) -> MeanFieldState:
     """Find the self-consistent effective detuning at the bare detuning
-    ``delta_m``; :func:`solve_effective_batch` gives the state there."""
+    ``delta_m``; :func:`solve_effective_batch` gives the state there.  An
+    undriven system has the zero state."""
+    if eps_a == 0.0 and eps_m == 0.0:
+        return MeanFieldState(alpha_s=0j, m_s=0j, q_s=0.0, p_s=0.0,
+                              delta_m=delta_m, delta_m_tilde=delta_m)
     num, d0, _ = _magnon_response(params, eps_a, eps_m, delta_m)
     num2, d0 = float(abs(num) ** 2), complex(d0)
     c = 1j * params.delta_a + params.kappa_a
@@ -257,9 +264,8 @@ def _solve_bare(params: PhysicalParams, eps_a: float, eps_m: float,
         u = min(ambiguous)
     q_s = -params.g_mb * u / params.omega_b
     delta_m_tilde = delta_m + params.g_mb * q_s
-    with np.errstate(all="ignore"):
-        mf = solve_effective_batch(ParamBatch.from_base(
-            params.replace(delta_m_tilde_target=delta_m_tilde), 1))
+    mf = solve_effective_batch(ParamBatch.from_base(
+        params.replace(delta_m_tilde_target=delta_m_tilde), 1))
     if mf.singular[0]:
         raise NoSteadyStateError(
             "magnon linear response is singular at the self-consistent detuning")

@@ -256,7 +256,7 @@ def _run_stages(p: ParamBatch) -> BatchResult:
     for k in idx[mf.singular].tolist():
         errors[k] = f"error: {meanfield.SINGULAR_RESPONSE}"
     for k in idx[~mf.singular & ~mf.finite].tolist():
-        errors[k] = "error: non-finite mean-field state"
+        errors[k] = f"error: {meanfield.NON_FINITE_STATE}"
     ok = ~mf.singular & mf.finite
     values[idx[ok], _ABS_MS_SQ] = mf.abs_ms_sq[ok]
     values[idx[ok], _Q_S] = mf.q_s[ok]

@@ -85,7 +85,7 @@ def test_criterion_02_tmsv_analytic_oracle():
         nu_eig = np.sort(np.abs(np.linalg.eigvals(1j * omega4 @ (p0 @ v4 @ p0))))[0]
         worst_oracle = max(worst_oracle, abs(nu_eig - math.exp(-2.0 * r) / 2.0))
         # full pipeline on the embedded three-mode state
-        en = c.log_negativity(embed_with_vacuum(v4), c.Partition("a", ("m",)))
+        en = c.entanglement_report(embed_with_vacuum(v4)).en_am
         worst_pipeline = max(worst_pipeline, abs(en - 2.0 * r))
     ok = worst_pipeline <= 1e-9 and worst_oracle <= 1e-12
     _report(2, ok, f"max |E_N - 2r| = {worst_pipeline:.2e}, "
@@ -93,34 +93,29 @@ def test_criterion_02_tmsv_analytic_oracle():
 
 
 def test_criterion_03_monogamy_grid_and_random_states():
-    das = np.linspace(-2.0, 2.0, 101)
-    ths = np.linspace(0.0, 2.0 * math.pi, 101)
-    results = []
+    # the 101x101 grid as one batch, its fields set as apply_axis sets
+    # them, delta_a outermost; each row equals its evaluate_point row
+    x = np.repeat(np.linspace(-2.0, 2.0, 101), 101)
+    y = np.tile(np.linspace(0.0, 2.0 * math.pi, 101), 101)
     t0 = time.time()
-    for x in das:
-        p1 = c.apply_axis(BASE, "delta_a", float(x))
-        for y in ths:
-            results.append(_evaluate(
-                c.apply_axis(p1, "delta_theta", float(y))))
+    table, covariances = c.evaluate_batch(c.ParamBatch.from_base(
+        BASE, x.size, delta_a=x * OMEGA_B, theta_a=BASE.theta_m + y))
     elapsed = time.time() - t0
 
-    worst_margin = math.inf
-    n_stable = 0
-    any_positive = False
-    for row, v in results:
-        if not row.stable:
-            continue
-        n_stable += 1
-        worst_margin = min(worst_margin, row.residual_a, row.residual_m,
-                           row.residual_b)
-        any_positive = any_positive or row.r_min > 0.0
-        _record_cm(v)
+    stable = np.flatnonzero(table.stable)
+    n_stable = stable.size
+    worst_margin = min(table.column(f"residual_{u}")[stable].min(
+        initial=math.inf) for u in "amb")
+    any_positive = bool((table.column("r_min")[stable] > 0.0).any())
+    for k in stable:
+        _record_cm(covariances[k])
 
     rng = np.random.default_rng(42)
     worst_random = math.inf
     for _ in range(1000):
-        _, margins = c.check_monogamy(random_physical_cm(rng))
-        worst_random = min(worst_random, *margins)
+        rep = c.entanglement_report(random_physical_cm(rng))
+        worst_random = min(worst_random, rep.residual_a, rep.residual_m,
+                           rep.residual_b)
 
     ok = (worst_margin >= -1e-10 and worst_random >= -1e-10
           and n_stable > 0 and any_positive and elapsed < 60.0)

@@ -14,9 +14,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmmsim import (NoSteadyStateError, ParamBatch, ParameterError,
-                    PhysicalParams, SweepAxis, SweepSpec, apply_axis,
-                    baseline_params, build_diffusion, build_drift,
+from cmmsim import (NoSteadyStateError, NumericalError, ParamBatch,
+                    ParameterError, PhysicalParams, SweepAxis, SweepSpec,
+                    apply_axis, baseline_params, build_diffusion, build_drift,
                     evaluate_batch, evaluate_point, run_sweep,
                     solve_lyapunov, solve_steady_state, validate)
 from cmmsim import dynamics, sweep
@@ -501,3 +501,8 @@ def test_batch_rows_equal_single_point_rows_and_never_raise(points):
                     raise AssertionError(f"{build.__name__}: {exc}") from exc
                 except NoSteadyStateError:
                     pass  # solve_steady_state at a pole of the magnon response
+                except NumericalError as exc:
+                    # solve_steady_state where the state overflows, with
+                    # the engine's message
+                    assert build is solve_steady_state
+                    assert want.status == f"error: {exc}"

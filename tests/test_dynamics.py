@@ -3,6 +3,7 @@
 import cmath
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,14 @@ class TestBuildDiffusion:
         # gigahertz baths stay essentially empty
         assert d[0, 0] == pytest.approx(base.kappa_a, rel=1e-15)
         assert d[2, 2] == pytest.approx(base.kappa_m, rel=1e-15)
+
+    def test_overflowing_entries_are_inf_without_a_warning(self, base):
+        # kappa_a * (2 N_a + 1) overflows; diffusion_batch says so with inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = build_diffusion(base.replace(kappa_a=1e300, T=1e10))
+        assert d[0, 0] == d[1, 1] == math.inf
+        assert np.isfinite(d[2:, 2:]).all()
 
     def test_position_row_always_zero(self, base):
         for T in (0.0, 10e-3, 0.3, 10.0):

@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmmsim import (NumericalError, Partition, check_monogamy,
-                    check_physicality, contangle, entanglement_report,
-                    log_negativity, min_residual_contangle, partial_transpose,
-                    reduce_cm, residual_contangle, symplectic_eigenvalues,
+from cmmsim import (NumericalError, check_physicality, entanglement_report,
+                    partial_transpose, reduce_cm, symplectic_eigenvalues,
                     symplectic_form)
 from cmmsim.entanglement import (MEASURES, entanglement_batch,
                                  symplectic_spectra)
@@ -202,56 +200,44 @@ class TestSymplecticEigenvalues:
 
 class TestLogNegativity:
     def test_vacuum_is_separable(self):
-        for part in (Partition("a", ("m",)), Partition("a", ("m", "b")),
-                     Partition("b", ("a", "m"))):
-            assert log_negativity(VACUUM6, part) == 0.0
+        rep = entanglement_report(VACUUM6)
+        assert rep.en_am == rep.en_a_mb == rep.en_b_am == 0.0
 
     def test_tmsv_pair(self):
         v = embed_with_vacuum(tmsv_cm(1.0))
-        assert log_negativity(v, Partition("a", ("m",))) == pytest.approx(
-            2.0, abs=1e-9)
+        assert entanglement_report(v).en_am == pytest.approx(2.0, abs=1e-9)
 
     def test_appending_vacuum_mode_changes_nothing(self):
         v = embed_with_vacuum(tmsv_cm(1.0))
-        assert log_negativity(v, Partition("a", ("m", "b"))) == pytest.approx(
-            2.0, abs=1e-9)
+        assert entanglement_report(v).en_a_mb == pytest.approx(2.0, abs=1e-9)
 
     def test_contangle_squares(self):
         v = embed_with_vacuum(tmsv_cm(0.5))
-        assert contangle(v, Partition("a", ("m",))) == pytest.approx(
+        assert entanglement_report(v).en_am ** 2 == pytest.approx(
             1.0, abs=1e-9)
-        assert contangle(embed_with_vacuum(tmsv_cm(1.0)),
-                         Partition("a", ("m",))) == pytest.approx(4.0, abs=1e-8)
-
-    def test_invalid_partitions_rejected(self):
-        with pytest.raises(ValueError):
-            Partition("a", ("a",))
-        with pytest.raises(ValueError):
-            Partition("a", ("m", "b", "a"))
-        with pytest.raises(ValueError):
-            Partition("z", ("m",))
+        v = embed_with_vacuum(tmsv_cm(1.0))
+        assert entanglement_report(v).en_am ** 2 == pytest.approx(
+            4.0, abs=1e-8)
 
 
 class TestResidualContangle:
     def test_thermal_product_state(self):
-        v = np.diag([0.7, 0.7, 1.3, 1.3, 2.0, 2.0])
-        for pivot in ("a", "m", "b"):
-            assert residual_contangle(v, pivot) == 0.0
-        assert min_residual_contangle(v) == 0.0
+        rep = entanglement_report(np.diag([0.7, 0.7, 1.3, 1.3, 2.0, 2.0]))
+        assert rep.residual_a == rep.residual_m == rep.residual_b == 0.0
+        assert rep.r_min == 0.0
 
     def test_tmsv_with_spectator_mode(self):
-        v = embed_with_vacuum(tmsv_cm(1.0))
+        rep = entanglement_report(embed_with_vacuum(tmsv_cm(1.0)))
         # pivot a: one-vs-two equals the pair contangle, the rest vanish
-        assert residual_contangle(v, "a") == pytest.approx(0.0, abs=1e-7)
-        assert residual_contangle(v, "b") == pytest.approx(0.0, abs=1e-12)
-        assert min_residual_contangle(v) == pytest.approx(0.0, abs=1e-7)
+        assert rep.residual_a == pytest.approx(0.0, abs=1e-7)
+        assert rep.residual_b == pytest.approx(0.0, abs=1e-12)
+        assert rep.r_min == pytest.approx(0.0, abs=1e-7)
 
     def test_monogamy_on_random_states(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
-            v = random_physical_cm(rng)
-            flags, margins = check_monogamy(v)
-            assert all(flags), f"monogamy violated: {margins}"
+            rep = entanglement_report(random_physical_cm(rng))
+            assert rep.monogamy_ok, f"monogamy violated: {rep}"
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(7)
@@ -259,8 +245,8 @@ class TestResidualContangle:
         # swap modes a and b by permuting quadrature blocks
         perm = [4, 5, 2, 3, 0, 1]
         v_swapped = v[np.ix_(perm, perm)]
-        assert min_residual_contangle(v_swapped) == pytest.approx(
-            min_residual_contangle(v), abs=1e-10)
+        assert entanglement_report(v_swapped).r_min == pytest.approx(
+            entanglement_report(v).r_min, abs=1e-10)
 
 
 class TestInvariances:
@@ -270,22 +256,20 @@ class TestInvariances:
             v = random_physical_cm(rng)
             mode = int(rng.integers(0, 3))
             s = single_mode_rotation(rng.uniform(0, 2 * math.pi), mode)
-            v_rot = s @ v @ s.T
-            for part in (Partition("a", ("m",)), Partition("m", ("a", "b"))):
-                assert log_negativity(v_rot, part) == pytest.approx(
-                    log_negativity(v, part), abs=1e-9)
-            assert min_residual_contangle(v_rot) == pytest.approx(
-                min_residual_contangle(v), abs=1e-9)
+            rep = entanglement_report(v)
+            rep_rot = entanglement_report(s @ v @ s.T)
+            for name in ("en_am", "en_m_ab", "r_min"):
+                assert getattr(rep_rot, name) == pytest.approx(
+                    getattr(rep, name), abs=1e-9)
 
     def test_log_negativity_continuity(self):
         rng = np.random.default_rng(9)
         v = embed_with_vacuum(tmsv_cm(0.8))
         h = rng.normal(size=(6, 6))
         h = (h + h.T) / np.linalg.norm(h + h.T)
-        part = Partition("a", ("m",))
-        e0 = log_negativity(v, part)
+        e0 = entanglement_report(v).en_am
         for eps in (1e-8, 1e-7, 1e-6):
-            e1 = log_negativity(v + eps * h, part)
+            e1 = entanglement_report(v + eps * h).en_am
             assert abs(e1 - e0) < 50.0 * eps
 
 
@@ -295,7 +279,7 @@ class TestExactZeros:
     def test_product_states_report_exact_zeros(self, v):
         rep = entanglement_report(v)
         assert [getattr(rep, name) for name in MEASURES] == [0.0] * 10
-        assert rep.monogamy_margins == (0.0, 0.0, 0.0)
+        assert rep.monogamy_ok
 
 
 class TestPhysicality:
@@ -319,8 +303,6 @@ class TestReport:
         rep = entanglement_report(v)
         assert rep.r_min == min(rep.residual_a, rep.residual_m, rep.residual_b)
         assert rep.monogamy_ok
-        assert rep.en_am == log_negativity(v, Partition("a", ("m",)))
-        assert rep.en_b_am == log_negativity(v, Partition("b", ("a", "m")))
 
     def test_unphysical_matrix_rejected(self):
         # every 1|2 transposition of 0.1 * I has three eigenvalues 0.1

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from cmmsim import (NoSteadyStateError, SingularityError, baseline_params,
-                    evaluate_point, magnon_amplitude_approx,
+from cmmsim import (NoSteadyStateError, NumericalError, SingularityError,
+                    baseline_params, evaluate_point, magnon_amplitude_approx,
                     solve_steady_state, steady_state_residual)
-from cmmsim.meanfield import SINGULAR_RESPONSE
+from cmmsim.meanfield import NON_FINITE_STATE, SINGULAR_RESPONSE
 
 
 def magnon_numerator(p):
@@ -93,6 +93,20 @@ class TestEffectiveTargeting:
             assert steady_state_residual(p, st) == 0.0
         # without a displacement the bare detuning is the effective one
         assert st.delta_m == st.delta_m_tilde == bare
+
+
+class TestNonFiniteState:
+    @pytest.mark.parametrize("override", [
+        dict(P_m=1e308),
+        # hbar * omega_d underflows to 0, so both drive amplitudes are inf
+        dict(omega_a=1e-300, delta_a=0.0, delta_m_tilde_target=1.0)])
+    def test_overflow_raises_the_engines_message(self, base, override):
+        p = base.replace(**override)
+        for bare in (None, -1.1 * p.omega_b):
+            with pytest.raises(NumericalError) as err:
+                solve_steady_state(p, bare_delta_m=bare)
+            assert str(err.value) == NON_FINITE_STATE
+        assert evaluate_point(p).status == f"error: {NON_FINITE_STATE}"
 
 
 class TestBareDetuningMode:
