@@ -2,13 +2,12 @@
 mechanics system: mean-field solver, linearized covariance dynamics,
 Gaussian entanglement measures, and a deterministic sweep engine."""
 
-from .params import (PhysicalParams, NoiseOccupations, ParamBatch,
-                     baseline_params, drive_amplitude, thermal_occupation,
-                     validate, HBAR, BOLTZMANN, TWO_PI)
+from .params import (PhysicalParams, ParamBatch, baseline_params, validate,
+                     HBAR, BOLTZMANN, TWO_PI)
 from .meanfield import (MeanFieldState, magnon_amplitude_approx,
                         solve_steady_state, steady_state_residual)
 from .dynamics import (build_diffusion, build_drift, integrate_covariance,
-                       is_stable, solve_lyapunov)
+                       solve_lyapunov)
 from .entanglement import (EntanglementReport, check_physicality,
                            entanglement_report, partial_transpose, reduce_cm,
                            symplectic_eigenvalues, symplectic_form)
@@ -22,13 +21,11 @@ from .errors import (CmmError, ConfigError, IntegrationError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PhysicalParams", "NoiseOccupations", "ParamBatch", "baseline_params",
-    "drive_amplitude", "thermal_occupation", "validate",
+    "PhysicalParams", "ParamBatch", "baseline_params", "validate",
     "HBAR", "BOLTZMANN", "TWO_PI",
     "MeanFieldState", "magnon_amplitude_approx", "solve_steady_state",
     "steady_state_residual",
-    "build_diffusion", "build_drift", "integrate_covariance", "is_stable",
-    "solve_lyapunov",
+    "build_diffusion", "build_drift", "integrate_covariance", "solve_lyapunov",
     "EntanglementReport", "check_physicality", "entanglement_report",
     "partial_transpose", "reduce_cm", "symplectic_eigenvalues",
     "symplectic_form",

@@ -19,7 +19,7 @@ from .params import ParamBatch, PhysicalParams, batch_of_one
 
 SQRT2 = math.sqrt(2.0)
 
-#: default relative stability margin, in units of the scale passed to is_stable
+#: relative stability margin, in units of omega_b
 STABILITY_EPS = 1e-9
 
 #: enforced relative Frobenius residual of the Lyapunov solve
@@ -81,23 +81,6 @@ def diffusion_batch(p: ParamBatch) -> np.ndarray:
     return d
 
 
-def is_stable(a: np.ndarray, eps: float | None = None) -> tuple[bool, float]:
-    """Spectral stability test.
-
-    Returns ``(flag, margin)`` with ``margin`` the maximum real part of the
-    spectrum of ``a``; the flag is true iff ``margin < -eps``.  ``eps``
-    defaults to STABILITY_EPS times the largest matrix entry; the sweep
-    engine applies the same test with STABILITY_EPS * omega_b to the
-    eigenvalues it computes for its batch (``eig`` where the determinant
-    is positive, ``eigvals`` elsewhere).  Eigensolver failures
-    propagate as numpy.linalg.LinAlgError, never as a silent False.
-    """
-    margin = float(np.linalg.eigvals(np.asarray(a, dtype=float)).real.max())
-    if eps is None:
-        eps = STABILITY_EPS * float(np.abs(a).max())
-    return margin < -eps, margin
-
-
 def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Unique symmetric solution V of a V + V a^T = -d for stable ``a``.
 
@@ -114,7 +97,7 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
     n = a.shape[0]
-    flag, margin = is_stable(a, eps=0.0)
+    margin = float(np.linalg.eigvals(a).real.max())
     if margin >= 0.0:
         raise UnstableSystemError(
             f"no steady state: spectral abscissa {margin:.3e} >= 0")

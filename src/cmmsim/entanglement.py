@@ -9,7 +9,7 @@ E^2(r|st) - E^2(r|s) - E^2(r|t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -189,9 +189,8 @@ def check_physicality(v: np.ndarray):
     return min_eig >= -MONOGAMY_SLACK, min_eig
 
 
-#: columns of entanglement_batch, named as the EntanglementReport fields
-MEASURES = ("en_am", "en_ab", "en_mb", "en_a_mb", "en_m_ab", "en_b_am",
-            "residual_a", "residual_m", "residual_b", "r_min")
+#: columns of entanglement_batch: the EntanglementReport fields, in order
+MEASURES = tuple(f.name for f in fields(EntanglementReport))
 
 #: quadratures kept by the pairs (a, m), (a, b), (m, b); the partial
 #: transposition flips the first kept mode's momentum

@@ -281,15 +281,21 @@ def magnon_amplitude_approx(params: PhysicalParams,
     / (g_ma^2 - delta_m_tilde * delta_a).
 
     Valid when both detunings dominate the linewidths.  Raises
-    SingularityError at the pole g_ma^2 = delta_m_tilde * delta_a.
+    SingularityError at the pole g_ma^2 = delta_m_tilde * delta_a, and
+    NumericalError if the amplitude is not finite.
     """
     eps_a, eps_m = params.drive_amplitudes()
-    num, den, scale = _magnon_response(
-        params.replace(kappa_a=0.0, kappa_m=0.0), eps_a, eps_m, delta_m_tilde)
-    if scale == 0.0 or abs(den) < 1e-12 * scale:
-        raise SingularityError(
-            "approximate magnon response pole: g_ma^2 = delta_m_tilde * delta_a")
-    return complex(num / den)
+    with np.errstate(all="ignore"):
+        num, den, scale = _magnon_response(
+            params.replace(kappa_a=0.0, kappa_m=0.0), eps_a, eps_m,
+            delta_m_tilde)
+        if scale == 0.0 or abs(den) < 1e-12 * scale:
+            raise SingularityError("approximate magnon response pole: "
+                                   "g_ma^2 = delta_m_tilde * delta_a")
+        m_s = complex(num / den)
+    if not cmath.isfinite(m_s):
+        raise NumericalError(NON_FINITE_STATE)
+    return m_s
 
 
 def classical_rhs(params: PhysicalParams, alpha: complex, m: complex,

@@ -102,37 +102,14 @@ class PhysicalParams:
         eps_a, eps_m = batch_of_one(self).drive_amplitudes()
         return float(eps_a[0]), float(eps_m[0])
 
-    def occupations(self) -> "NoiseOccupations":
-        """Thermal occupations of the three baths:
+    def occupations(self) -> tuple[float, float, float]:
+        """(n_a, n_m, n_b), the thermal occupations of the three baths:
         :meth:`ParamBatch.occupations` of the :func:`batch_of_one`."""
         n_a, n_m, n_b = batch_of_one(self).occupations()
-        return NoiseOccupations(float(n_a[0]), float(n_m[0]), float(n_b[0]))
+        return float(n_a[0]), float(n_m[0]), float(n_b[0])
 
     def replace(self, **changes) -> "PhysicalParams":
         return replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class NoiseOccupations:
-    """Mean thermal excitation numbers of the photon/magnon/phonon baths."""
-
-    n_a: float
-    n_m: float
-    n_b: float
-
-
-def thermal_occupation(omega: float, T: float) -> float:
-    """Bose-Einstein occupation 1/(exp(hbar*omega/k_B*T) - 1), the
-    :func:`thermal_occupations` of one entry.
-
-    Returns exactly 0.0 at T = 0, and inf where hbar*omega/(k_B*T)
-    underflows to zero (for example omega = 1e-300 at T = 1e300).  Raises
-    ParameterError unless omega > 0 and T >= 0 are both finite.
-    """
-    _check_argument("thermal_occupation", "omega", omega, "> 0")
-    _check_argument("thermal_occupation", "T", T, ">= 0")
-    return float(thermal_occupations(np.array([omega], float),
-                                     np.array([T], float))[0])
 
 
 def thermal_occupations(omega: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -144,26 +121,6 @@ def thermal_occupations(omega: np.ndarray, T: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = HBAR * omega / (BOLTZMANN * T)
         return np.where(x <= 700.0, 1.0 / np.expm1(x), 0.0)
-
-
-def drive_amplitude(kappa: float, P: float, omega_d: float) -> float:
-    """Drive amplitude sqrt(2*kappa*P / (hbar*omega_d)) in 1/s.
-
-    Zero iff P = 0; scales exactly as sqrt(P).  Raises ParameterError
-    unless kappa > 0, omega_d > 0 and P >= 0 are all finite."""
-    _check_argument("drive_amplitude", "omega_d", omega_d, "> 0")
-    _check_argument("drive_amplitude", "kappa", kappa, "> 0")
-    _check_argument("drive_amplitude", "P", P, ">= 0")
-    return math.sqrt(2.0 * kappa * P / (HBAR * omega_d))
-
-
-def _check_argument(func: str, name: str, x: float, rule: str) -> None:
-    """Raise ParameterError, in :func:`validate`'s style, unless argument
-    ``name`` of ``func`` obeys ``rule`` ("> 0" or ">= 0") and is finite."""
-    holds = x > 0.0 if rule == "> 0" else x >= 0.0
-    if not holds or x == math.inf:
-        raise ParameterError([f"{func}: {name} must be "
-                              f"{'finite' if holds else rule}, got {x!r}"])
 
 
 class ParamBatch:

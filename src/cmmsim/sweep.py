@@ -29,7 +29,10 @@ from .errors import CmmError, NoStablePointError, ParameterError
 from .params import ParamBatch, PhysicalParams, violations
 
 AXES = ("delta_a", "delta_theta", "T", "P_a")
-PUMP_MODES = ("both", "magnon-only", "cavity-only")
+
+#: the drive power each pump mode forces to zero
+_PUMP_OFF = {"both": None, "magnon-only": "P_a", "cavity-only": "P_m"}
+PUMP_MODES = tuple(_PUMP_OFF)
 
 
 @dataclass(frozen=True)
@@ -170,9 +173,6 @@ BLOCK = 8
 #: the phase optimizer's zoom factor: each round evaluates 2*ZOOM + 1
 #: phases and then narrows its bracket ZOOM-fold
 ZOOM = 8
-
-#: the drive power each pump mode forces to zero
-_PUMP_OFF = {"both": None, "magnon-only": "P_a", "cavity-only": "P_m"}
 
 
 def apply_pump_mode(params: PhysicalParams, pump_mode: str) -> PhysicalParams:
@@ -363,35 +363,30 @@ def _r_min_at_phases(params: PhysicalParams, phases) -> list[float]:
     return evaluate_batch(p).table.column("r_min").tolist()
 
 
-def optimize_phase(params: PhysicalParams, resolution: int,
-                   window: tuple[float, float] = (0.0, 2.0 * math.pi)):
+def optimize_phase(params: PhysicalParams, resolution: int):
     """Maximize the minimum residual contangle over the drive phase
     difference.
 
-    Scans ``resolution`` (>= 8) phases over ``window`` (right-open; finite
-    bounds, lo < hi), then zooms: each round evaluates 2*ZOOM + 1 equally
-    spaced phases across +-h around the best phase so far, centre
-    included, as one batch, and divides h (at first the scan's spacing) by
-    ZOOM, until h <= 1e-6 rad.  A window shorter than 2*pi clips the zoom
-    phases to [lo, hi], so the optimum never leaves it.  The centre's
-    value is evaluated again bit for bit, so the best value never
-    decreases.  The phase is located to about 1e-6 rad, and less precisely
-    where the maximum is flat: there its last digits are noise.
+    Scans ``resolution`` (>= 8) equally spaced phases over [0, 2*pi),
+    then zooms: each round evaluates 2*ZOOM + 1 equally spaced phases
+    across +-h around the best phase so far, centre included, as one
+    batch, and divides h (at first the scan's spacing) by ZOOM, until
+    h <= 1e-6 rad.  The centre's value is evaluated again bit for bit, so
+    the best value never decreases.  The phase is located to about 1e-6
+    rad, and less precisely where the maximum is flat: there its last
+    digits are noise.
 
     Exact ties break toward the smallest phase of a batch; an exactly flat
-    scan is not refined and returns the window start.  Unstable phases
-    count as minus infinity; if every scanned phase is unstable,
+    scan is not refined and returns phase 0.  Unstable phases count as
+    minus infinity; if every scanned phase is unstable,
     NoStablePointError is raised.
 
     Returns ``(delta_theta_star, r_min_star, scan)``: the phase normalized
     into [0, 2*pi), its r_min, and the scan's r_min values, the first at
-    the window start.
+    phase 0.
     """
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
-    lo, hi = window
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"window {window!r} must have finite bounds lo < hi")
 
     def best(phases, values):
         """The first phase of greatest value, NaN counting as -inf."""
@@ -399,20 +394,16 @@ def optimize_phase(params: PhysicalParams, resolution: int,
                 key=lambda k: -math.inf if math.isnan(values[k]) else values[k])
         return float(phases[k]), values[k]
 
-    grid = lo + (hi - lo) * np.arange(resolution) / resolution
+    grid = 2.0 * math.pi * np.arange(resolution) / resolution
     scan = _r_min_at_phases(params, grid)
     if all(math.isnan(v) for v in scan):
         raise NoStablePointError(
             "no stable operating point at any sampled phase")
     x, f = best(grid, scan)
-    # an exactly flat scan is not refined: its window start wins the tie
-    h = (hi - lo) / resolution if any(v != scan[0] for v in scan) else 0.0
-    # a window shorter than the period is an interval, a full one a circle
-    clip = hi - lo < 2.0 * math.pi
+    # an exactly flat scan is not refined: phase 0 wins the tie
+    h = 2.0 * math.pi / resolution if any(v != scan[0] for v in scan) else 0.0
     while h > 1e-6:
         phases = x + h * np.arange(-ZOOM, ZOOM + 1) / ZOOM
-        if clip:
-            phases = np.clip(phases, lo, hi)
         x, f = best(phases, _r_min_at_phases(params, phases))
         h /= ZOOM
     return x % (2.0 * math.pi), f, scan

@@ -11,9 +11,9 @@ import scipy.linalg
 
 from cmmsim import (IntegrationError, ParameterError, PhysicalParams,
                     UnstableSystemError, baseline_params, build_diffusion,
-                    build_drift, check_physicality, dynamics,
-                    integrate_covariance, is_stable, solve_lyapunov,
-                    solve_steady_state, symplectic_eigenvalues)
+                    build_drift, check_physicality, dynamics, evaluate_point,
+                    integrate_covariance, solve_lyapunov, solve_steady_state,
+                    symplectic_eigenvalues)
 from cmmsim.meanfield import MeanFieldState
 
 TWO_NB_PLUS_1 = 41.681236678072901  # mechanical bath at 10 mK, 10 MHz
@@ -168,18 +168,9 @@ class TestBuildDiffusion:
 
 
 class TestStability:
-    def test_contracting_identity(self):
-        flag, margin = is_stable(-np.eye(6))
-        assert flag and margin == pytest.approx(-1.0)
-
-    def test_expanding_identity(self):
-        flag, margin = is_stable(np.eye(6))
-        assert not flag and margin == pytest.approx(1.0)
-
     def test_baseline_point_is_stable(self, base):
-        st = solve_steady_state(base)
-        flag, margin = is_stable(build_drift(base, st), eps=1e-9 * base.omega_b)
-        assert flag and margin < -1e5
+        row = evaluate_point(base)
+        assert row.stable and row.margin < -1e5
 
 
 class TestSolveLyapunov:
@@ -253,11 +244,9 @@ class TestSolveLyapunov:
                 theta_a=rng.uniform(0.0, 2.0 * math.pi),
                 T=rng.uniform(0.0, 0.2),
             )
-            st = solve_steady_state(p)
-            a = build_drift(p, st)
-            flag, _ = is_stable(a, eps=1e-9 * p.omega_b)
-            if not flag:
+            if not evaluate_point(p).stable:
                 continue
+            a = build_drift(p, solve_steady_state(p))
             v = solve_lyapunov(a, build_diffusion(p))
             ok, min_eig = check_physicality(v)
             assert ok, f"unphysical covariance, min eig {min_eig:.3e}"

@@ -106,6 +106,8 @@ class TestNonFiniteState:
             with pytest.raises(NumericalError) as err:
                 solve_steady_state(p, bare_delta_m=bare)
             assert str(err.value) == NON_FINITE_STATE
+        with pytest.raises(NumericalError, match=NON_FINITE_STATE):
+            magnon_amplitude_approx(p, p.delta_m_tilde_target)
         assert evaluate_point(p).status == f"error: {NON_FINITE_STATE}"
 
 
