@@ -25,6 +25,13 @@ STABILITY_EPS = 1e-9
 #: enforced relative Frobenius residual of the Lyapunov solve
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 
+#: the quadratures driven by a noise, and which bath drives each: the
+#: cavity's, the magnon's, the mechanics' (its momentum only)
+_NOISY, _NOISE_OF = np.array([0, 1, 2, 3, 5]), np.array([0, 0, 1, 1, 2])
+
+#: spreads a stack of diffusion diagonals into their 6x6 matrices
+_EYE = np.eye(6)
+
 
 def build_drift(params: PhysicalParams, state: MeanFieldState) -> np.ndarray:
     """Real 6x6 drift matrix of the linearized fluctuation dynamics, the
@@ -72,12 +79,10 @@ def diffusion_batch(p: ParamBatch) -> np.ndarray:
     twice, kappa_m(2N_m+1) twice, 0 for the mechanical position and
     gamma_b(2N_b+1) for the mechanical momentum, for entries without
     ``violations``; non-finite where an occupation overflows."""
-    n_a, n_m, n_b = p.occupations()
+    rates = np.array([p.kappa_a, p.kappa_m, p.gamma_b])
     d = np.zeros((len(p), 6))
     with np.errstate(over="ignore"):
-        d[:, 0] = d[:, 1] = p.kappa_a * (2.0 * n_a + 1.0)
-        d[:, 2] = d[:, 3] = p.kappa_m * (2.0 * n_m + 1.0)
-        d[:, 5] = p.gamma_b * (2.0 * n_b + 1.0)
+        d[:, _NOISY] = (rates * (2.0 * p.occupations() + 1.0))[_NOISE_OF].T
     return d
 
 
@@ -164,12 +169,12 @@ def modal_lyapunov(a: np.ndarray, d: np.ndarray, lam: np.ndarray,
     symmetrized V, shape (n, 6, 6), and each entry's relative Frobenius
     residual, which is NaN or large where ``s`` is (nearly) singular.
     """
-    lam = lam.astype(complex)
-    s = s.astype(complex)
+    lam = lam.astype(complex, copy=False)
+    s = s.astype(complex, copy=False)
     s_inv = stack_or_nan(np.linalg.inv, s)
     s_h, s_inv_h = s.conj().swapaxes(1, 2), s_inv.conj().swapaxes(1, 2)
     gap = lam[:, :, None] + lam.conj()[:, None, :]
-    d_full = d[:, :, None] * np.eye(a.shape[1])
+    d_full = d[:, :, None] * _EYE
     a_t = a.swapaxes(1, 2)
 
     def solve(rhs):

@@ -118,7 +118,8 @@ def symplectic_spectra(m: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     meaningless (NaN where the matrix is not positive definite).
     """
     finite = np.isfinite(m).all(axis=(1, 2))
-    m = np.where(finite[:, None, None], m, 0.0)
+    if not finite.all():
+        m = np.where(finite[:, None, None], m, 0.0)
     asym = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2))
     top = np.abs(m).max(axis=(1, 2))
     asymmetric = asym > 1e-8 * top
@@ -127,23 +128,26 @@ def symplectic_spectra(m: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     # 2**shift, so that K^T K cannot overflow; exact, and L, K and nu
     # scale by exact powers of two with it
     shift = np.frexp(top)[1] // 2 * 2
-    np.ldexp(m, -shift[:, None, None], out=m)
-    l = stack_or_nan(np.linalg.cholesky,
-                     np.where(usable[:, None, None], m, np.eye(m.shape[1])))
-    omega_l = np.empty_like(l)  # Omega L: swap each mode's rows, negate one
-    omega_l[:, 0::2] = l[:, 1::2]
-    omega_l[:, 1::2] = -l[:, 0::2]
+    m = np.ldexp(m, -shift[:, None, None])
+    if not usable.all():
+        m[~usable] = np.eye(m.shape[1])
+    l = stack_or_nan(np.linalg.cholesky, m)
+    # Omega L: swap each mode's two rows, then negate the second
+    omega_l = l[:, np.arange(m.shape[1]) ^ 1]
+    np.negative(omega_l[:, 1::2], out=omega_l[:, 1::2])
     k = l.swapaxes(1, 2) @ omega_l
     ktk = k.swapaxes(1, 2) @ k
     # NaN where the factor does not exist, inf where nu^2 overflows
     positive = np.isfinite(ktk).all(axis=(1, 2))
-    w = np.linalg.eigvalsh(np.where(positive[:, None, None], ktk, 0.0))
+    if not positive.all():
+        ktk[~positive] = 0.0
+    w = np.linalg.eigvalsh(ktk)
     nu_sq = w[:, 0::2]
     positive &= nu_sq[:, 0] > 0.0
     ref = np.maximum(w[:, -1], 1e-300)
     mismatch = np.abs(w[:, 1::2] - nu_sq).max(axis=1) / ref
     errors = {}
-    for j in np.flatnonzero(~usable | ~positive
+    for j in np.flatnonzero(~(usable & positive)
                             | (mismatch > PAIRING_TOL)).tolist():
         if not finite[j]:
             errors[j] = "matrix has non-finite entries"
@@ -192,12 +196,17 @@ def check_physicality(v: np.ndarray):
 #: columns of entanglement_batch: the EntanglementReport fields, in order
 MEASURES = tuple(f.name for f in fields(EntanglementReport))
 
-#: quadratures kept by the pairs (a, m), (a, b), (m, b); the partial
+#: quadratures kept by the pairs (a, m), (a, b), (m, b), and the
+#: positions of their 4x4 entries in a flattened 6x6 matrix; the partial
 #: transposition flips the first kept mode's momentum
 _PAIR_QUADS = np.array([[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]])
+_PAIR_ENTRIES = 6 * _PAIR_QUADS[:, :, None] + _PAIR_QUADS[:, None, :]
 _PAIR_SIGNS = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
 #: sign patterns transposing a, m, b against the other two modes
 _SPLIT_SIGNS = np.array([np.outer(s, s) for s in 1.0 - 2.0 * np.eye(6)[1::2]])
+#: the residual contangle of pivot a, m, b is E^2 of its split minus
+#: E^2 of its two pairs, columns of the log-negativities en_am .. en_b_am
+_FIRST_PAIR, _SECOND_PAIR = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 
 def _log_negativities(nu: np.ndarray) -> np.ndarray:
@@ -218,7 +227,7 @@ def entanglement_batch(v: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     error, else its first one-vs-two error.
     """
     k = v.shape[0]
-    pairs = v[:, _PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]]
+    pairs = v.reshape(k, 36)[:, _PAIR_ENTRIES]
     nu_pair, pair_errors = symplectic_spectra(
         (pairs * _PAIR_SIGNS).reshape(3 * k, 4, 4))
     splits = v[:, None] * _SPLIT_SIGNS
@@ -236,9 +245,7 @@ def entanglement_batch(v: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     en = _log_negativities(np.concatenate(
         [nu_pair[:, 0].reshape(k, 3), nu_split[:, 0].reshape(k, 3)], axis=1))
     sq = en * en
-    residuals = np.stack([sq[:, 3] - sq[:, 0] - sq[:, 1],
-                          sq[:, 4] - sq[:, 0] - sq[:, 2],
-                          sq[:, 5] - sq[:, 1] - sq[:, 2]], axis=1)
+    residuals = sq[:, 3:] - sq[:, _FIRST_PAIR] - sq[:, _SECOND_PAIR]
     r_min = residuals.min(axis=1, keepdims=True)
     return np.concatenate([en, residuals, r_min], axis=1), errors
 

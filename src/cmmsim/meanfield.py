@@ -119,16 +119,15 @@ def solve_effective_batch(p: ParamBatch) -> MeanFieldBatch:
     q_s = -p.g_mb * abs_ms_sq / p.omega_b
     alpha_s = ((eps_a * np.exp(-1j * p.theta_a) - 1j * p.g_ma * m_s)
                / (1j * p.delta_a + p.kappa_a))
+    delta_m = dt - p.g_mb * q_s
     # undriven entries have the zero state, whatever their response
     undriven = (eps_a == 0.0) & (eps_m == 0.0)
-    return MeanFieldBatch(
-        alpha_s=np.where(undriven, 0j, alpha_s),
-        m_s=np.where(undriven, 0j, m_s),
-        abs_ms_sq=np.where(undriven, 0.0, abs_ms_sq),
-        q_s=np.where(undriven, 0.0, q_s),
-        delta_m=np.where(undriven, dt, dt - p.g_mb * q_s),
-        delta_m_tilde=dt,
-        singular=singular & ~undriven)
+    if undriven.any():
+        alpha_s, m_s = np.where(undriven, 0j, [alpha_s, m_s])
+        abs_ms_sq, q_s = np.where(undriven, 0.0, [abs_ms_sq, q_s])
+        delta_m = np.where(undriven, dt, delta_m)
+        singular &= ~undriven
+    return MeanFieldBatch(alpha_s, m_s, abs_ms_sq, q_s, delta_m, dt, singular)
 
 
 def solve_steady_state(params: PhysicalParams,

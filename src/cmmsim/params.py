@@ -123,36 +123,47 @@ def thermal_occupations(omega: np.ndarray, T: np.ndarray) -> np.ndarray:
         return np.where(x <= 700.0, 1.0 / np.expm1(x), 0.0)
 
 
+#: the fields of PhysicalParams in order: the rows of a ParamBatch's block
+FIELDS = tuple(f.name for f in fields(PhysicalParams))
+_ROW = {name: j for j, name in enumerate(FIELDS)}
+
+
 class ParamBatch:
-    """Struct-of-arrays form of :class:`PhysicalParams`: one float64 array
-    per field, of the same name, with one entry per operating point.
+    """Struct-of-arrays form of :class:`PhysicalParams`: one float64 row per
+    field, of the same name, with one entry per operating point.  The rows
+    are views of one (len(FIELDS), n) ``block``, so that building,
+    selecting and checking a batch each take one array operation whatever
+    its size.
 
     A plain slotted class rather than a dataclass, because creating a
     dataclass at import time costs milliseconds.
     """
 
-    __slots__ = tuple(f.name for f in fields(PhysicalParams))
+    __slots__ = ("block",) + FIELDS
 
-    def __init__(self, **columns):
-        for name in self.__slots__:
-            setattr(self, name, columns[name])
+    def __init__(self, block: np.ndarray):
+        self.block = block
+        for name, row in zip(FIELDS, block):
+            setattr(self, name, row)
 
     @classmethod
     def from_base(cls, base: PhysicalParams, n: int, **columns) -> "ParamBatch":
         """``n`` copies of ``base`` with the named fields replaced by the
-        given length-``n`` arrays."""
-        return cls(**{name: np.asarray(columns[name], dtype=float)
-                      if name in columns
-                      else np.full(n, float(getattr(base, name)))
-                      for name in cls.__slots__})
+        given values: a length-``n`` array or list, or a scalar."""
+        block = np.empty((len(FIELDS), n))
+        block[:] = np.array([getattr(base, name) for name in FIELDS],
+                            dtype=float)[:, None]
+        for name, column in columns.items():
+            block[_ROW[name]] = column
+        return cls(block)
 
     def __len__(self) -> int:
-        return self.omega_a.shape[0]
+        return self.block.shape[1]
 
     def take(self, index) -> "ParamBatch":
-        """The entries selected by ``index`` (an index array or mask)."""
-        return ParamBatch(**{name: getattr(self, name)[index]
-                             for name in self.__slots__})
+        """A copy of the entries selected by ``index`` (an index array or
+        mask)."""
+        return ParamBatch(self.block[:, index])
 
     @property
     def drive_frequency(self) -> np.ndarray:
@@ -170,13 +181,14 @@ class ParamBatch:
             return (np.sqrt(2.0 * self.kappa_a * self.P_a / (HBAR * wd)),
                     np.sqrt(2.0 * self.kappa_m * self.P_m / (HBAR * wd)))
 
-    def occupations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(n_a, n_m, n_b), the bath occupations at omega_a,
-        :attr:`magnon_frequency` and omega_b (at millikelvin, both gigahertz
-        ones are ~1e-21), for entries without :func:`violations`."""
-        return (thermal_occupations(self.omega_a, self.T),
-                thermal_occupations(self.magnon_frequency, self.T),
-                thermal_occupations(self.omega_b, self.T))
+    def occupations(self) -> np.ndarray:
+        """(n_a, n_m, n_b) as the rows of a (3, n) array: the bath
+        occupations at omega_a, :attr:`magnon_frequency` and omega_b (at
+        millikelvin, both gigahertz ones are ~1e-21), for entries without
+        :func:`violations`."""
+        return thermal_occupations(
+            np.array([self.omega_a, self.magnon_frequency, self.omega_b]),
+            self.T)
 
 
 #: the domain's sign and finiteness rules as (fields, test, message), in
@@ -185,8 +197,12 @@ _RULES = (
     (("omega_a", "omega_b", "kappa_a", "kappa_m", "gamma_b"),
      lambda x: x > 0.0, "must be > 0"),
     (("P_a", "P_m", "T", "g_ma", "g_mb"), lambda x: x >= 0.0, "must be >= 0"),
-    (ParamBatch.__slots__, np.isfinite, "must be finite"),
+    (FIELDS, np.isfinite, "must be finite"),
 )
+
+#: the block rows that each rule reads
+_RULE_ROWS = tuple(np.array([_ROW[name] for name in names])
+                   for names, _, _ in _RULES)
 
 
 def violations(p: ParamBatch) -> dict[int, list[str]]:
@@ -197,8 +213,8 @@ def violations(p: ParamBatch) -> dict[int, list[str]]:
     """
     found = {}
     with np.errstate(invalid="ignore", over="ignore"):
-        for names, holds, rule in _RULES:
-            values = np.array([getattr(p, name) for name in names])
+        for (names, holds, rule), rows in zip(_RULES, _RULE_ROWS):
+            values = p.block[rows]
             for f, k in zip(*np.nonzero(~holds(values))):
                 found.setdefault(int(k), []).append(
                     f"{names[f]} {rule}, got {float(values[f, k])!r}")

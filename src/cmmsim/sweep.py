@@ -25,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics, entanglement, meanfield
-from .errors import CmmError, NoStablePointError, ParameterError
+from .errors import (CmmError, NoStablePointError, NumericalError,
+                     ParameterError)
 from .params import ParamBatch, PhysicalParams, violations
 
 AXES = ("delta_a", "delta_theta", "T", "P_a")
@@ -115,7 +116,8 @@ FLOAT_FIELDS = tuple(f.name for f in fields(SweepRow))[3:-1]
 #: the columns that the stages fill
 _ABS_MS_SQ, _Q_S, _MARGIN = (FLOAT_FIELDS.index(name)
                              for name in ("abs_ms_sq", "q_s", "margin"))
-_MEASURE_COLUMNS = [FLOAT_FIELDS.index(name) for name in entanglement.MEASURES]
+_MEASURE_COLUMNS = np.array([FLOAT_FIELDS.index(name)
+                             for name in entanglement.MEASURES])
 
 
 class SweepTable(Sequence):
@@ -170,8 +172,8 @@ CHUNK = 128
 #: stable points of a mostly unstable grid still fill whole chunks
 BLOCK = 8
 
-#: the phase optimizer's zoom factor: each round evaluates 2*ZOOM + 1
-#: phases and then narrows its bracket ZOOM-fold
+#: the phase optimizer's zoom factor: each round spans 2*ZOOM + 1 phases,
+#: the centre's value known, and then narrows its bracket ZOOM-fold
 ZOOM = 8
 
 
@@ -236,6 +238,15 @@ def evaluate_batch(p: ParamBatch) -> BatchResult:
                            np.concatenate([part.covariances for part in parts]))
 
 
+def _survivors(failed: dict[int, str], sub: np.ndarray, errors: dict):
+    """Record the error of each ``failed`` entry of the points ``sub`` and
+    return the selector of the others."""
+    for j, message in failed.items():
+        errors[int(sub[j])] = f"error: {message}"
+    return (np.delete(np.arange(sub.size), list(failed)) if failed
+            else slice(None))
+
+
 def _run_stages(p: ParamBatch) -> BatchResult:
     n = len(p)
     values = np.full((n, len(FLOAT_FIELDS)), np.nan)
@@ -244,20 +255,25 @@ def _run_stages(p: ParamBatch) -> BatchResult:
     cov = np.full((n, 6, 6), np.nan)
 
     # each stage narrows ``idx``, the points still alive, and evaluates
-    # only those, so no invalid or non-finite input reaches a later stage
-    ok = np.ones(n, bool)
-    for k, messages in violations(p).items():
-        ok[k] = False
-        errors[k] = f"error: {ParameterError(messages)}"
-    idx = np.flatnonzero(ok)
-    q = p.take(idx)
+    # only those, so no invalid or non-finite input reaches a later stage;
+    # a stage that every point passes selects nothing
+    idx, q = np.arange(n), p
+    found = violations(p)
+    if found:
+        ok = np.ones(n, bool)
+        for k, messages in found.items():
+            ok[k] = False
+            errors[k] = f"error: {ParameterError(messages)}"
+        idx = np.flatnonzero(ok)
+        q = p.take(idx)
 
     mf = meanfield.solve_effective_batch(q)
-    for k in idx[mf.singular].tolist():
-        errors[k] = f"error: {meanfield.SINGULAR_RESPONSE}"
-    for k in idx[~mf.singular & ~mf.finite].tolist():
-        errors[k] = f"error: {meanfield.NON_FINITE_STATE}"
     ok = ~mf.singular & mf.finite
+    if not ok.all():
+        for k in idx[mf.singular].tolist():
+            errors[k] = f"error: {meanfield.SINGULAR_RESPONSE}"
+        for k in idx[~mf.singular & ~ok].tolist():
+            errors[k] = f"error: {meanfield.NON_FINITE_STATE}"
     values[idx[ok], _ABS_MS_SQ] = mf.abs_ms_sq[ok]
     values[idx[ok], _Q_S] = mf.q_s[ok]
 
@@ -267,7 +283,9 @@ def _run_stages(p: ParamBatch) -> BatchResult:
     for k in idx[ok & ~finite].tolist():
         errors[k] = "error: non-finite drift or diffusion matrix"
     ok &= finite
-    idx, a, d, omega_b = idx[ok], a[ok], d[ok], q.omega_b[ok]
+    omega_b = q.omega_b
+    if not ok.all():
+        idx, a, d, omega_b = idx[ok], a[ok], d[ok], omega_b[ok]
 
     # a Hurwitz-stable real 6x6 drift has det A = prod(lambda) > 0, so the
     # others need no eigenvectors; a stable drift whose det reads <= 0
@@ -285,23 +303,20 @@ def _run_stages(p: ParamBatch) -> BatchResult:
     ok = margin < -dynamics.STABILITY_EPS * omega_b
     # a stable point keeps its flag and margin if a later stage fails
     stable[idx[ok]] = True
-    idx, a, d, lam, s = idx[ok], a[ok], d[ok], lam[ok], s[ok]
+    if not ok.all():
+        idx, a, d, lam, s = idx[ok], a[ok], d[ok], lam[ok], s[ok]
 
     # the stable points, CHUNK at a time
     for start in range(0, idx.size, CHUNK):
         at = slice(start, start + CHUNK)
         v, failed = dynamics.steady_covariances(a[at], d[at], lam[at], s[at])
         sub = idx[at]
-        for j, message in failed.items():
-            errors[int(sub[j])] = f"error: {message}"
-        solved = np.delete(np.arange(sub.size), list(failed))
+        solved = _survivors(failed, sub, errors)
         sub, v = sub[solved], v[solved]
 
         measures, failed = entanglement.entanglement_batch(v)
-        for j, message in failed.items():
-            errors[int(sub[j])] = f"error: {message}"
-        done = np.delete(np.arange(sub.size), list(failed))
-        values[np.ix_(sub[done], _MEASURE_COLUMNS)] = measures[done]
+        done = _survivors(failed, sub, errors)
+        values[sub[done, None], _MEASURE_COLUMNS] = measures[done]
         cov[sub[done]] = v[done]
 
     return BatchResult(SweepTable(*np.full((2, n), np.nan), stable, values,
@@ -354,13 +369,14 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return table
 
 
-def _r_min_at_phases(params: PhysicalParams, phases) -> list[float]:
-    """r_min at each phase difference of ``phases``, as one batch; each
-    value equals that phase's ``evaluate_point`` value bit for bit."""
+def _phase_table(params: PhysicalParams, phases) -> SweepTable:
+    """The table of ``params`` at each phase difference of ``phases``, as
+    one batch; each row equals that phase's ``evaluate_point`` row bit for
+    bit."""
     field, column = _axis_field(params, "delta_theta",
                                 np.asarray(phases, dtype=float))
     p = ParamBatch.from_base(params, column.size, **{field: column})
-    return evaluate_batch(p).table.column("r_min").tolist()
+    return evaluate_batch(p).table
 
 
 def optimize_phase(params: PhysicalParams, resolution: int):
@@ -368,18 +384,19 @@ def optimize_phase(params: PhysicalParams, resolution: int):
     difference.
 
     Scans ``resolution`` (>= 8) equally spaced phases over [0, 2*pi),
-    then zooms: each round evaluates 2*ZOOM + 1 equally spaced phases
-    across +-h around the best phase so far, centre included, as one
-    batch, and divides h (at first the scan's spacing) by ZOOM, until
-    h <= 1e-6 rad.  The centre's value is evaluated again bit for bit, so
-    the best value never decreases.  The phase is located to about 1e-6
-    rad, and less precisely where the maximum is flat: there its last
-    digits are noise.
+    then zooms: each round takes 2*ZOOM + 1 equally spaced phases across
+    +-h around the best phase so far and divides h (at first the scan's
+    spacing) by ZOOM, until h <= 1e-6 rad.  A round evaluates the 2*ZOOM
+    phases around the centre as one batch; the centre's value is the best
+    value so far, which its row would repeat bit for bit, so the best value
+    never decreases.  The phase is located to about 1e-6 rad, and less
+    precisely where the maximum is flat: there its last digits are noise.
 
-    Exact ties break toward the smallest phase of a batch; an exactly flat
-    scan is not refined and returns phase 0.  Unstable phases count as
-    minus infinity; if every scanned phase is unstable,
-    NoStablePointError is raised.
+    Exact ties break toward the smallest phase of a round; an exactly flat
+    scan is not refined and returns phase 0.  Unstable and errored phases
+    count as minus infinity.  If no scanned phase has a value, NumericalError
+    is raised with the first error of a stable phase if there is one, and
+    NoStablePointError otherwise.
 
     Returns ``(delta_theta_star, r_min_star, scan)``: the phase normalized
     into [0, 2*pi), its r_min, and the scan's r_min values, the first at
@@ -395,15 +412,23 @@ def optimize_phase(params: PhysicalParams, resolution: int):
         return float(phases[k]), values[k]
 
     grid = 2.0 * math.pi * np.arange(resolution) / resolution
-    scan = _r_min_at_phases(params, grid)
+    table = _phase_table(params, grid)
+    scan = table.column("r_min").tolist()
     if all(math.isnan(v) for v in scan):
+        for k in sorted(table.errors):
+            if table.stable[k]:
+                raise NumericalError(table.errors[k].removeprefix("error: "))
         raise NoStablePointError(
             "no stable operating point at any sampled phase")
     x, f = best(grid, scan)
     # an exactly flat scan is not refined: phase 0 wins the tie
     h = 2.0 * math.pi / resolution if any(v != scan[0] for v in scan) else 0.0
+    steps = np.delete(np.arange(-ZOOM, ZOOM + 1), ZOOM)
     while h > 1e-6:
-        phases = x + h * np.arange(-ZOOM, ZOOM + 1) / ZOOM
-        x, f = best(phases, _r_min_at_phases(params, phases))
+        phases = (x + h * steps / ZOOM).tolist()
+        values = _phase_table(params, phases).column("r_min").tolist()
+        phases.insert(ZOOM, x)
+        values.insert(ZOOM, f)
+        x, f = best(phases, values)
         h /= ZOOM
     return x % (2.0 * math.pi), f, scan

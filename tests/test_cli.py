@@ -331,10 +331,11 @@ class TestPhaseOptCommand:
         monkeypatch.setattr(sweep, "evaluate_batch", spy)
         cfg = write_cfg(tmp_path, BASELINE_CFG)
         assert main(["phase-opt", "--config", cfg, "--resolution", "16"]) == 0
-        # the scan, then rounds of 2 * ZOOM + 1 phases; the zero-phase
-        # baseline is the scan's first point, not evaluated again.  The
-        # half-width 2pi/16 shrinks ZOOM-fold per round: 7 rounds to 1e-6
-        assert sizes == [16] + [2 * sweep.ZOOM + 1] * 7
+        # the scan, then rounds of the 2 * ZOOM phases around the best one
+        # so far, whose value is known; the zero-phase baseline is the
+        # scan's first point, not evaluated again.  The half-width 2pi/16
+        # shrinks ZOOM-fold per round: 7 rounds to 1e-6
+        assert sizes == [16] + [2 * sweep.ZOOM] * 7
         monkeypatch.undo()
         out = capsys.readouterr().out
         params, _ = parse_config(BASELINE_CFG)
@@ -357,3 +358,13 @@ class TestPhaseOptCommand:
                                                        "g_mb_hz = 20"))
         assert main(["phase-opt", "--config", cfg, "--resolution", "8"]) == 1
         assert "no stable operating point" in capsys.readouterr().err
+
+    def test_stable_but_errored_exit_one_with_the_error(self, tmp_path,
+                                                        capsys):
+        cfg = write_cfg(tmp_path, BASELINE_CFG.replace("T_k = 10e-3",
+                                                       "T_k = 1e300"))
+        assert main(["phase-opt", "--config", cfg, "--resolution", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: Lyapunov solution overflows "
+                                "(residual nan)\n")

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cmmsim import TWO_PI, ParameterError, baseline_params, validate
-from cmmsim.params import thermal_occupations
+from cmmsim import TWO_PI, ParamBatch, ParameterError, baseline_params, validate
+from cmmsim.params import FIELDS, thermal_occupations, violations
 
 # high-precision scalar evaluations of the Bose-Einstein and drive-amplitude
 # formulas (40-digit arithmetic, exact SI-2019 constants)
@@ -149,3 +149,60 @@ class TestDerivedQuantities:
         p = baseline_params(P_a=0.45, T=0.1)
         assert p.P_a == 0.45 and p.T == 0.1
         assert p.omega_b == TWO_PI * 10e6
+
+
+class TestParamBatch:
+    def test_every_field_is_a_float64_row_of_the_block(self, base):
+        p = ParamBatch.from_base(base, 3, P_a=[0, 1, 2])
+        assert len(p) == 3
+        assert p.block.shape == (len(FIELDS), 3)
+        for j, name in enumerate(FIELDS):
+            row = getattr(p, name)
+            assert row.dtype == np.float64 and row.shape == (3,)
+            assert np.shares_memory(row, p.block)
+            assert np.array_equal(row, p.block[j])
+
+    def test_from_base_accepts_lists_arrays_and_scalars(self, base):
+        p = ParamBatch.from_base(base, 3, T=[0.0, 0.1, 0.2],
+                                 P_a=np.array([1, 2, 3]), theta_a=0.5)
+        assert p.T.tolist() == [0.0, 0.1, 0.2]
+        assert p.P_a.tolist() == [1.0, 2.0, 3.0]
+        assert p.theta_a.tolist() == [0.5] * 3
+        for name in FIELDS:
+            if name not in ("T", "P_a", "theta_a"):
+                assert getattr(p, name).tolist() == [getattr(base, name)] * 3
+
+    def test_take_returns_an_independent_copy(self, base):
+        p = ParamBatch.from_base(base, 4, T=[0.0, 0.1, 0.2, 0.3])
+        for index in ([3, 1], np.array([False, True, False, True])):
+            q = p.take(index)
+            assert not np.shares_memory(q.block, p.block)
+            q.T[:] = -1.0
+            p.P_a[:] = 7.0
+            assert p.T.tolist() == [0.0, 0.1, 0.2, 0.3]
+            assert q.P_a.tolist() == [base.P_a] * 2
+            p.P_a[:] = base.P_a
+        assert p.take([3, 1]).T.tolist() == [0.3, 0.1]
+
+    def test_violations_of_several_entries(self, base):
+        ok = dict(kappa_a=base.kappa_a, T=0.01, omega_a=base.omega_a,
+                  delta_a=base.delta_a, g_mb=base.g_mb,
+                  delta_m_tilde_target=base.delta_m_tilde_target)
+        bad = [{}, dict(kappa_a=-1.0, T=math.nan), dict(omega_a=-math.inf),
+               dict(delta_a=base.omega_a + 1.0),
+               dict(delta_m_tilde_target=-1e12), dict(g_mb=math.inf)]
+        p = ParamBatch.from_base(base, len(bad), **{
+            name: [entry.get(name, value) for entry in bad]
+            for name, value in ok.items()})
+        # in rule order, each rule's fields in its order: the points that
+        # break the first rule come first
+        assert list(violations(p).items()) == [
+            (2, ["omega_a must be > 0, got -inf",
+                 "omega_a must be finite, got -inf"]),
+            (1, ["kappa_a must be > 0, got -1.0", "T must be >= 0, got nan",
+                 "T must be finite, got nan"]),
+            (5, ["g_mb must be finite, got inf"]),
+            (3, ["derived drive frequency omega_a - delta_a must be > 0, "
+                 "got -1.0"]),
+            (4, ["derived magnon frequency delta_m_tilde_target + omega_a "
+                 "- delta_a must be > 0, got -937083323926.5573"])]

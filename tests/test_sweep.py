@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from cmmsim import (NoStablePointError, SweepAxis, SweepSpec, apply_axis,
-                    apply_pump_mode, baseline_params, evaluate_point,
+from cmmsim import (NoStablePointError, NumericalError, ParamBatch,
+                    SweepAxis, SweepSpec, apply_axis, apply_pump_mode,
+                    baseline_params, evaluate_batch, evaluate_point,
                     optimize_phase, run_sweep, sweep)
 from cmmsim.entanglement import MEASURES
 
@@ -24,6 +25,31 @@ def rows_equal(r1, r2, fields=PHYSICS_FIELDS):
         if a != b:
             return False
     return True
+
+
+def evaluate_every_centre(params, resolution):
+    """The phase optimizer with every zoom round evaluating all of its
+    2*ZOOM + 1 phases, the centre again included: the reference that
+    optimize_phase matches bit for bit."""
+    def r_min(phases):
+        p = ParamBatch.from_base(params, len(phases),
+                                 theta_a=params.theta_m + phases)
+        return evaluate_batch(p).table.column("r_min").tolist()
+
+    def best(phases, values):
+        k = max(range(len(values)),
+                key=lambda k: -math.inf if math.isnan(values[k]) else values[k])
+        return float(phases[k]), values[k]
+
+    grid = 2.0 * math.pi * np.arange(resolution) / resolution
+    scan = r_min(grid)
+    x, f = best(grid, scan)
+    h = 2.0 * math.pi / resolution if any(v != scan[0] for v in scan) else 0.0
+    while h > 1e-6:
+        phases = x + h * np.arange(-sweep.ZOOM, sweep.ZOOM + 1) / sweep.ZOOM
+        x, f = best(phases, r_min(phases))
+        h /= sweep.ZOOM
+    return x % (2.0 * math.pi), f, scan
 
 
 class TestEvaluatePoint:
@@ -186,6 +212,28 @@ class TestOptimizePhase:
     def test_all_unstable_raises(self, base):
         with pytest.raises(NoStablePointError):
             optimize_phase(base.replace(g_mb=50.0 * base.g_mb), resolution=8)
+
+    def test_stable_but_errored_scan_raises_the_error(self, base):
+        # at 1e300 K every phase is stable and its covariance overflows
+        p = base.replace(T=1e300)
+        assert evaluate_point(p).stable
+        with pytest.raises(NumericalError) as err:
+            optimize_phase(p, resolution=8)
+        assert str(err.value) == "Lyapunov solution overflows (residual nan)"
+
+    def test_reusing_the_centre_changes_no_bit(self, base):
+        rng = np.random.default_rng(20261019)
+        points = [base.replace(P_a=0.0), base.replace(P_a=0.45)] + [
+            base.replace(delta_a=rng.uniform(-1.6, -1.1) * base.omega_b,
+                         P_a=math.exp(rng.uniform(math.log(1e-3),
+                                                  math.log(0.5))),
+                         T=rng.uniform(0.01, 0.1))
+            for _ in range(6)]
+        for p in points:
+            want = evaluate_every_centre(p, 16)
+            got = optimize_phase(p, 16)
+            assert repr(got[:2]) == repr(want[:2])
+            assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
 
     def test_optimum_beats_the_scan_and_its_neighbours(self, base):
         rng = np.random.default_rng(20260418)
