@@ -1,5 +1,6 @@
-"""Linearized fluctuation dynamics: drift/diffusion matrices, stability,
-and the steady-state covariance matrix.
+"""Linearized fluctuation dynamics: drift/diffusion matrices and the
+steady-state covariance matrix, the symmetric solution of the Lyapunov
+equation a V + V a^T = -d, solved for its 21 independent entries.
 
 Quadrature ordering is fixed throughout as (X, Y, x, y, q, p): cavity,
 magnon, mechanics, position-like before momentum-like.  The covariance
@@ -12,8 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import (CmmError, IntegrationError, NumericalError,
-                     UnstableSystemError)
+from .errors import IntegrationError, NumericalError, UnstableSystemError
 from .meanfield import MeanFieldBatch, MeanFieldState
 from .params import ParamBatch, PhysicalParams, batch_of_one
 
@@ -29,9 +29,6 @@ LYAPUNOV_RESIDUAL_TOL = 1e-10
 #: cavity's, the magnon's, the mechanics' (its momentum only)
 _NOISY, _NOISE_OF = np.array([0, 1, 2, 3, 5]), np.array([0, 0, 1, 1, 2])
 
-#: spreads a stack of diffusion diagonals into their 6x6 matrices
-_EYE = np.eye(6)
-
 
 def build_drift(params: PhysicalParams, state: MeanFieldState) -> np.ndarray:
     """Real 6x6 drift matrix of the linearized fluctuation dynamics, the
@@ -45,7 +42,9 @@ def build_diffusion(params: PhysicalParams) -> np.ndarray:
 
     Raises ParameterError outside the parameter domain.
     """
-    return np.diag(diffusion_batch(batch_of_one(params))[0])
+    p = batch_of_one(params)
+    with np.errstate(all="ignore"):
+        return np.diag(diffusion_batch(p)[0])
 
 
 def drift_batch(p: ParamBatch,
@@ -78,22 +77,89 @@ def diffusion_batch(p: ParamBatch) -> np.ndarray:
     """Diagonals of the diffusion matrices, shape (n, 6): kappa_a(2N_a+1)
     twice, kappa_m(2N_m+1) twice, 0 for the mechanical position and
     gamma_b(2N_b+1) for the mechanical momentum, for entries without
-    ``violations``; non-finite where an occupation overflows."""
+    ``violations``; non-finite where an occupation overflows.  Call under
+    ``np.errstate(all="ignore")``."""
     rates = np.array([p.kappa_a, p.kappa_m, p.gamma_b])
     d = np.zeros((len(p), 6))
-    with np.errstate(over="ignore"):
-        d[:, _NOISY] = (rates * (2.0 * p.occupations() + 1.0))[_NOISE_OF].T
+    d[:, _NOISY] = (rates * (2.0 * p.occupations() + 1.0))[_NOISE_OF].T
     return d
 
 
-def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Unique symmetric solution V of a V + V a^T = -d for stable ``a``.
+#: the 21 unknowns of a symmetric 6x6 V, its entries (i, j) with i <= j;
+#: also the 21 independent equations of a V + V a^T = -d
+_I, _J = np.triu_indices(6)
 
-    Solved densely through the Kronecker identity
-    (I (x) a + a (x) I) vec(V) = -vec(d), a 36x36 solve for the 6x6
-    system; the fallback and the reference of :func:`modal_lyapunov`.  The
-    result is symmetrized and its relative Frobenius residual (NaN
-    included) verified against LYAPUNOV_RESIDUAL_TOL.
+#: each unknown's position among the 21, at both of its entries (i, j)
+#: and (j, i) of V
+_UNKNOWN = np.zeros((6, 6), int)
+_UNKNOWN[_I, _J] = _UNKNOWN[_J, _I] = np.arange(_I.size)
+
+
+def _operator_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The two flat drift entries whose sum is each coefficient of the
+    21x21 operator of a V + V a^T on symmetric V; index 36 stands for 0.
+
+    Entry (i, j) of a V + V a^T is sum_m a_im V_mj + a_jm V_im, so the
+    coefficient of the unknown (k, l) collects a_ik if j = l, a_il if
+    j = k != l, a_jk if i = l and a_jl if i = k != l.  With i <= j and
+    k <= l at most two of the four hold.
+    """
+    i, j = _I[:, None], _J[:, None]
+    k, l = _I[None, :], _J[None, :]
+    terms = np.sort([np.where(j == l, 6 * i + k, 36),
+                     np.where((j == k) & (k != l), 6 * i + l, 36),
+                     np.where(i == l, 6 * j + k, 36),
+                     np.where((i == k) & (k != l), 6 * j + l, 36)], axis=0)
+    return terms[0], terms[1]
+
+
+_FIRST, _SECOND = _operator_tables()
+
+
+def steady_covariances(a: np.ndarray,
+                       d: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Symmetric solutions V of a V + V a^T = -d for a stack of stable 6x6
+    drifts ``a`` and symmetric diffusion matrices ``d``, shape (n, 6, 6).
+
+    The unknowns are the 21 entries of V on and above the diagonal, so
+    each entry is one real 21x21 solve.  Every coefficient of the operator
+    is a drift entry or the sum of two, gathered by index, so an entry's
+    operator, and with it its V, is the same bits in any stack; a
+    singular operator (impossible for a stable drift in exact arithmetic)
+    gives NaN.  Returns the covariances and, keyed by entry, the message
+    of every entry whose relative Frobenius residual is not within
+    LYAPUNOV_RESIDUAL_TOL, NaN included (its covariance is NaN).
+    """
+    # the drift entries as rows, the gathers' fastest axis, and row 36 zero
+    n = len(a)
+    rows = np.zeros((37, n))
+    rows[:36] = a.reshape(n, 36).T
+    op = np.take(rows, _FIRST, axis=0)
+    op += np.take(rows, _SECOND, axis=0)
+    u = stack_or_nan(np.linalg.solve, op.transpose(2, 0, 1),
+                     -d[:, _I, _J, None])
+    v = u[:, _UNKNOWN, 0]
+    residual = lyapunov_residual(a, v, d)
+    errors = {}
+    for k in np.flatnonzero(~(residual <= LYAPUNOV_RESIDUAL_TOL)).tolist():
+        # from finite a and d, a non-finite residual means that V or its
+        # residual's products overflowed (a singular operator, impossible
+        # for a stable drift, reads alike)
+        if (not math.isfinite(residual[k]) and np.isfinite(a[k]).all()
+                and np.isfinite(d[k]).all()):
+            errors[k] = ("Lyapunov solution overflows "
+                         f"(residual {residual[k]:.3e})")
+        else:
+            errors[k] = (f"Lyapunov residual {residual[k]:.3e} exceeds "
+                         f"{LYAPUNOV_RESIDUAL_TOL:.1e}")
+        v[k] = np.nan
+    return v, errors
+
+
+def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Unique symmetric solution V of a V + V a^T = -d for a stable 6x6
+    ``a`` and symmetric ``d``: the :func:`steady_covariances` of a stack
+    of one, whose residual is verified against LYAPUNOV_RESIDUAL_TOL.
 
     Raises UnstableSystemError when ``a`` is not Hurwitz-stable, and
     NumericalError if the solution overflows (finite ``a`` and ``d``
@@ -101,26 +167,14 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
-    n = a.shape[0]
     margin = float(np.linalg.eigvals(a).real.max())
     if margin >= 0.0:
         raise UnstableSystemError(
             f"no steady state: spectral abscissa {margin:.3e} >= 0")
-    eye = np.eye(n)
-    k = np.kron(eye, a) + np.kron(a, eye)
-    v = np.linalg.solve(k, -d.flatten(order="F")).reshape((n, n), order="F")
-    v = 0.5 * (v + v.T)
-    residual = lyapunov_residual(a[None], v[None], d[None])[0]
-    # from finite a and d, only an overflow of V or of its residual's
-    # products gives a non-finite residual
-    if (not math.isfinite(residual) and np.isfinite(a).all()
-            and np.isfinite(d).all()):
-        raise NumericalError(
-            f"Lyapunov solution overflows (residual {residual:.3e})")
-    if not residual <= LYAPUNOV_RESIDUAL_TOL:
-        raise NumericalError(
-            f"Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:.1e}")
-    return v
+    v, errors = steady_covariances(a[None], d[None])
+    if errors:
+        raise NumericalError(errors[0])
+    return v[0]
 
 
 def lyapunov_residual(a: np.ndarray, v: np.ndarray,
@@ -141,73 +195,21 @@ def lyapunov_residual(a: np.ndarray, v: np.ndarray,
     return np.sqrt((r * r).sum(axis=1)) / np.where(d_norm > 0, d_norm, 1.0)
 
 
-def stack_or_nan(func, m: np.ndarray) -> np.ndarray:
-    """A stacked ``numpy.linalg`` function (``inv``, ``cholesky``) applied
-    to a stack of matrices; a matrix it fails on (singular, not positive
-    definite) gets NaN entries instead of failing the whole stack."""
+def stack_or_nan(func, *stacks: np.ndarray) -> np.ndarray:
+    """A stacked ``numpy.linalg`` function (``cholesky``, ``solve``)
+    applied to stacks of matrices; an entry it fails on (not positive
+    definite, singular) gets NaN entries instead of failing the whole
+    stack.  The result has the shape of the last stack."""
     try:
-        return func(m)
+        return func(*stacks)
     except np.linalg.LinAlgError:
-        out = np.full_like(m, np.nan)
-        for k, mk in enumerate(m):
+        out = np.full_like(stacks[-1], np.nan)
+        for k, args in enumerate(zip(*stacks)):
             try:
-                out[k] = func(mk)
+                out[k] = func(*args)
             except np.linalg.LinAlgError:
                 pass
         return out
-
-
-def modal_lyapunov(a: np.ndarray, d: np.ndarray, lam: np.ndarray,
-                   s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a V + V a^T = -diag(d) for a stack of stable drifts in the
-    eigenbasis of each drift (Bartels-Stewart with a diagonal Schur form).
-
-    ``lam`` and ``s`` are the eigenvalues and eigenvectors from
-    ``np.linalg.eig(a)``.  With D~ = S^-1 diag(d) S^-H,
-    V = S [-D~_ij / (lam_i + conj(lam_j))] S^H; one refinement step solves
-    the same equation for the residual in the same basis.  Returns the
-    symmetrized V, shape (n, 6, 6), and each entry's relative Frobenius
-    residual, which is NaN or large where ``s`` is (nearly) singular.
-    """
-    lam = lam.astype(complex, copy=False)
-    s = s.astype(complex, copy=False)
-    s_inv = stack_or_nan(np.linalg.inv, s)
-    s_h, s_inv_h = s.conj().swapaxes(1, 2), s_inv.conj().swapaxes(1, 2)
-    gap = lam[:, :, None] + lam.conj()[:, None, :]
-    d_full = d[:, :, None] * _EYE
-    a_t = a.swapaxes(1, 2)
-
-    def solve(rhs):
-        v = (s @ (-(s_inv @ rhs @ s_inv_h) / gap) @ s_h).real
-        return 0.5 * (v + v.swapaxes(1, 2))
-
-    v = solve(d_full)
-    v = v + solve(a @ v + v @ a_t + d_full)
-    return v, lyapunov_residual(a, v, d_full)
-
-
-def steady_covariances(a: np.ndarray, d: np.ndarray, lam: np.ndarray,
-                       s: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-    """Steady-state covariances of a stack of stable drifts ``a`` with
-    diffusion diagonals ``d``, given ``lam, s = np.linalg.eig(a)``; an
-    entry may carry a NaN basis ``s`` instead (the sweep engine does so
-    for a stable drift whose determinant reads <= 0).
-
-    Uses :func:`modal_lyapunov`; every entry whose residual is not within
-    LYAPUNOV_RESIDUAL_TOL (NaN included, so every NaN basis) is solved
-    again by the Kronecker :func:`solve_lyapunov`.  Returns the covariances and, keyed by entry,
-    the error message of every entry that fallback failed too (its
-    covariance is NaN).
-    """
-    v, residual = modal_lyapunov(a, d, lam, s)
-    errors = {}
-    for k in np.flatnonzero(~(residual <= LYAPUNOV_RESIDUAL_TOL)).tolist():
-        try:
-            v[k] = solve_lyapunov(a[k], np.diag(d[k]))
-        except (CmmError, np.linalg.LinAlgError) as exc:
-            v[k] = np.nan
-            errors[k] = str(exc)
-    return v, errors
 
 
 def integrate_covariance(a: np.ndarray, d: np.ndarray, v0: np.ndarray,

@@ -99,13 +99,17 @@ class PhysicalParams:
     def drive_amplitudes(self) -> tuple[float, float]:
         """(eps_a, eps_m), both in 1/s, from the shared drive frequency:
         :meth:`ParamBatch.drive_amplitudes` of the :func:`batch_of_one`."""
-        eps_a, eps_m = batch_of_one(self).drive_amplitudes()
+        p = batch_of_one(self)
+        with np.errstate(all="ignore"):
+            eps_a, eps_m = p.drive_amplitudes()
         return float(eps_a[0]), float(eps_m[0])
 
     def occupations(self) -> tuple[float, float, float]:
         """(n_a, n_m, n_b), the thermal occupations of the three baths:
         :meth:`ParamBatch.occupations` of the :func:`batch_of_one`."""
-        n_a, n_m, n_b = batch_of_one(self).occupations()
+        p = batch_of_one(self)
+        with np.errstate(all="ignore"):
+            n_a, n_m, n_b = p.occupations()
         return float(n_a[0]), float(n_m[0]), float(n_b[0])
 
     def replace(self, **changes) -> "PhysicalParams":
@@ -116,11 +120,11 @@ def thermal_occupations(omega: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Elementwise Bose-Einstein occupation for ``omega > 0`` and
     ``T >= 0``: exactly 0.0 where ``hbar*omega/(k_B*T)`` exceeds 700 (the
     occupation is below ~1e-304 there) or is not a number, so at T = 0;
-    inf where that ratio underflows to zero.
+    inf where that ratio underflows to zero.  Call under
+    ``np.errstate(all="ignore")``, since T = 0 divides by zero.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = HBAR * omega / (BOLTZMANN * T)
-        return np.where(x <= 700.0, 1.0 / np.expm1(x), 0.0)
+    x = HBAR * omega / (BOLTZMANN * T)
+    return np.where(x <= 700.0, 1.0 / np.expm1(x), 0.0)
 
 
 #: the fields of PhysicalParams in order: the rows of a ParamBatch's block
@@ -175,17 +179,17 @@ class ParamBatch:
         return self.delta_m_tilde_target + self.drive_frequency
 
     def drive_amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eps_a, eps_m) for entries without :func:`violations`."""
+        """(eps_a, eps_m) for entries without :func:`violations`; call
+        under ``np.errstate(all="ignore")``, since entries may overflow."""
         wd = self.drive_frequency
-        with np.errstate(all="ignore"):
-            return (np.sqrt(2.0 * self.kappa_a * self.P_a / (HBAR * wd)),
-                    np.sqrt(2.0 * self.kappa_m * self.P_m / (HBAR * wd)))
+        return (np.sqrt(2.0 * self.kappa_a * self.P_a / (HBAR * wd)),
+                np.sqrt(2.0 * self.kappa_m * self.P_m / (HBAR * wd)))
 
     def occupations(self) -> np.ndarray:
         """(n_a, n_m, n_b) as the rows of a (3, n) array: the bath
         occupations at omega_a, :attr:`magnon_frequency` and omega_b (at
         millikelvin, both gigahertz ones are ~1e-21), for entries without
-        :func:`violations`."""
+        :func:`violations`; call under ``np.errstate(all="ignore")``."""
         return thermal_occupations(
             np.array([self.omega_a, self.magnon_frequency, self.omega_b]),
             self.T)
@@ -210,20 +214,21 @@ def violations(p: ParamBatch) -> dict[int, list[str]]:
     messages of the rules it breaks, in rule order, each naming the field
     and its value printed as a Python float.  The derived drive, then
     magnon, frequency is checked only where every earlier rule holds.
+    Call under ``np.errstate(all="ignore")``, since the derived frequencies
+    of non-finite or huge fields overflow.
     """
     found = {}
-    with np.errstate(invalid="ignore", over="ignore"):
-        for (names, holds, rule), rows in zip(_RULES, _RULE_ROWS):
-            values = p.block[rows]
-            for f, k in zip(*np.nonzero(~holds(values))):
-                found.setdefault(int(k), []).append(
-                    f"{names[f]} {rule}, got {float(values[f, k])!r}")
-        derived = ("drive frequency omega_a - delta_a",
-                   "magnon frequency delta_m_tilde_target + omega_a - delta_a")
-        values = np.array([p.drive_frequency, p.magnon_frequency])
-        for f, k in zip(*np.nonzero(~(values > 0.0))):
-            found.setdefault(int(k), [f"derived {derived[f]} must be > 0, "
-                                      f"got {float(values[f, k])!r}"])
+    for (names, holds, rule), rows in zip(_RULES, _RULE_ROWS):
+        values = p.block[rows]
+        for f, k in zip(*np.nonzero(~holds(values))):
+            found.setdefault(int(k), []).append(
+                f"{names[f]} {rule}, got {float(values[f, k])!r}")
+    derived = ("drive frequency omega_a - delta_a",
+               "magnon frequency delta_m_tilde_target + omega_a - delta_a")
+    values = np.array([p.drive_frequency, p.magnon_frequency])
+    for f, k in zip(*np.nonzero(~(values > 0.0))):
+        found.setdefault(int(k), [f"derived {derived[f]} must be > 0, "
+                                  f"got {float(values[f, k])!r}"])
     return found
 
 
@@ -232,7 +237,8 @@ def batch_of_one(params: PhysicalParams) -> ParamBatch:
     ParameterError with :func:`validate`'s messages if it breaks a rule of
     the domain.  The scalar entry points evaluate through it."""
     p = ParamBatch.from_base(params, 1)
-    found = violations(p)
+    with np.errstate(all="ignore"):
+        found = violations(p)
     if found:
         raise ParameterError(found[0])
     return p

@@ -1,17 +1,15 @@
 """Parameter-sweep engine and phase optimizer.
 
 Operating points are evaluated as arrays, a grid BLOCK * CHUNK points at a
-time: mean field, drift and diffusion, and one batched determinant that
-screens the drifts.  A stable real drift has a positive determinant, so
-only those drifts get an eigendecomposition (its eigenvalues give the
-stability margin, its eigenvectors the modal Lyapunov solve); the others
-get their eigenvalues alone, which is all the margin needs.  The
-stable points then go CHUNK at a time through the Lyapunov solve and the
-partial-transpose spectra.  A single point is a batch of one.  Every step
-treats each point on its own, so a point's row is bit-identical whichever
-batch it is evaluated in.  Results are kept as columns (a SweepTable), a
-grid's points in row-major order with the first axis outermost; a row
-object is built only where one is asked for.
+time: mean field, drift and diffusion, and one batched ``eigvals`` of the
+drifts, whose eigenvalues give the stability margin.  The stable points
+then go CHUNK at a time through the Lyapunov solve (one batched 21x21
+real solve, no eigenvectors) and the partial-transpose spectra.  A single
+point is a batch of one.  Every step treats each point on its own, so a
+point's row is bit-identical whichever batch it is evaluated in.  Results
+are kept as columns (a SweepTable), a grid's points in row-major order
+with the first axis outermost; a row object is built only where one is
+asked for.
 """
 
 from __future__ import annotations
@@ -287,29 +285,19 @@ def _run_stages(p: ParamBatch) -> BatchResult:
     if not ok.all():
         idx, a, d, omega_b = idx[ok], a[ok], d[ok], omega_b[ok]
 
-    # a Hurwitz-stable real 6x6 drift has det A = prod(lambda) > 0, so the
-    # others need no eigenvectors; a stable drift whose det reads <= 0
-    # keeps a NaN basis, which steady_covariances solves by Kronecker
-    maybe = np.linalg.slogdet(a)[0] > 0.0
-    if maybe.all():
-        lam, s = np.linalg.eig(a)
-    else:
-        lam = np.empty(a.shape[:2], complex)
-        s = np.full(a.shape, np.nan, complex)
-        lam[~maybe] = np.linalg.eigvals(a[~maybe])
-        lam[maybe], s[maybe] = np.linalg.eig(a[maybe])
-    margin = lam.real.max(axis=1)
+    margin = np.linalg.eigvals(a).real.max(axis=1)
     values[idx, _MARGIN] = margin
     ok = margin < -dynamics.STABILITY_EPS * omega_b
     # a stable point keeps its flag and margin if a later stage fails
     stable[idx[ok]] = True
     if not ok.all():
-        idx, a, d, lam, s = idx[ok], a[ok], d[ok], lam[ok], s[ok]
+        idx, a, d = idx[ok], a[ok], d[ok]
 
     # the stable points, CHUNK at a time
     for start in range(0, idx.size, CHUNK):
         at = slice(start, start + CHUNK)
-        v, failed = dynamics.steady_covariances(a[at], d[at], lam[at], s[at])
+        v, failed = dynamics.steady_covariances(a[at],
+                                                d[at, :, None] * np.eye(6))
         sub = idx[at]
         solved = _survivors(failed, sub, errors)
         sub, v = sub[solved], v[solved]

@@ -1,7 +1,7 @@
 """Batched evaluator: agreement with the former scalar formulas within a
-stated tolerance, bit-for-bit agreement with single points, the modal
-Lyapunov solve and its Kronecker fallback, and robustness to extreme
-inputs."""
+stated tolerance, bit-for-bit agreement with single points, the batched
+21-unknown Lyapunov solve, the eigenvalues-only stability stage, and
+robustness to extreme inputs."""
 
 import cmath
 import dataclasses
@@ -151,8 +151,8 @@ class TestScalarReference:
         batch = stack(points)
         with np.errstate(all="ignore"):
             mf = solve_effective_batch(batch)
+            d = dynamics.diffusion_batch(batch)
         a = dynamics.drift_batch(batch, mf)
-        d = dynamics.diffusion_batch(batch)
         for k, p in enumerate(points):
             if mf.singular[k]:
                 continue
@@ -175,16 +175,17 @@ def grid_batch(p_m):
                                  theta_a=base.theta_m + ths.ravel())
     with np.errstate(all="ignore"):
         mf = solve_effective_batch(batch)
-    return batch, dynamics.drift_batch(batch, mf), dynamics.diffusion_batch(batch)
+        d = dynamics.diffusion_batch(batch)
+    return batch, dynamics.drift_batch(batch, mf), d
 
 
 def grid_systems(p_m):
-    """Drift, diffusion and eigendecomposition of every stable point of
-    the 21 x 21 grid."""
+    """Drift and diffusion matrix of every stable point of the 21 x 21
+    grid."""
     batch, a, d = grid_batch(p_m)
-    lam, s = np.linalg.eig(a)
-    stable = lam.real.max(axis=1) < -dynamics.STABILITY_EPS * batch.omega_b
-    return a[stable], d[stable], lam[stable], s[stable]
+    margin = np.linalg.eigvals(a).real.max(axis=1)
+    stable = margin < -dynamics.STABILITY_EPS * batch.omega_b
+    return a[stable], d[stable, :, None] * np.eye(6)
 
 
 def grid_sweep(p_m):
@@ -194,91 +195,85 @@ def grid_sweep(p_m):
         SweepAxis("delta_theta", 0.0, 2.0 * math.pi, 21))))
 
 
-class TestModalLyapunov:
+class TestBatchedLyapunov:
     @pytest.mark.parametrize("p_m", [0.9, 1.2])
-    def test_matches_scipy_and_kronecker_on_every_stable_point(self, p_m):
-        a, d, lam, s = grid_systems(p_m)
+    def test_matches_scipy_on_every_stable_point(self, p_m):
+        a, d = grid_systems(p_m)
         assert a.shape[0] > 0
-        v, residual = dynamics.modal_lyapunov(a, d, lam, s)
-        # every point is served by the modal solve itself, not the fallback
-        assert np.all(residual <= LYAPUNOV_RESIDUAL_TOL)
+        v, errors = dynamics.steady_covariances(a, d)
+        # every stable point passes the residual gate
+        assert errors == {}
+        assert np.all(dynamics.lyapunov_residual(a, v, d)
+                      <= LYAPUNOV_RESIDUAL_TOL)
         for k in range(a.shape[0]):
-            ref = scipy.linalg.solve_continuous_lyapunov(a[k], -np.diag(d[k]))
-            kron = solve_lyapunov(a[k], np.diag(d[k]))
+            ref = scipy.linalg.solve_continuous_lyapunov(a[k], -d[k])
             assert np.array_equal(v[k], v[k].T)
-            for want in (ref, kron):
-                rel = np.linalg.norm(v[k] - want) / np.linalg.norm(want)
-                assert rel <= LYAPUNOV_RESIDUAL_TOL
+            rel = np.linalg.norm(v[k] - ref) / np.linalg.norm(ref)
+            assert rel <= LYAPUNOV_RESIDUAL_TOL
 
-    def test_defective_drift_falls_back_to_kronecker(self, monkeypatch):
+    def test_a_stack_equals_its_stacks_of_one_bit_for_bit(self):
+        a, d = (np.concatenate(m) for m in zip(grid_systems(0.9),
+                                               grid_systems(1.2)))
+        v, errors = dynamics.steady_covariances(a, d)
+        assert errors == {}
+        for k in range(a.shape[0]):
+            alone, _ = dynamics.steady_covariances(a[k:k + 1], d[k:k + 1])
+            assert np.array_equal(v[k], alone[0])
+            assert np.array_equal(v[k], solve_lyapunov(a[k], d[k]))
+
+    def test_jordan_block_drift_is_solved(self):
         # a 6x6 Jordan block: one eigenvalue, no eigenbasis
         a = -np.eye(6) + np.eye(6, k=1)
-        d = np.array([1.0, 1.0, 2.0, 2.0, 0.0, 3.0])
-        lam, s = np.linalg.eig(a[None])
-        _, residual = dynamics.modal_lyapunov(a[None], d[None], lam, s)
-        assert not residual[0] <= LYAPUNOV_RESIDUAL_TOL
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return solve_lyapunov(*args)
-
-        monkeypatch.setattr(dynamics, "solve_lyapunov", spy)
-        v, errors = dynamics.steady_covariances(a[None], d[None], lam, s)
-        assert errors == {} and len(calls) == 1
-        assert np.array_equal(v[0], solve_lyapunov(a, np.diag(d)))
-        res = np.linalg.norm(a @ v[0] + v[0] @ a.T + np.diag(d))
+        d = np.diag([1.0, 1.0, 2.0, 2.0, 0.0, 3.0])
+        v, errors = dynamics.steady_covariances(a[None], d[None])
+        assert errors == {}
+        assert np.array_equal(v[0], solve_lyapunov(a, d))
+        res = np.linalg.norm(a @ v[0] + v[0] @ a.T + d)
         assert res <= LYAPUNOV_RESIDUAL_TOL * np.linalg.norm(d)
+        ref = scipy.linalg.solve_continuous_lyapunov(a, -d)
+        assert np.linalg.norm(v[0] - ref) <= (LYAPUNOV_RESIDUAL_TOL
+                                              * np.linalg.norm(ref))
 
 
-class TestDeterminantScreen:
-    def test_only_drifts_with_positive_det_get_eigenvectors(
-            self, monkeypatch):
-        # at P_m = 1.2 W most of the grid is unstable
-        _, a, _ = grid_batch(1.2)
-        positive = np.linalg.slogdet(a)[0] > 0
-        assert 0 < positive.sum() < positive.size
-        seen = {"eig": [], "eigvals": []}
+    def test_a_singular_operator_is_confined_to_its_entry(self):
+        # a zero drift's operator is zero: its entry is NaN and an error,
+        # and the other entry keeps its bits
+        a = np.stack([-np.eye(6) + np.eye(6, k=1), np.zeros((6, 6))])
+        d = np.stack([np.eye(6)] * 2)
+        v, errors = dynamics.steady_covariances(a, d)
+        assert list(errors) == [1] and np.isnan(v[1]).all()
+        alone, _ = dynamics.steady_covariances(a[:1], d[:1])
+        assert np.array_equal(v[0], alone[0])
+
+
+class TestEigenvaluesOnly:
+    @pytest.mark.parametrize("p_m", [0.9, 1.2])
+    def test_a_sweep_calls_eigvals_once_per_block(self, p_m, monkeypatch):
+        want = table_columns(grid_sweep(p_m))
+        _, a, _ = grid_batch(p_m)
+        seen = {name: [] for name in ("eigvals", "eig", "slogdet", "inv")}
         for name in seen:
             def spy(m, func=getattr(np.linalg, name), name=name):
                 seen[name].append(m.copy())
                 return func(m)
             monkeypatch.setattr(np.linalg, name, spy)
-        rows = grid_sweep(1.2)
+        monkeypatch.setattr(sweep, "BLOCK", 1)
+        monkeypatch.setattr(sweep, "CHUNK", 64)  # blocks of 64 points
+        rows = grid_sweep(p_m)
         monkeypatch.undo()
-        assert [m.shape for m in seen["eig"]] == [a[positive].shape]
-        assert np.array_equal(seen["eig"][0], a[positive])
-        assert [m.shape for m in seen["eigvals"]] == [a[~positive].shape]
-        assert np.array_equal(seen["eigvals"][0], a[~positive])
+        # every block's drifts are finite: one eigvals of the whole block
+        assert [m.shape[0] for m in seen["eigvals"]] == [64] * 6 + [57]
+        assert np.array_equal(np.concatenate(seen["eigvals"]), a)
+        assert seen["eig"] == seen["slogdet"] == seen["inv"] == []
+        assert table_columns(rows) == want
         assert {r.status for r in rows} == {"ok", "unstable"}
-        base = baseline_params(P_m=1.2)
+        base = baseline_params(P_m=p_m)
         for row in rows:
             alone = evaluate_point(base.replace(
                 delta_a=row.axis1 * base.omega_b,
                 theta_a=base.theta_m + row.axis2))
             alone.axis1, alone.axis2 = row.axis1, row.axis2
             assert same_row(row, alone)
-
-    @pytest.mark.parametrize("p_m", [0.9, 1.2])
-    def test_a_rejected_stable_drift_is_solved_by_kronecker(
-            self, p_m, monkeypatch):
-        want = grid_sweep(p_m)
-        monkeypatch.setattr(np.linalg, "slogdet",
-                            lambda m: (np.zeros(len(m)), np.zeros(len(m))))
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return solve_lyapunov(*args)
-
-        monkeypatch.setattr(dynamics, "solve_lyapunov", spy)
-        got = grid_sweep(p_m)
-        stable = [r for r in want if r.stable]
-        assert stable and len(calls) == len(stable)
-        for g, w in zip(got, want):
-            assert g.status == w.status
-            assert repr((g.stable, g.margin)) == repr((w.stable, w.margin))
-            assert g.r_min == pytest.approx(w.r_min, rel=1e-9, nan_ok=True)
 
 
 #: the status of the baseline point at temperatures where its covariance
@@ -314,7 +309,7 @@ class TestRobustness:
         def refuse(m):
             raise np.linalg.LinAlgError("forced")
 
-        monkeypatch.setattr(np.linalg, "slogdet", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
         points = [base.replace(delta_a=x * base.omega_b)
                   for x in (-1.5, -1.35, -1.2)]
         result = evaluate_batch(stack(points))
@@ -432,15 +427,15 @@ class TestSweepTable:
         monkeypatch.setattr(sweep, "BLOCK", 1)
         monkeypatch.setattr(sweep, "CHUNK", 4)  # blocks of four points
         assert table_columns(run_sweep(spec)) == want
-        slogdet = np.linalg.slogdet
+        eigvals = np.linalg.eigvals
 
         def refuse_stacks(m):
             if len(m) > 1:
                 raise np.linalg.LinAlgError("forced")
-            return slogdet(m)
+            return eigvals(m)
 
         # every block of more than one point is evaluated point by point
-        monkeypatch.setattr(np.linalg, "slogdet", refuse_stacks)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse_stacks)
         assert table_columns(run_sweep(spec)) == want
 
 

@@ -213,12 +213,12 @@ class TestSolveLyapunov:
             r = (a[None] @ v[None] + v[None] @ a.T[None] + d[None])[0]
             return math.hypot(*r.ravel()) / math.hypot(*d.ravel())
 
-        lam, s = np.linalg.eig(a)
-        v, residual = dynamics.modal_lyapunov(
-            a[None], np.diag(d)[None], lam[None], s[None])
+        v, errors = dynamics.steady_covariances(a[None], d[None])
+        assert errors == {}
+        residual = dynamics.lyapunov_residual(a[None], v, d[None])
         assert residual[0] == pytest.approx(unscaled(v[0]), rel=1e-6, abs=0.0)
         assert residual[0] <= dynamics.LYAPUNOV_RESIDUAL_TOL
-        assert np.isfinite(solve_lyapunov(a, d)).all()
+        assert np.array_equal(solve_lyapunov(a, d), v[0])
         perturbed = v[0] * (1.0 + 1e-6)
         residual = dynamics.lyapunov_residual(
             a[None], perturbed[None], d[None])[0]

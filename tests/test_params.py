@@ -17,8 +17,10 @@ EPS_450MW = 923811095745258.96
 
 
 def occupation(omega, T):
-    """thermal_occupations of one mode."""
-    return thermal_occupations(np.array([omega]), np.array([T]))[0]
+    """thermal_occupations of one mode, under the np.errstate that the
+    function asks of its callers."""
+    with np.errstate(all="ignore"):
+        return thermal_occupations(np.array([omega]), np.array([T]))[0]
 
 
 def cavity_drive(P):
