@@ -13,6 +13,7 @@ Exit codes: 0 success (an unstable operating point is data, not an error),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -118,23 +119,15 @@ def parse_config(text: str) -> tuple[PhysicalParams, SweepSpec]:
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
-    omega_b = TWO_PI * scalars["omega_b_hz"]
+    # each frequency key names its field, with "_hz" appended
+    freqs = {key[:-3]: TWO_PI * scalars[key] for key in FREQ_KEYS}
+    omega_b = freqs["omega_b"]
     params = PhysicalParams(
-        omega_a=TWO_PI * scalars["omega_a_hz"],
-        omega_b=omega_b,
-        kappa_a=TWO_PI * scalars["kappa_a_hz"],
-        kappa_m=TWO_PI * scalars["kappa_m_hz"],
-        gamma_b=TWO_PI * scalars["gamma_b_hz"],
-        g_ma=TWO_PI * scalars["g_ma_hz"],
-        g_mb=TWO_PI * scalars["g_mb_hz"],
-        P_a=scalars["P_a_w"],
-        P_m=scalars["P_m_w"],
+        **freqs, P_a=scalars["P_a_w"], P_m=scalars["P_m_w"],
         delta_a=scalars["delta_a_over_omega_b"] * omega_b,
         delta_m_tilde_target=scalars["delta_m_tilde_over_omega_b"] * omega_b,
-        T=scalars["T_k"],
-        theta_a=scalars.get("theta_a_rad", 0.0),
-        theta_m=scalars.get("theta_m_rad", 0.0),
-    )
+        T=scalars["T_k"], theta_a=scalars.get("theta_a_rad", 0.0),
+        theta_m=scalars.get("theta_m_rad", 0.0))
     try:
         validate(params)
     except CmmError as exc:
@@ -267,7 +260,9 @@ def cmd_phase_opt(config_path: str, resolution: int = 64) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="cmmsim",
         description="Steady-state quantum correlations of a dual-driven "
@@ -285,8 +280,11 @@ def main(argv=None) -> int:
                                              "drive phase difference")
     p_opt.add_argument("--config", required=True)
     p_opt.add_argument("--resolution", type=int, default=64)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "steady":
             return cmd_steady(args.config)

@@ -29,6 +29,11 @@ LYAPUNOV_RESIDUAL_TOL = 1e-10
 #: cavity's, the magnon's, the mechanics' (its momentum only)
 _NOISY, _NOISE_OF = np.array([0, 1, 2, 3, 5]), np.array([0, 0, 1, 1, 2])
 
+#: the sign of each entry of the drift matrix (1 where it is zero)
+_DRIFT_SIGNS = np.ones((6, 6))
+_DRIFT_SIGNS[[0, 1, 1, 1, 2, 3, 3, 3, 3, 5, 5, 5, 5],
+             [0, 0, 1, 2, 2, 0, 2, 3, 4, 2, 3, 4, 5]] = -1.0
+
 
 def build_drift(params: PhysicalParams, state: MeanFieldState) -> np.ndarray:
     """Real 6x6 drift matrix of the linearized fluctuation dynamics, the
@@ -59,17 +64,18 @@ def drift_batch(p: ParamBatch,
     arbitrary drive phases.
     """
     g, cm = p.g_ma, SQRT2 * p.g_mb
-    dm, m_re, m_im = mf.delta_m_tilde, mf.m_s.real, mf.m_s.imag
+    dm, m_re, m_im = mf.delta_m_tilde, cm * mf.m_s.real, cm * mf.m_s.imag
     a = np.zeros((len(p), 6, 6))
-    a[:, 0, 0], a[:, 0, 1], a[:, 0, 3] = -p.kappa_a, p.delta_a, g
-    a[:, 1, 0], a[:, 1, 1], a[:, 1, 2] = -p.delta_a, -p.kappa_a, -g
-    a[:, 2, 1], a[:, 2, 2], a[:, 2, 3] = g, -p.kappa_m, dm
-    a[:, 2, 4] = cm * m_im
-    a[:, 3, 0], a[:, 3, 2], a[:, 3, 3] = -g, -dm, -p.kappa_m
-    a[:, 3, 4] = -cm * m_re
+    a[:, 0, 0], a[:, 0, 1], a[:, 0, 3] = p.kappa_a, p.delta_a, g
+    a[:, 1, 0], a[:, 1, 1], a[:, 1, 2] = p.delta_a, p.kappa_a, g
+    a[:, 2, 1], a[:, 2, 2], a[:, 2, 3], a[:, 2, 4] = g, p.kappa_m, dm, m_im
+    a[:, 3, 0], a[:, 3, 2], a[:, 3, 3], a[:, 3, 4] = g, dm, p.kappa_m, m_re
     a[:, 4, 5] = p.omega_b
-    a[:, 5, 2], a[:, 5, 3] = -cm * m_re, -cm * m_im
-    a[:, 5, 4], a[:, 5, 5] = -p.omega_b, -p.gamma_b
+    a[:, 5, 2], a[:, 5, 3], a[:, 5, 4], a[:, 5, 5] = (m_re, m_im, p.omega_b,
+                                                      p.gamma_b)
+    # the entries above lack their sign; one multiplication by +-1 gives
+    # each its sign, exactly as a negation would
+    a *= _DRIFT_SIGNS
     return a
 
 
@@ -124,28 +130,29 @@ def steady_covariances(a: np.ndarray,
     The unknowns are the 21 entries of V on and above the diagonal, so
     each entry is one real 21x21 solve.  Every coefficient of the operator
     is a drift entry or the sum of two, gathered by index, so an entry's
-    operator, and with it its V, is the same bits in any stack; a
-    singular operator (impossible for a stable drift in exact arithmetic)
-    gives NaN.  Returns the covariances and, keyed by entry, the message
-    of every entry whose relative Frobenius residual is not within
-    LYAPUNOV_RESIDUAL_TOL, NaN included (its covariance is NaN).
+    operator, and with it its V, is the same bits in any stack.  Returns
+    the covariances and, keyed by entry, the message of every entry whose
+    operator is singular (impossible for a stable drift in exact
+    arithmetic) or whose relative Frobenius residual is not within
+    LYAPUNOV_RESIDUAL_TOL, NaN included; the covariance of each is NaN.
     """
     # the drift entries as rows, the gathers' fastest axis, and row 36 zero
     n = len(a)
     rows = np.zeros((37, n))
     rows[:36] = a.reshape(n, 36).T
-    op = np.take(rows, _FIRST, axis=0)
-    op += np.take(rows, _SECOND, axis=0)
-    u = stack_or_nan(np.linalg.solve, op.transpose(2, 0, 1),
-                     -d[:, _I, _J, None])
+    op = rows[_FIRST]
+    op += rows[_SECOND]
+    u, singular = stack_or_nan(np.linalg.solve, op.transpose(2, 0, 1),
+                               -d[:, _I, _J, None])
     v = u[:, _UNKNOWN, 0]
     residual = lyapunov_residual(a, v, d)
     errors = {}
-    for k in np.flatnonzero(~(residual <= LYAPUNOV_RESIDUAL_TOL)).tolist():
-        # from finite a and d, a non-finite residual means that V or its
-        # residual's products overflowed (a singular operator, impossible
-        # for a stable drift, reads alike)
-        if (not math.isfinite(residual[k]) and np.isfinite(a[k]).all()
+    for k in (~(residual <= LYAPUNOV_RESIDUAL_TOL)).nonzero()[0].tolist():
+        # from finite a and d, a non-finite residual of a solved entry
+        # means that V or its residual's products overflowed
+        if k in singular:
+            errors[k] = "singular Lyapunov operator"
+        elif (not math.isfinite(residual[k]) and np.isfinite(a[k]).all()
                 and np.isfinite(d[k]).all()):
             errors[k] = ("Lyapunov solution overflows "
                          f"(residual {residual[k]:.3e})")
@@ -195,21 +202,22 @@ def lyapunov_residual(a: np.ndarray, v: np.ndarray,
     return np.sqrt((r * r).sum(axis=1)) / np.where(d_norm > 0, d_norm, 1.0)
 
 
-def stack_or_nan(func, *stacks: np.ndarray) -> np.ndarray:
+def stack_or_nan(func, *stacks: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """A stacked ``numpy.linalg`` function (``cholesky``, ``solve``)
     applied to stacks of matrices; an entry it fails on (not positive
     definite, singular) gets NaN entries instead of failing the whole
-    stack.  The result has the shape of the last stack."""
+    stack.  Returns the result, shaped as the last stack, and the entries
+    it failed on, in order."""
     try:
-        return func(*stacks)
+        return func(*stacks), []
     except np.linalg.LinAlgError:
-        out = np.full_like(stacks[-1], np.nan)
+        out, failed = np.full_like(stacks[-1], np.nan), []
         for k, args in enumerate(zip(*stacks)):
             try:
                 out[k] = func(*args)
             except np.linalg.LinAlgError:
-                pass
-        return out
+                failed.append(k)
+        return out, failed
 
 
 def integrate_covariance(a: np.ndarray, d: np.ndarray, v0: np.ndarray,

@@ -57,9 +57,8 @@ class EntanglementReport:
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form, n copies of [[0, 1], [-1, 0]]."""
     omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
+    k = np.arange(0, 2 * n_modes, 2)
+    omega[k, k + 1], omega[k + 1, k] = 1.0, -1.0
     return omega
 
 
@@ -100,6 +99,10 @@ def partial_transpose(v: np.ndarray, transposed_mode: str,
     return v * np.outer(signs, signs)
 
 
+#: Omega M from the rows of M: each mode's two swapped, the second negated
+_SWAP, _SIGNS = np.arange(6) ^ 1, np.array([[1.0], [-1.0]] * 3)
+
+
 def symplectic_spectra(m: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     """Symplectic spectra of a stack of k symmetric 2n x 2n matrices, as a
     symmetric eigenproblem.
@@ -117,41 +120,38 @@ def symplectic_spectra(m: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     to PAIRING_TOL, keyed by its index; the spectra of those matrices are
     meaningless (NaN where the matrix is not positive definite).
     """
-    finite = np.isfinite(m).all(axis=(1, 2))
+    # max propagates NaN, so top is finite exactly where m is
+    top = np.abs(m).max(axis=(1, 2))
+    finite = np.isfinite(top)
     if not finite.all():
         m = np.where(finite[:, None, None], m, 0.0)
     asym = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2))
-    top = np.abs(m).max(axis=(1, 2))
-    asymmetric = asym > 1e-8 * top
-    usable = finite & ~asymmetric
+    usable = finite & (asym <= 1e-8 * top)
     # divide each matrix by an even power of two near its largest |entry|,
     # 2**shift, so that K^T K cannot overflow; exact, and L, K and nu
     # scale by exact powers of two with it
-    shift = np.frexp(top)[1] // 2 * 2
+    shift = np.frexp(top)[1] & -2
     m = np.ldexp(m, -shift[:, None, None])
     if not usable.all():
         m[~usable] = np.eye(m.shape[1])
-    l = stack_or_nan(np.linalg.cholesky, m)
-    # Omega L: swap each mode's two rows, then negate the second
-    omega_l = l[:, np.arange(m.shape[1]) ^ 1]
-    np.negative(omega_l[:, 1::2], out=omega_l[:, 1::2])
+    l, failed = stack_or_nan(np.linalg.cholesky, m)
+    size = m.shape[1]
+    omega_l = l[:, _SWAP[:size]] * _SIGNS[:size]
     k = l.swapaxes(1, 2) @ omega_l
     ktk = k.swapaxes(1, 2) @ k
-    # NaN where the factor does not exist, inf where nu^2 overflows
-    positive = np.isfinite(ktk).all(axis=(1, 2))
-    if not positive.all():
-        ktk[~positive] = 0.0
+    # zero, so nu^2 = 0, where the factor does not exist
+    ktk[failed] = 0.0
     w = np.linalg.eigvalsh(ktk)
     nu_sq = w[:, 0::2]
-    positive &= nu_sq[:, 0] > 0.0
+    positive = nu_sq[:, 0] > 0.0
     ref = np.maximum(w[:, -1], 1e-300)
     mismatch = np.abs(w[:, 1::2] - nu_sq).max(axis=1) / ref
     errors = {}
-    for j in np.flatnonzero(~(usable & positive)
-                            | (mismatch > PAIRING_TOL)).tolist():
+    good = usable & positive & (mismatch <= PAIRING_TOL)
+    for j in (~good).nonzero()[0].tolist():
         if not finite[j]:
             errors[j] = "matrix has non-finite entries"
-        elif asymmetric[j]:
+        elif not usable[j]:
             errors[j] = f"matrix is not symmetric: |V - V^T| = {asym[j]:.3e}"
         elif not positive[j]:
             errors[j] = "matrix is not positive definite"
@@ -196,23 +196,17 @@ def check_physicality(v: np.ndarray):
 #: columns of entanglement_batch: the EntanglementReport fields, in order
 MEASURES = tuple(f.name for f in fields(EntanglementReport))
 
-#: quadratures kept by the pairs (a, m), (a, b), (m, b), and the
-#: positions of their 4x4 entries in a flattened 6x6 matrix; the partial
-#: transposition flips the first kept mode's momentum
-_PAIR_QUADS = np.array([[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]])
-_PAIR_ENTRIES = 6 * _PAIR_QUADS[:, :, None] + _PAIR_QUADS[:, None, :]
-_PAIR_SIGNS = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
 #: sign patterns transposing a, m, b against the other two modes
 _SPLIT_SIGNS = np.array([np.outer(s, s) for s in 1.0 - 2.0 * np.eye(6)[1::2]])
+#: the partially transposed pairs (a, m), (a, b), (m, b) as 4x4 blocks
+#: of the splits, flattened (k, 3, 6, 6): the pair's quadratures in the
+#: split that transposes its first mode (a, a, m)
+_PAIR_QUADS = np.array([[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]])
+_PAIR_ENTRIES = (36 * np.array([0, 0, 1])[:, None, None]
+                 + 6 * _PAIR_QUADS[:, :, None] + _PAIR_QUADS[:, None, :])
 #: the residual contangle of pivot a, m, b is E^2 of its split minus
 #: E^2 of its two pairs, columns of the log-negativities en_am .. en_b_am
 _FIRST_PAIR, _SECOND_PAIR = np.array([0, 0, 1]), np.array([1, 2, 2])
-
-
-def _log_negativities(nu: np.ndarray) -> np.ndarray:
-    """max[0, -ln(2 nu)] entrywise: exactly 0.0 where 2 nu >= 1 (or NaN)."""
-    two_nu = 2.0 * nu
-    return np.where(two_nu < 1.0, -np.log(two_nu), 0.0)
 
 
 def entanglement_batch(v: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
@@ -227,23 +221,25 @@ def entanglement_batch(v: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     error, else its first one-vs-two error.
     """
     k = v.shape[0]
-    pairs = v.reshape(k, 36)[:, _PAIR_ENTRIES]
-    nu_pair, pair_errors = symplectic_spectra(
-        (pairs * _PAIR_SIGNS).reshape(3 * k, 4, 4))
     splits = v[:, None] * _SPLIT_SIGNS
+    pairs = splits.reshape(k, 108)[:, _PAIR_ENTRIES]
+    nu_pair, pair_errors = symplectic_spectra(pairs.reshape(3 * k, 4, 4))
     nu_split, split_errors = symplectic_spectra(splits.reshape(3 * k, 6, 6))
     # at most one symplectic eigenvalue of a physical state's 1|2 partial
-    # transposition is below vacuum; the measures rely on that
-    below = (nu_split < 0.5 - MONOGAMY_SLACK).sum(axis=1)
-    for j in np.flatnonzero(below > 1).tolist():
+    # transposition, the smallest, is below vacuum; the measures rely on it
+    vacuum = 0.5 - MONOGAMY_SLACK
+    for j in (nu_split[:, 1] < vacuum).nonzero()[0].tolist():
+        below = int((nu_split[j] < vacuum).sum())
         split_errors.setdefault(
-            j, f"{below[j]} symplectic eigenvalues below vacuum after a 1|2 "
+            j, f"{below} symplectic eigenvalues below vacuum after a 1|2 "
             "partial transposition; covariance matrix is not physical")
     errors = {}
     for j, message in sorted(pair_errors.items()) + sorted(split_errors.items()):
         errors.setdefault(j // 3, message)
-    en = _log_negativities(np.concatenate(
-        [nu_pair[:, 0].reshape(k, 3), nu_split[:, 0].reshape(k, 3)], axis=1))
+    # log-negativities max[0, -ln(2 nu)]: exactly 0.0 where 2 nu >= 1 or NaN
+    two_nu = 2.0 * np.concatenate(
+        [nu_pair[:, 0].reshape(k, 3), nu_split[:, 0].reshape(k, 3)], axis=1)
+    en = np.where(two_nu < 1.0, -np.log(two_nu), 0.0)
     sq = en * en
     residuals = sq[:, 3:] - sq[:, _FIRST_PAIR] - sq[:, _SECOND_PAIR]
     r_min = residuals.min(axis=1, keepdims=True)

@@ -63,9 +63,8 @@ class MeanFieldBatch(NamedTuple):
     """Effective-mode fixed points of a :class:`ParamBatch`, as arrays.
 
     ``abs_ms_sq`` is |m_s|^2.  ``singular`` marks entries whose magnon
-    response has a pole (``solve_steady_state`` raises there); ``finite``
-    marks entries whose every field is finite.  (A NamedTuple: cheaper to
-    create at import time than a dataclass.)
+    response has a pole (``solve_steady_state`` raises there).  (A
+    NamedTuple: cheaper to create at import time than a dataclass.)
     """
 
     alpha_s: np.ndarray
@@ -75,11 +74,6 @@ class MeanFieldBatch(NamedTuple):
     delta_m: np.ndarray
     delta_m_tilde: np.ndarray
     singular: np.ndarray
-
-    @property
-    def finite(self) -> np.ndarray:
-        return (np.isfinite(self.alpha_s) & np.isfinite(self.m_s)
-                & np.isfinite(self.q_s) & np.isfinite(self.delta_m))
 
     def state(self, k: int) -> MeanFieldState:
         """The scalar state of entry ``k``."""
@@ -92,16 +86,19 @@ class MeanFieldBatch(NamedTuple):
 def _magnon_response(p, eps_a, eps_m, delta_m_tilde):
     """The steady magnon amplitude m_s = num / den at effective detuning
     ``delta_m_tilde``, where the two drives interfere in ``num``, and the
-    scale below which |den| counts as a pole.  Reads only parameter
-    attributes, so ``p`` is a ParamBatch or a PhysicalParams."""
+    scale below which |den| counts as a pole; also the cavity response
+    i delta_a + kappa_a and the cavity drive's phase factor
+    exp(-i theta_a), which the cavity amplitude reuses.  Reads only
+    parameter attributes, so ``p`` is a ParamBatch or a PhysicalParams."""
     c_a = 1j * p.delta_a + p.kappa_a
-    num = (-1j * p.g_ma * eps_a * np.exp(-1j * p.theta_a)
+    phase_a = np.exp(-1j * p.theta_a)
+    num = (-1j * p.g_ma * eps_a * phase_a
            + c_a * eps_m * np.exp(-1j * p.theta_m))
     g2 = p.g_ma * p.g_ma
     den = (1j * delta_m_tilde + p.kappa_m) * c_a + g2
     scale = np.maximum(np.maximum(np.abs(delta_m_tilde * p.delta_a),
                                   p.kappa_m * p.kappa_a), g2)
-    return num, den, scale
+    return num, den, scale, c_a, phase_a
 
 
 def solve_effective_batch(p: ParamBatch) -> MeanFieldBatch:
@@ -112,16 +109,16 @@ def solve_effective_batch(p: ParamBatch) -> MeanFieldBatch:
     call under ``np.errstate(all="ignore")``, since entries may overflow."""
     eps_a, eps_m = p.drive_amplitudes()
     dt = p.delta_m_tilde_target
-    num, den, scale = _magnon_response(p, eps_a, eps_m, dt)
+    num, den, scale, c_a, phase_a = _magnon_response(p, eps_a, eps_m, dt)
     singular = np.abs(den) < 1e-12 * scale
     m_s = num / den
     abs_ms_sq = np.abs(m_s) ** 2
     q_s = -p.g_mb * abs_ms_sq / p.omega_b
-    alpha_s = ((eps_a * np.exp(-1j * p.theta_a) - 1j * p.g_ma * m_s)
-               / (1j * p.delta_a + p.kappa_a))
+    alpha_s = (eps_a * phase_a - 1j * p.g_ma * m_s) / c_a
     delta_m = dt - p.g_mb * q_s
-    # undriven entries have the zero state, whatever their response
-    undriven = (eps_a == 0.0) & (eps_m == 0.0)
+    # undriven entries have the zero state, whatever their response; both
+    # amplitudes are >= 0 or NaN, so their sum is 0 only where both are
+    undriven = eps_a + eps_m == 0.0
     if undriven.any():
         alpha_s, m_s = np.where(undriven, 0j, [alpha_s, m_s])
         abs_ms_sq, q_s = np.where(undriven, 0.0, [abs_ms_sq, q_s])
@@ -218,10 +215,7 @@ def _self_consistency_roots(num2: float, d0: complex, c: complex,
             df = k1 + 2.0 * k2 * u + 3.0 * k3 * u * u
             if df == 0.0:
                 break
-            step = f / df
-            u_new = u - step
-            if u_new < 0.0:
-                u_new = 0.0
+            u_new = max(u - f / df, 0.0)
             if abs(u_new - u) <= _POLISH_TOL * max(u, u_ref):
                 u = u_new
                 break
@@ -247,9 +241,8 @@ def _solve_bare(params: PhysicalParams, eps_a: float, eps_m: float,
     if eps_a == 0.0 and eps_m == 0.0:
         return MeanFieldState(alpha_s=0j, m_s=0j, q_s=0.0, p_s=0.0,
                               delta_m=delta_m, delta_m_tilde=delta_m)
-    num, d0, _ = _magnon_response(params, eps_a, eps_m, delta_m)
+    num, d0, _, c, _ = _magnon_response(params, eps_a, eps_m, delta_m)
     num2, d0 = float(abs(num) ** 2), complex(d0)
-    c = 1j * params.delta_a + params.kappa_a
     # homotopy in the coupling, continued from the zero-coupling solution
     u = _self_consistency_roots(num2, d0, c, 0.0)[0]
     roots = [u]
@@ -285,7 +278,7 @@ def magnon_amplitude_approx(params: PhysicalParams,
     """
     eps_a, eps_m = params.drive_amplitudes()
     with np.errstate(all="ignore"):
-        num, den, scale = _magnon_response(
+        num, den, scale, _, _ = _magnon_response(
             params.replace(kappa_a=0.0, kappa_m=0.0), eps_a, eps_m,
             delta_m_tilde)
         if scale == 0.0 or abs(den) < 1e-12 * scale:

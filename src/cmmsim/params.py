@@ -181,9 +181,9 @@ class ParamBatch:
     def drive_amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
         """(eps_a, eps_m) for entries without :func:`violations`; call
         under ``np.errstate(all="ignore")``, since entries may overflow."""
-        wd = self.drive_frequency
-        return (np.sqrt(2.0 * self.kappa_a * self.P_a / (HBAR * wd)),
-                np.sqrt(2.0 * self.kappa_m * self.P_m / (HBAR * wd)))
+        photon = HBAR * self.drive_frequency
+        return (np.sqrt(2.0 * self.kappa_a * self.P_a / photon),
+                np.sqrt(2.0 * self.kappa_m * self.P_m / photon))
 
     def occupations(self) -> np.ndarray:
         """(n_a, n_m, n_b) as the rows of a (3, n) array: the bath
@@ -217,18 +217,22 @@ def violations(p: ParamBatch) -> dict[int, list[str]]:
     Call under ``np.errstate(all="ignore")``, since the derived frequencies
     of non-finite or huge fields overflow.
     """
+    held = [holds(p.block[rows])
+            for (_, holds, _), rows in zip(_RULES, _RULE_ROWS)]
+    derived = np.array([p.drive_frequency, p.magnon_frequency])
+    held.append(derived > 0.0)
+    if np.concatenate(held).all():
+        return {}
     found = {}
-    for (names, holds, rule), rows in zip(_RULES, _RULE_ROWS):
-        values = p.block[rows]
-        for f, k in zip(*np.nonzero(~holds(values))):
+    for (names, _, rule), rows, holds in zip(_RULES, _RULE_ROWS, held):
+        for f, k in zip(*np.nonzero(~holds)):
             found.setdefault(int(k), []).append(
-                f"{names[f]} {rule}, got {float(values[f, k])!r}")
-    derived = ("drive frequency omega_a - delta_a",
-               "magnon frequency delta_m_tilde_target + omega_a - delta_a")
-    values = np.array([p.drive_frequency, p.magnon_frequency])
-    for f, k in zip(*np.nonzero(~(values > 0.0))):
-        found.setdefault(int(k), [f"derived {derived[f]} must be > 0, "
-                                  f"got {float(values[f, k])!r}"])
+                f"{names[f]} {rule}, got {float(p.block[rows[f], k])!r}")
+    labels = ("drive frequency omega_a - delta_a",
+              "magnon frequency delta_m_tilde_target + omega_a - delta_a")
+    for f, k in zip(*np.nonzero(~held[-1])):
+        found.setdefault(int(k), [f"derived {labels[f]} must be > 0, "
+                                  f"got {float(derived[f, k])!r}"])
     return found
 
 

@@ -116,6 +116,8 @@ _ABS_MS_SQ, _Q_S, _MARGIN = (FLOAT_FIELDS.index(name)
                              for name in ("abs_ms_sq", "q_s", "margin"))
 _MEASURE_COLUMNS = np.array([FLOAT_FIELDS.index(name)
                              for name in entanglement.MEASURES])
+#: turns a stack of diffusion diagonals, shape (n, 6, 1), into matrices
+_EYE = np.eye(6)
 
 
 class SweepTable(Sequence):
@@ -236,13 +238,15 @@ def evaluate_batch(p: ParamBatch) -> BatchResult:
                            np.concatenate([part.covariances for part in parts]))
 
 
-def _survivors(failed: dict[int, str], sub: np.ndarray, errors: dict):
-    """Record the error of each ``failed`` entry of the points ``sub`` and
-    return the selector of the others."""
+def _survivors(failed: dict[int, str], sub: np.ndarray, errors: dict,
+               *stacks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Record the error of each ``failed`` entry of the points ``sub``, and
+    return ``sub`` and each of ``stacks`` without those entries."""
     for j, message in failed.items():
         errors[int(sub[j])] = f"error: {message}"
-    return (np.delete(np.arange(sub.size), list(failed)) if failed
+    keep = (np.delete(np.arange(sub.size), list(failed)) if failed
             else slice(None))
+    return tuple(x[keep] for x in (sub, *stacks))
 
 
 def _run_stages(p: ParamBatch) -> BatchResult:
@@ -258,38 +262,37 @@ def _run_stages(p: ParamBatch) -> BatchResult:
     idx, q = np.arange(n), p
     found = violations(p)
     if found:
-        ok = np.ones(n, bool)
         for k, messages in found.items():
-            ok[k] = False
             errors[k] = f"error: {ParameterError(messages)}"
-        idx = np.flatnonzero(ok)
+        idx = np.delete(idx, list(found))
         q = p.take(idx)
 
     mf = meanfield.solve_effective_batch(q)
-    ok = ~mf.singular & mf.finite
-    if not ok.all():
+    values[idx, _ABS_MS_SQ] = mf.abs_ms_sq
+    values[idx, _Q_S] = mf.q_s
+    a = dynamics.drift_batch(q, mf)
+    d = dynamics.diffusion_batch(q)
+    # delta_m is finite only where q_s is, and q_s only where m_s is
+    # (g_mb * inf and 0 * inf are both non-finite): two tests cover the
+    # four fields of the mean field
+    ok = ~mf.singular & np.isfinite(mf.alpha_s) & np.isfinite(mf.delta_m)
+    fine = ok & np.isfinite(a).all(axis=(1, 2)) & np.isfinite(d).all(axis=1)
+    omega_b = q.omega_b
+    if not fine.all():
         for k in idx[mf.singular].tolist():
             errors[k] = f"error: {meanfield.SINGULAR_RESPONSE}"
         for k in idx[~mf.singular & ~ok].tolist():
             errors[k] = f"error: {meanfield.NON_FINITE_STATE}"
-    values[idx[ok], _ABS_MS_SQ] = mf.abs_ms_sq[ok]
-    values[idx[ok], _Q_S] = mf.q_s[ok]
-
-    a = dynamics.drift_batch(q, mf)
-    d = dynamics.diffusion_batch(q)
-    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(d).all(axis=1)
-    for k in idx[ok & ~finite].tolist():
-        errors[k] = "error: non-finite drift or diffusion matrix"
-    ok &= finite
-    omega_b = q.omega_b
-    if not ok.all():
-        idx, a, d, omega_b = idx[ok], a[ok], d[ok], omega_b[ok]
+        for k in idx[ok & ~fine].tolist():
+            errors[k] = "error: non-finite drift or diffusion matrix"
+        values[idx[~ok, None], [_ABS_MS_SQ, _Q_S]] = np.nan
+        idx, a, d, omega_b = idx[fine], a[fine], d[fine], omega_b[fine]
 
     margin = np.linalg.eigvals(a).real.max(axis=1)
     values[idx, _MARGIN] = margin
     ok = margin < -dynamics.STABILITY_EPS * omega_b
     # a stable point keeps its flag and margin if a later stage fails
-    stable[idx[ok]] = True
+    stable[idx] = ok
     if not ok.all():
         idx, a, d = idx[ok], a[ok], d[ok]
 
@@ -297,15 +300,13 @@ def _run_stages(p: ParamBatch) -> BatchResult:
     for start in range(0, idx.size, CHUNK):
         at = slice(start, start + CHUNK)
         v, failed = dynamics.steady_covariances(a[at],
-                                                d[at, :, None] * np.eye(6))
-        sub = idx[at]
-        solved = _survivors(failed, sub, errors)
-        sub, v = sub[solved], v[solved]
+                                                d[at, :, None] * _EYE)
+        sub, v = _survivors(failed, idx[at], errors, v)
 
         measures, failed = entanglement.entanglement_batch(v)
-        done = _survivors(failed, sub, errors)
-        values[sub[done, None], _MEASURE_COLUMNS] = measures[done]
-        cov[sub[done]] = v[done]
+        sub, v, measures = _survivors(failed, sub, errors, v, measures)
+        values[sub[:, None], _MEASURE_COLUMNS] = measures
+        cov[sub] = v
 
     return BatchResult(SweepTable(*np.full((2, n), np.nan), stable, values,
                                   errors), cov)

@@ -19,6 +19,7 @@ import pytest
 
 import cmmsim as c
 from cmmsim.cli import main as cli_main, parse_config, write_sweep_csv
+from cmmsim.params import FIELDS
 from conftest import random_physical_cm, table_of, tmsv_cm, embed_with_vacuum
 
 BASE = c.baseline_params()
@@ -49,12 +50,14 @@ def _point(delta_a_over_wb, delta_theta, **overrides):
     return c.apply_axis(p, "delta_theta", delta_theta)
 
 
-def _evaluate(p):
-    """The evaluate_point row of ``p`` and, where its status is ok, its
-    covariance matrix (else None), from one batch of one."""
-    result = c.evaluate_batch(c.ParamBatch.from_base(p, 1))
-    row = result.table[0]
-    return row, result.covariances[0] if row.status == "ok" else None
+def _curve(points):
+    """The evaluate_point row of each of ``points`` and, where its status
+    is ok, its covariance matrix (else None), from one evaluate_batch."""
+    table, covariances = c.evaluate_batch(c.ParamBatch.from_base(
+        points[0], len(points),
+        **{name: [getattr(p, name) for p in points] for name in FIELDS}))
+    return [(table[k], covariances[k] if table.status(k) == "ok" else None)
+            for k in range(len(points))]
 
 
 def test_criterion_01_lyapunov_ode_equivalence():
@@ -129,9 +132,9 @@ def test_criterion_04_double_pump_enhancement():
 
     def sweep_max(pump_mode, delta_theta):
         best = -math.inf
-        for x in das:
-            p = _point(float(x), delta_theta, P_a=0.45)
-            row, v = _evaluate(c.apply_pump_mode(p, pump_mode))
+        for row, v in _curve([c.apply_pump_mode(
+                _point(float(x), delta_theta, P_a=0.45), pump_mode)
+                for x in das]):
             if row.stable:
                 _record_cm(v)
                 best = max(best, row.r_min)
@@ -169,8 +172,8 @@ def test_criterion_05_peak_location():
     xs = np.arange(0.5, 2.0 + 1e-9, 0.025)
     grid = np.concatenate([-xs[::-1], xs])
     best_val, best_x = -math.inf, None
-    for x in grid:
-        row, v = _evaluate(_point(float(x), math.pi / 2.0))
+    for x, (row, v) in zip(grid, _curve([_point(float(x), math.pi / 2.0)
+                                         for x in grid])):
         if row.stable:
             _record_cm(v)
             if row.r_min > best_val:
@@ -183,10 +186,12 @@ def test_criterion_05_peak_location():
 def test_criterion_06_phase_periodicity_and_gauge():
     # periodicity at the entangled operating point (and the mirror point)
     worst_period = 0.0
+    ths = np.linspace(0.0, 2.0 * math.pi, 81)
     for sign in (-1.0, +1.0):
-        for th in np.linspace(0.0, 2.0 * math.pi, 81):
-            r1, v1 = _evaluate(_point(sign * 1.35, float(th)))
-            r2 = c.evaluate_point(_point(sign * 1.35, float(th) + 2.0 * math.pi))
+        for (r1, v1), (r2, _) in zip(
+                _curve([_point(sign * 1.35, float(th)) for th in ths]),
+                _curve([_point(sign * 1.35, float(th) + 2.0 * math.pi)
+                        for th in ths])):
             worst_period = max(worst_period, abs(r1.r_min - r2.r_min))
             if v1 is not None:
                 _record_cm(v1)
@@ -213,8 +218,8 @@ def test_criterion_07_thermal_fragility():
     for sign in (+1.0, -1.0):
         for th, label in ((math.pi / 2.0, "half"), (0.0, "zero")):
             vals = []
-            for T in temps:
-                row, v = _evaluate(_point(sign * 1.35, th, T=float(T)))
+            for row, v in _curve([_point(sign * 1.35, th, T=float(T))
+                                  for T in temps]):
                 vals.append(row.r_min)
                 if v is not None:
                     _record_cm(v)
@@ -225,8 +230,10 @@ def test_criterion_07_thermal_fragility():
         return np.all(np.diff(finite) <= 1e-12)
 
     def death_temperature(sign, th):
-        for T in np.linspace(10e-3, 1.0, 34):
-            if c.evaluate_point(_point(sign * 1.35, th, T=float(T))).r_min == 0.0:
+        scan = np.linspace(10e-3, 1.0, 34)
+        for T, (row, _) in zip(scan, _curve([_point(sign * 1.35, th, T=float(T))
+                                             for T in scan])):
+            if row.r_min == 0.0:
                 return T
         return None
 
@@ -318,8 +325,8 @@ def test_criterion_08_stability_cross_check():
 
 def test_criterion_09_physicality_of_produced_covariances():
     if _COLLECTED["count"] == 0:  # running this test in isolation
-        for x in np.linspace(-2.0, 2.0, 41):
-            row, v = _evaluate(c.apply_axis(BASE, "delta_a", float(x)))
+        for row, v in _curve([c.apply_axis(BASE, "delta_a", float(x))
+                              for x in np.linspace(-2.0, 2.0, 41)]):
             if v is not None:
                 _record_cm(v)
     ok = (_COLLECTED["min_uncertainty_eig"] >= -1e-10

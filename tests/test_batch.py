@@ -236,12 +236,14 @@ class TestBatchedLyapunov:
 
 
     def test_a_singular_operator_is_confined_to_its_entry(self):
-        # a zero drift's operator is zero: its entry is NaN and an error,
-        # and the other entry keeps its bits
+        # a zero drift's operator is zero: its entry is NaN and an error
+        # that names the singular operator, not an overflow, and the other
+        # entry keeps its bits
         a = np.stack([-np.eye(6) + np.eye(6, k=1), np.zeros((6, 6))])
         d = np.stack([np.eye(6)] * 2)
         v, errors = dynamics.steady_covariances(a, d)
-        assert list(errors) == [1] and np.isnan(v[1]).all()
+        assert errors == {1: "singular Lyapunov operator"}
+        assert np.isnan(v[1]).all()
         alone, _ = dynamics.steady_covariances(a[:1], d[:1])
         assert np.array_equal(v[0], alone[0])
 
@@ -274,6 +276,65 @@ class TestEigenvaluesOnly:
                 theta_a=base.theta_m + row.axis2))
             alone.axis1, alone.axis2 = row.axis1, row.axis2
             assert same_row(row, alone)
+
+
+def chunk_calls(k):
+    """The linear-algebra calls of one chunk of k stable points, in order,
+    each with the shape of its stack: the Lyapunov solve of the k points,
+    then a Cholesky factor and a symmetric eigenproblem for the 3k
+    partially transposed pairs and again for the 3k splits."""
+    return [("solve", (k, 21, 21)),
+            ("cholesky", (3 * k, 4, 4)), ("eigvalsh", (3 * k, 4, 4)),
+            ("cholesky", (3 * k, 6, 6)), ("eigvalsh", (3 * k, 6, 6))]
+
+
+class TestLinearAlgebraCalls:
+    """The fixed cost of a batch rests on its numpy.linalg calls: one
+    eigvals of the batch's drifts, and per chunk of stable points one
+    solve, two cholesky and two eigvalsh, all stacked; no eigenvectors,
+    determinants, inverses or Lyapunov solver of another kind."""
+
+    SPIED = ("eigvals", "solve", "cholesky", "eigvalsh",
+             "eig", "eigh", "slogdet", "det", "inv")
+
+    def calls(self, monkeypatch, p):
+        seen = []
+        for name in self.SPIED:
+            def spy(m, *args, func=getattr(np.linalg, name), name=name,
+                    **kwargs):
+                seen.append((name, m.shape))
+                return func(m, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        for module, name in ((dynamics, "solve_lyapunov"),
+                             (scipy.linalg, "solve_continuous_lyapunov")):
+            def refuse(*args, name=name, **kwargs):
+                seen.append((name, None))
+                raise AssertionError(f"{name} called")
+            monkeypatch.setattr(module, name, refuse)
+        table = evaluate_batch(p).table
+        monkeypatch.undo()
+        return seen, table
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_small_batches(self, base, n, monkeypatch):
+        p = ParamBatch.from_base(base, n, theta_a=base.theta_m + np.linspace(
+            0.0, 2.0 * math.pi, n, endpoint=False))
+        seen, table = self.calls(monkeypatch, p)
+        assert table.stable.all() and table.errors == {}
+        assert seen == [("eigvals", (n, 6, 6))] + chunk_calls(n)
+
+    @pytest.mark.parametrize("p_m", [0.9, 1.2])
+    def test_a_grid_block(self, p_m, monkeypatch):
+        p = grid_batch(p_m)[0]
+        assert len(p) <= sweep.BLOCK * sweep.CHUNK
+        seen, table = self.calls(monkeypatch, p)
+        assert table.errors == {}
+        stable = int(table.stable.sum())
+        assert 0 < stable < len(p)
+        want = [("eigvals", (len(p), 6, 6))]
+        for start in range(0, stable, sweep.CHUNK):
+            want += chunk_calls(min(sweep.CHUNK, stable - start))
+        assert seen == want
 
 
 #: the status of the baseline point at temperatures where its covariance

@@ -1,10 +1,14 @@
 """Config parsing, CSV output, subcommands, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cmmsim
 from cmmsim import (ConfigError, SweepRow, TWO_PI, apply_axis,
                     apply_pump_mode, evaluate_point, optimize_phase,
                     solve_steady_state, sweep)
@@ -368,3 +372,38 @@ class TestPhaseOptCommand:
         assert captured.out == ""
         assert captured.err == ("error: Lyapunov solution overflows "
                                 "(residual nan)\n")
+
+
+class TestRepeatedMain:
+    def test_calls_in_one_process_print_what_fresh_processes_print(
+            self, capsys, monkeypatch):
+        # main builds its parser once and reuses it: a run of commands in
+        # one process, failures and usage errors among them, prints each
+        # command's bytes as a fresh process does, help included
+        monkeypatch.setenv("COLUMNS", "80")  # argparse's wrapping width
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(
+            Path(cmmsim.__file__).resolve().parents[1]))
+        cfg = str(CONFIG_DIR / "baseline.cfg")
+        runs = [(["phase-opt", "--config", cfg], 0),
+                (["phase-opt", "--config", cfg, "--bogus"], 2),
+                (["phase-opt", "--config", cfg, "--resolution", "4"], 2),
+                (["steady", "--config", cfg], 0),
+                (["phase-opt", "--config", cfg], 0),
+                (["--help"], 0)]
+        errs = []
+        for argv, code in runs:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's exits
+                rc = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "cmmsim.cli", *argv],
+                capture_output=True, env=env, check=False)
+            assert rc == fresh.returncode == code
+            assert captured.out.encode() == fresh.stdout
+            assert captured.err.encode() == fresh.stderr
+            errs.append(captured.err)
+        assert errs[1].endswith(
+            "cmmsim: error: unrecognized arguments: --bogus\n")
+        assert errs[2] == "config error: resolution must be >= 8, got 4\n"
