@@ -6,16 +6,21 @@ drifts, whose eigenvalues give the stability margin.  The stable points
 then go CHUNK at a time through the Lyapunov solve (one batched 21x21
 real solve, no eigenvectors) and the partial-transpose spectra.  A single
 point is a batch of one.  Every step treats each point on its own, so a
-point's row is bit-identical whichever batch it is evaluated in.  Results
-are kept as columns (a SweepTable), a grid's points in row-major order
-with the first axis outermost; a row object is built only where one is
-asked for.
+point's row is bit-identical whichever batch it is evaluated in, and a
+grid's blocks can be shared among processes: one worker per CPU of the
+process's affinity mask, this process and forked children, each writing
+its rows into one shared buffer.  Results are kept as columns (a
+SweepTable), a grid's points in row-major order with the first axis
+outermost; a row object is built only where one is asked for.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+import pickle
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -334,26 +339,126 @@ def _coordinates(spec: SweepSpec, k: np.ndarray) -> list[np.ndarray]:
             if shape else [])
 
 
-def _blocks(spec: SweepSpec):
-    """The parameters of each block of BLOCK * CHUNK grid points,
-    row-major."""
+def _blocks(spec: SweepSpec, first: int, step: int):
+    """The grid offset and parameters of blocks first, first + step, ...
+    of the grid's blocks of BLOCK * CHUNK points, row-major."""
     total = math.prod(ax.count for ax in spec.axes)
     base = apply_pump_mode(spec.base, spec.pump_mode)
     size = BLOCK * CHUNK
-    for start in range(0, total, size):
+    for start in range(first * size, total, step * size):
         k = np.arange(start, min(start + size, total))
         columns = dict(_axis_field(base, ax.name, x)
                        for ax, x in zip(spec.axes, _coordinates(spec, k)))
-        yield ParamBatch.from_base(base, k.size, **columns)
+        yield start, ParamBatch.from_base(base, k.size, **columns)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _in_workers(work, workers: int) -> list:
+    """``[work(0), ..., work(workers - 1)]``, ``work(0)`` in this process
+    and each other ``work(w)`` in a forked child that sends its result
+    back pickled through a pipe; with one worker nothing forks.
+
+    Raises CmmError naming a child that fails (raises, dies, or sends a
+    result that does not unpickle) and its exit status.  Every child is
+    reaped before this returns or raises; if this process fails, it kills
+    them first.
+    """
+    pids, pipes = [], []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(write)
+                raise CmmError(f"cannot start sweep worker {w}: {exc}") from None
+            if pid == 0:
+                _child(work, w, write)
+            os.close(write)
+            pids.append(pid)
+        results = [work(0)] + [pipe.read() for pipe in pipes]
+    except BaseException:
+        import signal  # only a failing sweep pays for the import
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid in pids]
+    for w, code in enumerate(codes, 1):
+        if code < 0:
+            raise CmmError(f"sweep worker {w} was killed by signal {-code}")
+        if code:
+            raise CmmError(f"sweep worker {w} exited with status {code}")
+        try:
+            results[w] = pickle.loads(results[w])
+        except Exception:
+            raise CmmError(f"sweep worker {w} exited with status 0 but sent "
+                           f"a short result ({len(results[w])} bytes)") from None
+    return results
+
+
+def _child(work, w: int, write: int):
+    """The forked worker ``w``: write ``work(w)`` pickled to the file
+    descriptor ``write`` and exit, with status 1 and the traceback on
+    stderr if anything raises.  Never returns."""
+    code = 1
+    try:
+        with open(write, "wb") as fh:
+            fh.write(pickle.dumps(work(w)))
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(code)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid, BLOCK * CHUNK points at a time, into one table
     (also the sequence of its rows) whose axis columns hold the grid's
-    coordinates; its values do not depend on the chunking."""
-    table = SweepTable.concat([evaluate_batch(p).table for p in _blocks(spec)])
+    coordinates.
+
+    The blocks are shared among W workers, W the number of CPUs in the
+    process's affinity mask or of blocks if that is smaller: this process
+    is worker 0 and forks the others, and worker w evaluates blocks w,
+    w + W, ...  Each writes its rows into one table allocated in shared
+    memory, and sends back only its errors, so the table's bits depend
+    neither on the chunking nor on W (``taskset -c 0`` runs serially, and
+    with one worker nothing forks).  A worker that fails makes this raise
+    CmmError naming it and its exit status; no child outlives the call.
+    """
+    import mmap  # on first use: importing cmmsim does not pay for it
+    total = math.prod(ax.count for ax in spec.axes)
+    workers = min(_cpus(), len(range(0, total, BLOCK * CHUNK)))
+    width = len(FLOAT_FIELDS)
+    shared = mmap.mmap(-1, total * (8 * width + 1))
+    values = np.frombuffer(shared, np.float64, total * width).reshape(
+        total, width)
+    stable = np.frombuffer(shared, bool, total, offset=values.nbytes)
+
+    def work(w: int) -> dict[int, str]:
+        errors = {}
+        for start, p in _blocks(spec, w, workers):
+            table = evaluate_batch(p).table
+            values[start:start + len(p)] = table.values
+            stable[start:start + len(p)] = table.stable
+            errors.update((start + k, s) for k, s in table.errors.items())
+        return errors
+
+    errors = dict(sorted(item for part in _in_workers(work, workers)
+                         for item in part.items()))
+    table = SweepTable(*np.full((2, total), np.nan), stable, values, errors)
     for name, x in zip(("axis1", "axis2"),
-                       _coordinates(spec, np.arange(len(table)))):
+                       _coordinates(spec, np.arange(total))):
         setattr(table, name, x)
     return table
 

@@ -347,11 +347,14 @@ def test_criterion_10_csv_determinism(tmp_path, monkeypatch):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(text, encoding="utf-8")
     outputs = []
-    # a rerun, then a different chunking of the 441 points
-    for name, chunk in (("a.csv", c.sweep.CHUNK), ("b.csv", c.sweep.CHUNK),
-                        ("c.csv", 7)):
+    # a rerun, then a different chunking of the 441 points (eight blocks)
+    # evaluated by one, two and three worker processes
+    cpus = c.sweep._cpus()
+    for chunk, workers in ((c.sweep.CHUNK, cpus), (c.sweep.CHUNK, cpus),
+                           (7, 1), (7, 2), (7, 3)):
         monkeypatch.setattr(c.sweep, "CHUNK", chunk)
-        out = tmp_path / name
+        monkeypatch.setattr(c.sweep, "_cpus", lambda w=workers: w)
+        out = tmp_path / f"{len(outputs)}.csv"
         code = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         outputs.append(out.read_bytes())
@@ -365,8 +368,8 @@ def test_criterion_10_csv_determinism(tmp_path, monkeypatch):
             row = c.evaluate_point(p)
             row.axis1, row.axis2 = float(x), float(y)
             rows.append(row)
-    write_sweep_csv(table_of(rows), str(tmp_path / "d.csv"))
-    outputs.append((tmp_path / "d.csv").read_bytes())
+    write_sweep_csv(table_of(rows), str(tmp_path / "rows.csv"))
+    outputs.append((tmp_path / "rows.csv").read_bytes())
     ok = all(out == outputs[0] for out in outputs)
-    _report(10, ok, f"{len(outputs[0])} bytes, reruns, chunkings and "
-                    "per-point rows identical")
+    _report(10, ok, f"{len(outputs[0])} bytes, reruns, chunkings, worker "
+                    "counts and per-point rows identical")

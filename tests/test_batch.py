@@ -261,6 +261,8 @@ class TestEigenvaluesOnly:
             monkeypatch.setattr(np.linalg, name, spy)
         monkeypatch.setattr(sweep, "BLOCK", 1)
         monkeypatch.setattr(sweep, "CHUNK", 64)  # blocks of 64 points
+        # one worker: the spies see only this process's calls
+        monkeypatch.setattr(sweep, "_cpus", lambda: 1)
         rows = grid_sweep(p_m)
         monkeypatch.undo()
         # every block's drifts are finite: one eigvals of the whole block

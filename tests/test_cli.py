@@ -2,6 +2,9 @@
 
 import math
 import os
+import pickle
+import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import cmmsim
-from cmmsim import (ConfigError, SweepRow, TWO_PI, apply_axis,
-                    apply_pump_mode, evaluate_point, optimize_phase,
+from cmmsim import (CmmError, ConfigError, ParamBatch, SweepRow, TWO_PI,
+                    apply_axis, apply_pump_mode, evaluate_batch,
+                    evaluate_point, optimize_phase, run_sweep,
                     solve_steady_state, sweep)
 from cmmsim.cli import (CSV_BLOCK, CSV_HEADER, fmt, main, parse_config,
                         write_sweep_csv)
@@ -312,6 +316,82 @@ class TestSweepCommand:
         raw = out_path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+#: ok, unstable and error rows (T = 1e300 K overflows), 27 points
+GRID_CFG = (BASELINE_CFG.replace("P_m_w = 0.9", "P_m_w = 1.0")
+            + "sweep.delta_a = -2:2:9\nsweep.T = 0.01:1e300:3\n")
+
+
+def _die(kind):
+    """Make this process fail as a sweep worker can."""
+    if kind == "exit":
+        os._exit(3)
+    if kind == "raise":
+        raise RuntimeError("forced")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestSweepWorkers:
+    """A sweep's blocks are shared among forked workers, one per CPU; a
+    worker that fails is an error (exit status 1), never a hang or a
+    process left behind, and small work never forks."""
+
+    #: the error of worker 1 failing in each way
+    FAILURES = {
+        "exit": "sweep worker 1 exited with status 3",
+        "raise": "sweep worker 1 exited with status 1",
+        "kill": f"sweep worker 1 was killed by signal {signal.SIGKILL:d}",
+        "short": "sweep worker 1 exited with status 0 but sent a short "
+                 "result (4 bytes)"}
+
+    @pytest.mark.parametrize("kind", FAILURES)
+    def test_a_failing_worker_is_an_error(self, tmp_path, capsys,
+                                          monkeypatch, kind):
+        message = self.FAILURES[kind]
+        parent, evaluate = os.getpid(), sweep.evaluate_batch
+
+        def fail_in_children(p):
+            if os.getpid() != parent and kind != "short":
+                _die(kind)
+            return evaluate(p)
+
+        monkeypatch.setattr(sweep, "evaluate_batch", fail_in_children)
+        if kind == "short":
+            monkeypatch.setattr(pickle, "dumps",
+                                lambda obj, dumps=pickle.dumps: dumps(obj)[:4])
+        monkeypatch.setattr(sweep, "_cpus", lambda: 2)
+        monkeypatch.setattr(sweep, "BLOCK", 1)
+        monkeypatch.setattr(sweep, "CHUNK", 7)  # four blocks
+        _, spec = parse_config(GRID_CFG)
+        with pytest.raises(CmmError, match=f"^{re.escape(message)}$"):
+            run_sweep(spec)
+        out_path = tmp_path / "out.csv"
+        assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
+                     "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_path.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_small_work_never_forks(self, tmp_path, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        params, spec = parse_config(GRID_CFG)
+        assert evaluate_point(params).status == "ok"
+        assert len(evaluate_batch(ParamBatch.from_base(params, 16)).table) == 16
+        optimize_phase(params, 8)
+        assert len(run_sweep(spec)) == 27  # one block
+        cfg = write_cfg(tmp_path, BASELINE_CFG)
+        assert main(["steady", "--config", cfg]) == 0
+        assert main(["phase-opt", "--config", cfg, "--resolution", "8"]) == 0
+        # nor does a grid of many blocks on one CPU
+        monkeypatch.setattr(sweep, "_cpus", lambda: 1)
+        monkeypatch.setattr(sweep, "BLOCK", 1)
+        monkeypatch.setattr(sweep, "CHUNK", 7)
+        assert len(run_sweep(spec)) == 27
 
 
 class TestPhaseOptCommand:

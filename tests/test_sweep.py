@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cmmsim import (NoStablePointError, NumericalError, ParamBatch,
                     SweepAxis, SweepSpec, apply_axis, apply_pump_mode,
                     baseline_params, evaluate_batch, evaluate_point,
                     optimize_phase, run_sweep, sweep)
+from cmmsim.cli import write_sweep_csv
 from cmmsim.entanglement import MEASURES
 
 PHYSICS_FIELDS = ("stable", "margin", "r_min", "residual_a", "residual_m",
@@ -152,6 +154,38 @@ class TestRunSweep:
             for row in rows:
                 alone = evaluate_point(apply_axis(params, "delta_a", row.axis1))
                 assert rows_equal(row, alone, PHYSICS_FIELDS + ("status",))
+
+    def test_worker_count_never_changes_bits(self, base, tmp_path,
+                                             monkeypatch):
+        # ok, unstable and error rows (T = 5e299 and 1e300 K overflow) in
+        # five blocks of 14 points, so every worker has blocks with error
+        # rows, which must land at their grid positions
+        spec = SweepSpec(base=base.replace(P_m=1.0), axes=(
+            SweepAxis("delta_a", -2.0, 2.0, 21),
+            SweepAxis("T", 0.01, 1e300, 3)))
+        monkeypatch.setattr(sweep, "CHUNK", 7)
+        monkeypatch.setattr(sweep, "BLOCK", 2)
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(sweep, "_cpus", lambda w=workers: w)
+            table = run_sweep(spec)
+            path = tmp_path / f"{workers}.csv"
+            write_sweep_csv(table, str(path))
+            runs.append((table.stable.tolist(),
+                         table.values.view(np.int64).tolist(),
+                         table.errors, path.read_bytes()))
+        assert len(forks) == 0 + 1 + 2
+        assert {table.status(k).split(":")[0]
+                for k in range(len(table))} == {"ok", "unstable", "error"}
+        assert {float(table.axis2[k]) for k in table.errors} == {5e299, 1e300}
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_pump_mode_equivalence(self, base):
         axes = (SweepAxis("delta_a", -1.5, -1.0, 4),)
