@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import IntegrationError, NumericalError, UnstableSystemError
+from .errors import NumericalError, UnstableSystemError
 from .meanfield import MeanFieldBatch, MeanFieldState
 from .params import ParamBatch, PhysicalParams, batch_of_one
 
@@ -219,46 +219,3 @@ def stack_or_nan(func, *stacks: np.ndarray) -> tuple[np.ndarray, list[int]]:
                 failed.append(k)
         return out, failed
 
-
-def integrate_covariance(a: np.ndarray, d: np.ndarray, v0: np.ndarray,
-                         t_final: float, dt: float | None = None) -> np.ndarray:
-    """Propagate dV/dt = a V + V a^T + d with a fixed-step classical
-    fourth-order Runge-Kutta scheme, symmetrizing after every step.
-
-    Default step is 0.01 / max|Re eig(a)|.  Serves as the independent
-    cross-check of :func:`solve_lyapunov`; for stable ``a`` and
-    t_final >> 1/|margin| the two agree to the integrator's accuracy.
-
-    Raises IntegrationError on norm blow-up (entries beyond 1e12),
-    which indicates the step is too large for the spectrum of ``a``.
-    """
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(d, dtype=float)
-    v = 0.5 * (np.asarray(v0, dtype=float) + np.asarray(v0, dtype=float).T)
-    if t_final < 0.0 or (dt is not None and dt <= 0.0):
-        raise ValueError("t_final must be >= 0 and dt > 0")
-    if t_final == 0.0:
-        return v
-    if dt is None:
-        decay = float(np.abs(np.linalg.eigvals(a).real).max())
-        dt = 0.01 / decay if decay > 0.0 else t_final / 1000.0
-
-    def flow(m):
-        return a @ m + m @ a.T + d
-
-    n_steps = int(math.ceil(t_final / dt - 1e-12))
-    t = 0.0
-    for k in range(n_steps):
-        h = min(dt, t_final - t)
-        k1 = flow(v)
-        k2 = flow(v + 0.5 * h * k1)
-        k3 = flow(v + 0.5 * h * k2)
-        k4 = flow(v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        v = 0.5 * (v + v.T)
-        t += h
-        if not np.all(np.isfinite(v)) or np.abs(v).max() > 1e12:
-            raise IntegrationError(
-                f"covariance integration blew up at t={t:.3e} "
-                f"(step {k + 1}/{n_steps}); reduce dt")
-    return v

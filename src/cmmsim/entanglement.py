@@ -16,13 +16,12 @@ import numpy as np
 from .dynamics import stack_or_nan
 from .errors import NumericalError
 
-MODES = ("a", "m", "b")
-
 #: tolerance on the pairing of the doubled nu^2 eigenvalues of K^T K (see
 #: symplectic_spectra), relative to the largest of them
 PAIRING_TOL = 1e-9
 
-#: slack on monogamy margins and physicality eigenvalues, absolute
+#: slack on monogamy margins and on the vacuum bound 1/2 of a split's
+#: symplectic eigenvalues, absolute
 MONOGAMY_SLACK = 1e-10
 
 
@@ -52,51 +51,6 @@ class EntanglementReport:
         """Whether every residual contangle is >= -MONOGAMY_SLACK."""
         return all(r >= -MONOGAMY_SLACK for r in
                    (self.residual_a, self.residual_m, self.residual_b))
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form, n copies of [[0, 1], [-1, 0]]."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    k = np.arange(0, 2 * n_modes, 2)
-    omega[k, k + 1], omega[k + 1, k] = 1.0, -1.0
-    return omega
-
-
-def _mode_positions(v: np.ndarray, modes: tuple[str, ...]) -> dict[str, int]:
-    if v.shape[0] != 2 * len(modes) or v.shape[0] != v.shape[1]:
-        raise ValueError(
-            f"matrix shape {v.shape} does not match modes {modes!r}")
-    return {label: k for k, label in enumerate(modes)}
-
-
-def reduce_cm(v: np.ndarray, modes: tuple[str, str]) -> np.ndarray:
-    """4x4 principal submatrix keeping two modes of a 6x6 matrix.
-
-    The output preserves the original quadrature order regardless of the
-    order the pair is given in.  Duplicate mode labels are rejected.
-    """
-    if len(modes) != 2 or modes[0] == modes[1]:
-        raise ValueError(f"need two distinct modes, got {modes!r}")
-    pos = _mode_positions(v, MODES)
-    keep = sorted(pos[m] for m in modes)
-    idx = [i for k in keep for i in (2 * k, 2 * k + 1)]
-    return v[np.ix_(idx, idx)]
-
-
-def partial_transpose(v: np.ndarray, transposed_mode: str,
-                      modes: tuple[str, ...] = MODES) -> np.ndarray:
-    """Momentum-sign flip of one mode: P V P with P diagonal, -1 at the
-    transposed mode's momentum quadrature.  ``modes`` lists the labels
-    present in ``v`` in matrix order (defaults to the full three-mode set).
-    Applying the operation twice returns ``v`` exactly.
-    """
-    pos = _mode_positions(v, modes)
-    if transposed_mode not in pos:
-        raise ValueError(
-            f"mode {transposed_mode!r} not present in {modes!r}")
-    signs = np.ones(v.shape[0])
-    signs[2 * pos[transposed_mode] + 1] = -1.0
-    return v * np.outer(signs, signs)
 
 
 #: Omega M from the rows of M: each mode's two swapped, the second negated
@@ -180,19 +134,6 @@ def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     return nus[0]
 
 
-def check_physicality(v: np.ndarray):
-    """Uncertainty-principle test: V + (i/2) Omega >= 0.
-
-    Returns ``(flag, min_eigenvalue)`` of the Hermitian matrix
-    V + (i/2) Omega; the flag allows MONOGAMY_SLACK of negative slack.
-    """
-    v = np.asarray(v, dtype=float)
-    n = v.shape[0] // 2
-    herm = v + 0.5j * symplectic_form(n)
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
-    return min_eig >= -MONOGAMY_SLACK, min_eig
-
-
 #: columns of entanglement_batch: the EntanglementReport fields, in order
 MEASURES = tuple(f.name for f in fields(EntanglementReport))
 
@@ -252,7 +193,8 @@ def entanglement_report(v: np.ndarray) -> EntanglementReport:
     Raises NumericalError if a partial transposition fails a spectrum
     check (see :func:`entanglement_batch`)."""
     v = np.asarray(v, dtype=float)
-    _mode_positions(v, MODES)
+    if v.shape != (6, 6):
+        raise ValueError(f"expected a 6x6 matrix, got {v.shape}")
     measures, errors = entanglement_batch(v[None])
     if errors:
         raise NumericalError(errors[0])

@@ -39,9 +39,5 @@ class NumericalError(CmmError, RuntimeError):
     """A numerical routine failed a verifiable accuracy contract."""
 
 
-class IntegrationError(NumericalError):
-    """Fixed-step covariance integration blew up; reduce the step size."""
-
-
 class NoStablePointError(CmmError, RuntimeError):
     """A search over parameters found no stable operating point."""

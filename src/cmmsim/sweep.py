@@ -330,25 +330,26 @@ def evaluate_point(params: PhysicalParams) -> SweepRow:
     return evaluate_batch(ParamBatch.from_base(params, 1)).table[0]
 
 
-def _coordinates(spec: SweepSpec, k: np.ndarray) -> list[np.ndarray]:
+def _coordinates(values: list[np.ndarray], k: np.ndarray) -> list[np.ndarray]:
     """Each axis's value at the grid points ``k``, numbered row-major with
-    the first axis outermost."""
-    values = [ax.values() for ax in spec.axes]
+    the first axis outermost; ``values`` holds each axis's values."""
     shape = tuple(len(x) for x in values)
     return ([x[i] for x, i in zip(values, np.unravel_index(k, shape))]
             if shape else [])
 
 
-def _blocks(spec: SweepSpec, first: int, step: int):
+def _blocks(spec: SweepSpec, values: list[np.ndarray], first: int,
+            step: int):
     """The grid offset and parameters of blocks first, first + step, ...
-    of the grid's blocks of BLOCK * CHUNK points, row-major."""
-    total = math.prod(ax.count for ax in spec.axes)
+    of the grid's blocks of BLOCK * CHUNK points, row-major; ``values``
+    holds each axis's values."""
+    total = math.prod(len(x) for x in values)
     base = apply_pump_mode(spec.base, spec.pump_mode)
     size = BLOCK * CHUNK
     for start in range(first * size, total, step * size):
         k = np.arange(start, min(start + size, total))
         columns = dict(_axis_field(base, ax.name, x)
-                       for ax, x in zip(spec.axes, _coordinates(spec, k)))
+                       for ax, x in zip(spec.axes, _coordinates(values, k)))
         yield start, ParamBatch.from_base(base, k.size, **columns)
 
 
@@ -435,19 +436,26 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     neither on the chunking nor on W (``taskset -c 0`` runs serially, and
     with one worker nothing forks).  A worker that fails makes this raise
     CmmError naming it and its exit status; no child outlives the call.
+    A table too large to size or map raises CmmError naming the point
+    count before any point is evaluated.
     """
     import mmap  # on first use: importing cmmsim does not pay for it
     total = math.prod(ax.count for ax in spec.axes)
-    workers = min(_cpus(), len(range(0, total, BLOCK * CHUNK)))
     width = len(FLOAT_FIELDS)
-    shared = mmap.mmap(-1, total * (8 * width + 1))
+    try:
+        shared = mmap.mmap(-1, total * (8 * width + 1))
+    except (OverflowError, OSError, MemoryError) as exc:
+        raise CmmError(f"cannot allocate the results of {total} sweep "
+                       f"points: {exc}") from None
     values = np.frombuffer(shared, np.float64, total * width).reshape(
         total, width)
     stable = np.frombuffer(shared, bool, total, offset=values.nbytes)
+    axis_values = [ax.values() for ax in spec.axes]
+    workers = min(_cpus(), len(range(0, total, BLOCK * CHUNK)))
 
     def work(w: int) -> dict[int, str]:
         errors = {}
-        for start, p in _blocks(spec, w, workers):
+        for start, p in _blocks(spec, axis_values, w, workers):
             table = evaluate_batch(p).table
             values[start:start + len(p)] = table.values
             stable[start:start + len(p)] = table.stable
@@ -458,7 +466,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
                          for item in part.items()))
     table = SweepTable(*np.full((2, total), np.nan), stable, values, errors)
     for name, x in zip(("axis1", "axis2"),
-                       _coordinates(spec, np.arange(total))):
+                       _coordinates(axis_values, np.arange(total))):
         setattr(table, name, x)
     return table
 

@@ -1,7 +1,11 @@
-"""Shared fixtures and generators for the test suite."""
+"""Shared fixtures, generators and from-scratch oracles for the test
+suite."""
+
+import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from cmmsim import SweepTable, baseline_params
 from cmmsim.sweep import FLOAT_FIELDS
@@ -82,3 +86,59 @@ def single_mode_rotation(phi, mode, n_modes=3):
     k = 2 * mode
     s[k:k + 2, k:k + 2] = [[c, sn], [-sn, c]]
     return s
+
+
+#: the quadratures of the mode pairs (a, m), (a, b) and (m, b)
+PAIRS = ([0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5])
+
+
+def omega(n_modes):
+    """Symplectic form of n modes, quadratures (x1, p1, x2, p2, ...)."""
+    return np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def transpose_mode(v, mode):
+    """Partial transpose of ``v`` on one mode: its momentum's sign flipped."""
+    s = np.ones(len(v))
+    s[2 * mode + 1] = -1.0
+    return v * np.outer(s, s)
+
+
+def min_uncertainty_eig(v):
+    """Smallest eigenvalue of V + (i/2) Omega, >= 0 for a physical state."""
+    return float(np.linalg.eigvalsh(v + 0.5j * omega(len(v) // 2))[0])
+
+
+def pt_symplectic_oracle(v, mode):
+    """Symplectic spectrum of ``v`` transposed on ``mode``, ascending:
+    |eig(i Omega P V P)|, each value twice, from a general eigensolve."""
+    ev = np.linalg.eigvals(1j * omega(len(v) // 2) @ transpose_mode(v, mode))
+    return np.sort(np.abs(ev))[::2]
+
+
+def entanglement_oracle(v):
+    """The ten MEASURES of a 6x6 ``v``: the log-negativities
+    max(0, -ln 2 nu_-) of the pairs am, ab, mb and of the splits a|mb,
+    m|ab, b|am, then E^2(split) - E^2(pair 1) - E^2(pair 2) of each pivot
+    and their minimum."""
+    def en(cm, mode=0):
+        return max(0.0, -math.log(2.0 * pt_symplectic_oracle(cm, mode)[0]))
+
+    am, ab, mb = (en(v[np.ix_(q, q)]) for q in PAIRS)
+    a, m, b = (en(v, mode) for mode in range(3))
+    residuals = [a * a - am * am - ab * ab, m * m - am * am - mb * mb,
+                 b * b - ab * ab - mb * mb]
+    return [am, ab, mb, a, m, b, *residuals, min(residuals)]
+
+
+def ode_covariance(a, d, v0, t_final, atol):
+    """V(t_final) of the flow dV/dt = a V + V a^T + d from ``v0``, by
+    scipy's DOP853 at rtol 1e-10 and absolute tolerance ``atol``."""
+    def flow(_, y):
+        v = y.reshape(v0.shape)
+        return (a @ v + v @ a.T + d).ravel()
+
+    sol = scipy.integrate.solve_ivp(flow, (0.0, t_final), v0.ravel(),
+                                    method="DOP853", rtol=1e-10, atol=atol)
+    assert sol.success, sol.message
+    return sol.y[:, -1].reshape(v0.shape)

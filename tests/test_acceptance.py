@@ -20,7 +20,9 @@ import pytest
 import cmmsim as c
 from cmmsim.cli import main as cli_main, parse_config, write_sweep_csv
 from cmmsim.params import FIELDS
-from conftest import random_physical_cm, table_of, tmsv_cm, embed_with_vacuum
+from conftest import (embed_with_vacuum, min_uncertainty_eig, ode_covariance,
+                      pt_symplectic_oracle, random_physical_cm, table_of,
+                      tmsv_cm)
 
 BASE = c.baseline_params()
 OMEGA_B = BASE.omega_b
@@ -31,7 +33,7 @@ _COLLECTED = {"min_uncertainty_eig": math.inf, "min_nu": math.inf, "count": 0}
 
 def _record_cm(v):
     _COLLECTED["min_uncertainty_eig"] = min(
-        _COLLECTED["min_uncertainty_eig"], c.check_physicality(v)[1])
+        _COLLECTED["min_uncertainty_eig"], min_uncertainty_eig(v))
     _COLLECTED["min_nu"] = min(
         _COLLECTED["min_nu"], float(c.symplectic_eigenvalues(v)[0]))
     _COLLECTED["count"] += 1
@@ -68,8 +70,8 @@ def test_criterion_01_lyapunov_ode_equivalence():
         st = c.solve_steady_state(p)
         a, d = c.build_drift(p, st), c.build_diffusion(p)
         v_lyap = c.solve_lyapunov(a, d)
-        v_ode = c.integrate_covariance(a, d, 0.5 * np.eye(6),
-                                       t_final=50.0 / p.kappa_a)
+        v_ode = ode_covariance(a, d, 0.5 * np.eye(6), 50.0 / p.kappa_a,
+                               atol=1e-12 * np.abs(v_lyap).max())
         rels.append(np.linalg.norm(v_ode - v_lyap) / np.linalg.norm(v_lyap))
     runtime = time.time() - t0
     ok = all(r < 1e-6 for r in rels) and runtime < 10.0
@@ -83,9 +85,7 @@ def test_criterion_02_tmsv_analytic_oracle():
     for r in (0.1, 0.5, 1.0, 2.0):
         v4 = tmsv_cm(r)
         # independent 4x4 eigensolve of the partially transposed matrix
-        p0 = np.diag([1.0, -1.0, 1.0, 1.0])
-        omega4 = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
-        nu_eig = np.sort(np.abs(np.linalg.eigvals(1j * omega4 @ (p0 @ v4 @ p0))))[0]
+        nu_eig = pt_symplectic_oracle(v4, 0)[0]
         worst_oracle = max(worst_oracle, abs(nu_eig - math.exp(-2.0 * r) / 2.0))
         # full pipeline on the embedded three-mode state
         en = c.entanglement_report(embed_with_vacuum(v4)).en_am

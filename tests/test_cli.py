@@ -283,6 +283,20 @@ class TestSweepCommand:
         assert "'magnon-only'" in err
         assert not out_path.exists()
 
+    def test_an_unrepresentable_grid_is_an_error(self, tmp_path, capsys):
+        # 1.6e19 points: sizing their table fails before anything is
+        # allocated, and the command prints one line, not a traceback
+        cfg = write_cfg(tmp_path, BASELINE_CFG
+                        + "sweep.delta_a = -2:2:4000000000\n"
+                        "sweep.delta_theta = 0:6:4000000000\n")
+        out_path = tmp_path / "out.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot allocate the results of "
+                              "16000000000000000000 sweep points: ")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_builds_no_row_objects(self, tmp_path, monkeypatch):
         built = []
         init = SweepRow.__init__
@@ -452,6 +466,20 @@ class TestPhaseOptCommand:
         assert captured.out == ""
         assert captured.err == ("error: Lyapunov solution overflows "
                                 "(residual nan)\n")
+
+
+def test_the_runtime_is_numpy_only_and_exports_what_it_names():
+    # the tests import scipy; importing the package must not
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(cmmsim.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", "import sys, cmmsim; "
+                    "assert 'scipy' not in sys.modules"], env=env, check=True)
+    for name in cmmsim.__all__:
+        getattr(cmmsim, name)
+    for name in ("reduce_cm", "partial_transpose", "symplectic_form",
+                 "check_physicality", "integrate_covariance",
+                 "IntegrationError"):
+        assert name not in cmmsim.__all__ and not hasattr(cmmsim, name)
 
 
 class TestRepeatedMain:

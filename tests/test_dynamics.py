@@ -1,4 +1,4 @@
-"""Drift/diffusion construction, stability, Lyapunov and covariance flow."""
+"""Drift/diffusion construction, stability and the Lyapunov solve."""
 
 import cmath
 import math
@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cmmsim import (IntegrationError, ParameterError, PhysicalParams,
-                    UnstableSystemError, baseline_params, build_diffusion,
-                    build_drift, check_physicality, dynamics, evaluate_point,
-                    integrate_covariance, solve_lyapunov, solve_steady_state,
+from cmmsim import (ParameterError, PhysicalParams, UnstableSystemError,
+                    baseline_params, build_diffusion, build_drift, dynamics,
+                    evaluate_point, solve_lyapunov, solve_steady_state,
                     symplectic_eigenvalues)
 from cmmsim.meanfield import MeanFieldState
+from conftest import min_uncertainty_eig, transpose_mode
 
 TWO_NB_PLUS_1 = 41.681236678072901  # mechanical bath at 10 mK, 10 MHz
 
@@ -248,43 +248,14 @@ class TestSolveLyapunov:
                 continue
             a = build_drift(p, solve_steady_state(p))
             v = solve_lyapunov(a, build_diffusion(p))
-            ok, min_eig = check_physicality(v)
-            assert ok, f"unphysical covariance, min eig {min_eig:.3e}"
+            min_eig = min_uncertainty_eig(v)
+            assert min_eig >= -1e-10, (
+                f"unphysical covariance, min eig {min_eig:.3e}")
             checked += 1
-
-
-class TestIntegrateCovariance:
-    def test_pure_decay(self):
-        kappa = 2.0
-        a = -kappa * np.eye(6)
-        v = integrate_covariance(a, np.zeros((6, 6)), 0.5 * np.eye(6),
-                                 t_final=1.0, dt=1e-3)
-        assert np.allclose(v, 0.5 * math.exp(-2.0 * kappa) * np.eye(6),
-                           rtol=1e-9)
-
-    def test_zero_time_returns_initial(self):
-        v0 = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        v = integrate_covariance(-np.eye(6), np.eye(6), v0, t_final=0.0, dt=1.0)
-        assert np.array_equal(v, v0)
-
-    def test_blowup_detected(self):
-        with pytest.raises(IntegrationError):
-            integrate_covariance(np.eye(6) * 50.0, np.eye(6),
-                                 0.5 * np.eye(6), t_final=10.0, dt=0.1)
-
-    def test_matches_lyapunov_at_baseline(self, base):
-        st = solve_steady_state(base)
-        a, d = build_drift(base, st), build_diffusion(base)
-        v_lyap = solve_lyapunov(a, d)
-        v_ode = integrate_covariance(a, d, 0.5 * np.eye(6),
-                                     t_final=50.0 / base.kappa_a)
-        rel = (np.linalg.norm(v_ode - v_lyap) / np.linalg.norm(v_lyap))
-        assert rel < 1e-6
 
 
 class TestGaugeCovariance:
     def test_global_phase_preserves_pt_spectra(self, base):
-        from cmmsim import partial_transpose
         phi = 1.234
         shifted = base.replace(theta_a=base.theta_a + phi,
                                theta_m=base.theta_m + phi)
@@ -293,8 +264,8 @@ class TestGaugeCovariance:
             st = solve_steady_state(p)
             v = solve_lyapunov(build_drift(p, st), build_diffusion(p))
             spectra.append([
-                symplectic_eigenvalues(partial_transpose(v, mode))
-                for mode in ("a", "m", "b")
+                symplectic_eigenvalues(transpose_mode(v, mode))
+                for mode in range(3)
             ])
         for nu1, nu2 in zip(*spectra):
             assert np.abs(nu1 - nu2).max() < 1e-10

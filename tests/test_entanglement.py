@@ -1,5 +1,5 @@
-"""Gaussian entanglement measures: reductions, partial transposition,
-symplectic spectra, negativities, contangles, monogamy."""
+"""Gaussian entanglement measures: symplectic spectra, negativities,
+contangles, monogamy."""
 
 import math
 
@@ -8,86 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmmsim import (NumericalError, check_physicality, entanglement_report,
-                    partial_transpose, reduce_cm, symplectic_eigenvalues,
-                    symplectic_form)
+from cmmsim import NumericalError, entanglement_report, symplectic_eigenvalues
 from cmmsim.entanglement import (MEASURES, entanglement_batch,
                                  symplectic_spectra)
-from conftest import (embed_with_vacuum, random_physical_cm,
-                      random_symplectic, single_mode_rotation, tmsv_cm)
+from conftest import (PAIRS, embed_with_vacuum, entanglement_oracle,
+                      min_uncertainty_eig, pt_symplectic_oracle,
+                      random_physical_cm, random_symplectic,
+                      single_mode_rotation, tmsv_cm, transpose_mode)
 
 VACUUM6 = 0.5 * np.eye(6)
-
-
-def pt_symplectic_oracle(v, mode_pos):
-    """Independent eigensolve of |eig(i Omega P V P)| coded from scratch."""
-    n = v.shape[0] // 2
-    p = np.eye(v.shape[0])
-    p[2 * mode_pos + 1, 2 * mode_pos + 1] = -1.0
-    omega = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    ev = np.linalg.eigvals(1j * omega @ (p @ v @ p))
-    return np.sort(np.abs(ev))[::2]
-
-
-class TestReduce:
-    def test_vacuum(self):
-        assert np.array_equal(reduce_cm(VACUUM6, ("a", "m")), 0.5 * np.eye(4))
-
-    def test_block_diagonal_selection(self):
-        v = np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
-        assert np.array_equal(reduce_cm(v, ("a", "b")),
-                              np.diag([1.0, 1.0, 3.0, 3.0]))
-        assert np.array_equal(reduce_cm(v, ("m", "b")),
-                              np.diag([2.0, 2.0, 3.0, 3.0]))
-
-    def test_index_selection_matches_explicit_loop(self):
-        rng = np.random.default_rng(0)
-        v = random_physical_cm(rng)
-        got = reduce_cm(v, ("a", "b"))
-        idx = [0, 1, 4, 5]
-        expected = np.empty((4, 4))
-        for i, gi in enumerate(idx):
-            for j, gj in enumerate(idx):
-                expected[i, j] = v[gi, gj]
-        assert np.array_equal(got, expected)
-
-    def test_pair_order_does_not_matter(self):
-        rng = np.random.default_rng(1)
-        v = random_physical_cm(rng)
-        assert np.array_equal(reduce_cm(v, ("b", "a")), reduce_cm(v, ("a", "b")))
-
-    def test_duplicate_modes_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_cm(VACUUM6, ("a", "a"))
-
-
-class TestPartialTranspose:
-    def test_involution(self):
-        rng = np.random.default_rng(2)
-        v = random_physical_cm(rng)
-        assert np.array_equal(
-            partial_transpose(partial_transpose(v, "m"), "m"), v)
-
-    def test_mechanical_mode_signs(self):
-        rng = np.random.default_rng(3)
-        v = random_physical_cm(rng)
-        p = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
-        assert np.array_equal(partial_transpose(v, "b"), p @ v @ p)
-
-    def test_first_kept_mode_of_reduced_matrix(self):
-        rng = np.random.default_rng(4)
-        v4 = reduce_cm(random_physical_cm(rng), ("a", "m"))
-        p0 = np.diag([1.0, -1.0, 1.0, 1.0])
-        assert np.array_equal(partial_transpose(v4, "a", ("a", "m")),
-                              p0 @ v4 @ p0)
-
-    def test_mode_not_present_rejected(self):
-        v4 = 0.5 * np.eye(4)
-        with pytest.raises(ValueError):
-            partial_transpose(v4, "b", ("a", "m"))
 
 
 class TestSymplecticEigenvalues:
@@ -125,19 +54,13 @@ class TestSymplecticEigenvalues:
         for _ in range(200):
             v = random_physical_cm(rng, nu_max=10.0 ** rng.uniform(0.0, 3.0),
                                    squeeze_max=rng.uniform(0.0, 2.0))
-            splits = [partial_transpose(v, mode) for mode in ("a", "m", "b")]
-            pairs = [partial_transpose(reduce_cm(v, pair), pair[0], pair)
-                     for pair in (("a", "m"), ("a", "b"), ("m", "b"))]
-            for stack, cms in ((np.array(splits), (v,) * 3),
-                               (np.array(pairs),
-                                (reduce_cm(v, ("a", "m")),
-                                 reduce_cm(v, ("a", "b")),
-                                 reduce_cm(v, ("m", "b"))))):
-                nus, errors = symplectic_spectra(stack)
+            pairs = [v[np.ix_(q, q)] for q in PAIRS]
+            for cms, modes in (((v,) * 3, (0, 1, 2)), (pairs, (0, 0, 0))):
+                nus, errors = symplectic_spectra(np.array([
+                    transpose_mode(cm, mode) for cm, mode in zip(cms, modes)]))
                 assert errors == {}
-                for nu, cm, pos in zip(nus, cms, (0, 1, 2) if len(cms[0]) == 6
-                                       else (0, 0, 0)):
-                    want = pt_symplectic_oracle(cm, pos)
+                for nu, cm, mode in zip(nus, cms, modes):
+                    want = pt_symplectic_oracle(cm, mode)
                     assert np.abs(nu - want).max() <= 1e-10 * want.max()
 
     def test_powers_of_four_scale_the_spectra_bit_for_bit(self):
@@ -148,11 +71,10 @@ class TestSymplecticEigenvalues:
         for _ in range(20):
             v = random_physical_cm(rng, nu_max=10.0 ** rng.uniform(0.0, 3.0),
                                    squeeze_max=rng.uniform(0.0, 2.0))
-            for stack in (np.array([v] + [partial_transpose(v, mode)
-                                          for mode in ("a", "m", "b")]),
-                          np.array([partial_transpose(reduce_cm(v, pair),
-                                                      pair[0], pair)
-                                    for pair in (("a", "m"), ("m", "b"))])):
+            for stack in (np.array([v] + [transpose_mode(v, mode)
+                                          for mode in range(3)]),
+                          np.array([transpose_mode(v[np.ix_(q, q)], 0)
+                                    for q in (PAIRS[0], PAIRS[2])])):
                 nus, errors = symplectic_spectra(stack)
                 for k in (-200, -130, -1, 1, 75, 200):
                     got, got_errors = symplectic_spectra(4.0 ** k * stack)
@@ -249,6 +171,22 @@ class TestResidualContangle:
             entanglement_report(v).r_min, abs=1e-10)
 
 
+class TestEngineTables:
+    def test_every_column_matches_the_from_scratch_oracle(self):
+        # the pair, split and residual gathers of entanglement_batch against
+        # index lists, sign flips and general eigensolves written out anew
+        rng = np.random.default_rng(16)
+        v = np.array([random_physical_cm(rng, nu_max=rng.uniform(0.5, 10.0),
+                                         squeeze_max=rng.uniform(0.0, 1.5))
+                      for _ in range(300)])
+        measures, errors = entanglement_batch(v)
+        assert errors == {}
+        want = np.array([entanglement_oracle(cm) for cm in v])
+        assert np.abs(measures - want).max() <= 1e-9
+        # every log-negativity column is nonzero somewhere
+        assert (measures[:, :6] > 0.0).any(axis=0).all()
+
+
 class TestInvariances:
     def test_local_rotation_invariance(self):
         rng = np.random.default_rng(8)
@@ -284,16 +222,13 @@ class TestExactZeros:
 
 class TestPhysicality:
     def test_vacuum_saturates(self):
-        ok, margin = check_physicality(VACUUM6)
-        assert ok and margin == pytest.approx(0.0, abs=1e-12)
+        assert min_uncertainty_eig(VACUUM6) == pytest.approx(0.0, abs=1e-12)
 
     def test_subvacuum_isotropic_rejected(self):
-        ok, margin = check_physicality(0.25 * np.eye(6))
-        assert not ok and margin < -0.2
+        assert min_uncertainty_eig(0.25 * np.eye(6)) < -0.2
 
     def test_thermal_state_margin(self):
-        ok, margin = check_physicality(np.eye(6))
-        assert ok and margin == pytest.approx(0.5, abs=1e-12)
+        assert min_uncertainty_eig(np.eye(6)) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestReport:
@@ -312,12 +247,11 @@ class TestReport:
             "3 symplectic eigenvalues below vacuum after a 1|2 partial "
             "transposition; covariance matrix is not physical")
 
+    def test_a_matrix_that_is_not_6x6_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a 6x6 matrix"):
+            entanglement_report(0.5 * np.eye(4))
+
     def test_non_finite_matrix_rejected(self):
         with pytest.raises(NumericalError,
                            match="^matrix has non-finite entries$"):
             entanglement_report(np.full((6, 6), np.nan))
-
-    def test_symplectic_form_structure(self):
-        omega = symplectic_form(3)
-        assert np.array_equal(omega, -omega.T)
-        assert np.array_equal(omega @ omega, -np.eye(6))

@@ -155,6 +155,27 @@ class TestRunSweep:
                 alone = evaluate_point(apply_axis(params, "delta_a", row.axis1))
                 assert rows_equal(row, alone, PHYSICS_FIELDS + ("status",))
 
+    def test_each_axis_is_built_once(self, base, monkeypatch):
+        # five blocks of a 7 x 5 grid and its axis columns share one build
+        # of each axis's values
+        monkeypatch.setattr(sweep, "CHUNK", 4)
+        monkeypatch.setattr(sweep, "BLOCK", 2)
+        monkeypatch.setattr(sweep, "_cpus", lambda: 1)
+        built, values = [], SweepAxis.values
+
+        def spy(ax):
+            built.append(ax.name)
+            return values(ax)
+
+        monkeypatch.setattr(SweepAxis, "values", spy)
+        table = run_sweep(SweepSpec(base=base, axes=(
+            SweepAxis("delta_a", -2.0, 2.0, 7), SweepAxis("T", 0.01, 0.1, 5))))
+        assert sorted(built) == ["T", "delta_a"]
+        assert np.array_equal(table.axis1,
+                              np.repeat(np.linspace(-2.0, 2.0, 7), 5))
+        assert np.array_equal(table.axis2,
+                              np.tile(np.linspace(0.01, 0.1, 5), 7))
+
     def test_worker_count_never_changes_bits(self, base, tmp_path,
                                              monkeypatch):
         # ok, unstable and error rows (T = 5e299 and 1e300 K overflow) in
