@@ -6,6 +6,10 @@ blank lines ignored.  Frequencies are quoted in ordinary Hz (``*_hz`` keys)
 and multiplied by 2*pi exactly once here; detunings are quoted in units of
 omega_b.  Sweep axes use ``sweep.<axis> = start:stop:count``.
 
+A sweep's grid is evaluated, and its CSV formatted, on every CPU of the
+process's affinity mask (forked workers; ``taskset -c 0`` runs serially),
+and the CSV bytes do not depend on the number of CPUs.
+
 Exit codes: 0 success (an unstable operating point is data, not an error),
 1 runtime or I/O failure, 2 configuration error.
 """
@@ -14,10 +18,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 
 import numpy as np
 
+from . import sweep
 from .entanglement import MEASURES
 from .errors import CmmError, ConfigError
 from .meanfield import solve_steady_state
@@ -161,8 +168,12 @@ _MEASURED = [FLOAT_FIELDS.index(name) for name in MEASURES]
 _UNMEASURED = [j for j, name in enumerate(FLOAT_FIELDS)
                if name not in MEASURES]
 
-#: rows formatted and written together; bounds the text held at once
+#: rows formatted and written together; bounds the text this process
+#: holds at once
 CSV_BLOCK = 1024
+
+#: bytes copied at a time from a CSV worker's pipe to the file
+_COPY_CHUNK = 1 << 16
 
 
 def _spelled(column: np.ndarray) -> list[str]:
@@ -194,13 +205,67 @@ def write_sweep_csv(table: SweepTable, path: str) -> None:
     """Write a SweepTable to ``path`` as UTF-8 CSV with LF line endings:
     the CSV_HEADER line, then one line per point, its axis values, its
     stable flag and its FLOAT_FIELDS, each number as :func:`fmt` spells
-    it."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for start in range(0, len(table), CSV_BLOCK):
+    it.
+
+    The CSV_BLOCK blocks of rows are shared among W workers, W the number
+    of CPUs in the process's affinity mask or of blocks if that is
+    smaller, each a contiguous range of blocks: this process formats the
+    first range and writes it block by block, each forked child formats
+    its range into its own memory and sends it through a pipe, and this
+    process copies the children's text to the file in order, counting
+    their rows.  The bytes do not depend on W.  A worker that fails, or
+    sends fewer rows than its range holds, makes this raise CmmError
+    naming it; a write that fails leaves no file at ``path``.
+    """
+    n = len(table)
+    blocks = len(range(0, n, CSV_BLOCK))
+    workers = max(1, min(sweep._cpus(), blocks))
+    # row offsets of the workers' ranges, whole blocks each
+    bounds = [min(n, w * blocks // workers * CSV_BLOCK)
+              for w in range(workers + 1)]
+
+    def texts(w: int):
+        for start in range(bounds[w], bounds[w + 1], CSV_BLOCK):
             at = slice(start, start + CSV_BLOCK)
-            fh.write(_csv_lines(table.axis1[at], table.axis2[at],
-                                table.stable[at], table.values[at]))
+            yield _csv_lines(table.axis1[at], table.axis2[at],
+                             table.stable[at], table.values[at]).encode()
+
+    def work(w: int):
+        if w:
+            return b"".join(texts(w))
+        for text in texts(0):
+            fh.write(text)
+
+    def copy(pipe) -> int:
+        rows = 0
+        while chunk := pipe.read(_COPY_CHUNK):
+            fh.write(chunk)
+            rows += chunk.count(b"\n")
+        return rows
+
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(CSV_HEADER.encode() + b"\n")
+            rows = sweep._in_workers(work, workers, "CSV worker", copy)
+        for w in range(1, workers):
+            want = bounds[w + 1] - bounds[w]
+            if rows[w] != want:
+                raise CmmError(f"CSV worker {w} exited with status 0 but "
+                               f"sent {rows[w]} of {want} rows")
+    except BaseException:
+        _discard(path)
+        raise
+
+
+def _discard(path: str) -> None:
+    """Remove ``path`` if it is a regular file: a device or a link that a
+    CSV was written through is left alone."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+    except OSError:
+        pass
 
 
 def cmd_steady(config_path: str) -> int:

@@ -360,16 +360,23 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _in_workers(work, workers: int) -> list:
+def _in_workers(work, workers: int, name: str = "sweep worker",
+                receive=None) -> list:
     """``[work(0), ..., work(workers - 1)]``, ``work(0)`` in this process
     and each other ``work(w)`` in a forked child that sends its result
-    back pickled through a pipe; with one worker nothing forks.
+    back through a pipe; with one worker nothing forks.
+
+    A child's result goes back pickled, or, given ``receive``, as the
+    bytes it is: then, once ``work(0)`` has returned, ``receive(pipe)``
+    reads each child's pipe in worker order while the later children may
+    still be writing, and what it returns is that child's entry.
 
     Raises CmmError naming a child that fails (raises, dies, or sends a
-    result that does not unpickle) and its exit status.  Every child is
-    reaped before this returns or raises; if this process fails, it kills
-    them first.
+    pickled result that does not unpickle), as ``name`` and its number,
+    and its exit status.  Every child is reaped before this returns or
+    raises; if this process fails, it kills them first.
     """
+    raw = receive is not None
     pids, pipes = [], []
     try:
         for w in range(1, workers):
@@ -379,12 +386,13 @@ def _in_workers(work, workers: int) -> list:
                 pid = os.fork()
             except OSError as exc:
                 os.close(write)
-                raise CmmError(f"cannot start sweep worker {w}: {exc}") from None
+                raise CmmError(f"cannot start {name} {w}: {exc}") from None
             if pid == 0:
-                _child(work, w, write)
+                _child(work, w, write, raw)
             os.close(write)
             pids.append(pid)
-        results = [work(0)] + [pipe.read() for pipe in pipes]
+        results = [work(0)] + [receive(pipe) if raw else pipe.read()
+                               for pipe in pipes]
     except BaseException:
         import signal  # only a failing sweep pays for the import
         for pid in pids:
@@ -397,25 +405,28 @@ def _in_workers(work, workers: int) -> list:
                  for pid in pids]
     for w, code in enumerate(codes, 1):
         if code < 0:
-            raise CmmError(f"sweep worker {w} was killed by signal {-code}")
+            raise CmmError(f"{name} {w} was killed by signal {-code}")
         if code:
-            raise CmmError(f"sweep worker {w} exited with status {code}")
+            raise CmmError(f"{name} {w} exited with status {code}")
+        if raw:
+            continue
         try:
             results[w] = pickle.loads(results[w])
         except Exception:
-            raise CmmError(f"sweep worker {w} exited with status 0 but sent "
+            raise CmmError(f"{name} {w} exited with status 0 but sent "
                            f"a short result ({len(results[w])} bytes)") from None
     return results
 
 
-def _child(work, w: int, write: int):
-    """The forked worker ``w``: write ``work(w)`` pickled to the file
-    descriptor ``write`` and exit, with status 1 and the traceback on
-    stderr if anything raises.  Never returns."""
+def _child(work, w: int, write: int, raw: bool):
+    """The forked worker ``w``: write ``work(w)``, as it is if ``raw`` and
+    else pickled, to the file descriptor ``write`` and exit, with status 1
+    and the traceback on stderr if anything raises.  Never returns."""
     code = 1
     try:
         with open(write, "wb") as fh:
-            fh.write(pickle.dumps(work(w)))
+            result = work(w)
+            fh.write(result if raw else pickle.dumps(result))
         code = 0
     except BaseException:
         sys.excepthook(*sys.exc_info())

@@ -7,17 +7,20 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cmmsim
-from cmmsim import (CmmError, ConfigError, ParamBatch, SweepRow, TWO_PI,
-                    apply_axis, apply_pump_mode, evaluate_batch,
+from cmmsim import (CmmError, ConfigError, ParamBatch, SweepRow, SweepTable,
+                    TWO_PI, apply_axis, apply_pump_mode, cli, evaluate_batch,
                     evaluate_point, optimize_phase, run_sweep,
                     solve_steady_state, sweep)
 from cmmsim.cli import (CSV_BLOCK, CSV_HEADER, fmt, main, parse_config,
                         write_sweep_csv)
+from cmmsim.sweep import FLOAT_FIELDS
 from conftest import table_of
 
 BASELINE_CFG = """\
@@ -401,11 +404,131 @@ class TestSweepWorkers:
         cfg = write_cfg(tmp_path, BASELINE_CFG)
         assert main(["steady", "--config", cfg]) == 0
         assert main(["phase-opt", "--config", cfg, "--resolution", "8"]) == 0
-        # nor does a grid of many blocks on one CPU
+        # nor does writing a CSV of less than one block, or of no row, on
+        # any number of CPUs
+        monkeypatch.setattr(sweep, "_cpus", lambda: 3)
+        out_path = tmp_path / "out.csv"
+        assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
+                     "--out", str(out_path)]) == 0
+        assert len(out_path.read_bytes().splitlines()) == 1 + 27
+        write_sweep_csv(_rows(run_sweep(spec), 0), str(out_path))
+        assert out_path.read_bytes() == CSV_HEADER.encode() + b"\n"
+        # nor does a grid of many blocks, or a CSV of many blocks, on one
+        # CPU
         monkeypatch.setattr(sweep, "_cpus", lambda: 1)
         monkeypatch.setattr(sweep, "BLOCK", 1)
         monkeypatch.setattr(sweep, "CHUNK", 7)
-        assert len(run_sweep(spec)) == 27
+        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        write_sweep_csv(run_sweep(spec), str(out_path))
+        assert len(out_path.read_bytes().splitlines()) == 1 + 27
+
+
+def _rows(table, n):
+    """The table of the first ``n`` points of ``table``, statuses aside."""
+    return SweepTable(table.axis1[:n], table.axis2[:n], table.stable[:n],
+                      table.values[:n], {})
+
+
+class TestCsvWorkers:
+    """The CSV's blocks of rows are shared among forked workers, one per
+    CPU, each a contiguous range; the bytes do not depend on the worker
+    count, a worker that fails is an error that leaves no CSV and no
+    process behind, and this process holds a few blocks' text at most."""
+
+    #: the error of worker 1 failing in each way; with CSV_BLOCK = 4 the
+    #: 27 rows of GRID_CFG make seven blocks, and worker 1 of two holds
+    #: rows 12 to 26, in four blocks
+    FAILURES = {
+        "exit": "CSV worker 1 exited with status 3",
+        "raise": "CSV worker 1 exited with status 1",
+        "kill": f"CSV worker 1 was killed by signal {signal.SIGKILL:d}",
+        "short": "CSV worker 1 exited with status 0 but sent 11 of 15 rows"}
+
+    @pytest.mark.parametrize("kind", FAILURES)
+    def test_a_failing_worker_is_an_error(self, tmp_path, capsys,
+                                          monkeypatch, kind):
+        message = self.FAILURES[kind]
+        parent, lines = os.getpid(), cli._csv_lines
+
+        def fail_in_children(*columns):
+            if os.getpid() == parent:
+                return lines(*columns)
+            if kind == "short":  # each block without its first row
+                return lines(*columns).split("\n", 1)[1]
+            _die(kind)
+
+        monkeypatch.setattr(cli, "_csv_lines", fail_in_children)
+        monkeypatch.setattr(sweep, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        _, spec = parse_config(GRID_CFG)
+        out_path = tmp_path / "out.csv"
+        with pytest.raises(CmmError, match=f"^{re.escape(message)}$"):
+            write_sweep_csv(run_sweep(spec), str(out_path))
+        assert not out_path.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
+                     "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_path.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("rows, forks", [
+        (27, [0, 1, 2]),  # ok, unstable and error rows; a partial block
+        (24, [0, 1, 2]),  # six whole blocks
+        (3, [0, 0, 0]),   # less than one block
+        (0, [0, 0, 0])])  # the header alone
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch,
+                                                  rows, forks):
+        _, spec = parse_config(GRID_CFG)
+        table = run_sweep(spec)
+        assert {table.status(k).split(":")[0]
+                for k in range(len(table))} == {"ok", "unstable", "error"}
+        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        counted, fork = [], os.fork
+
+        def counted_fork():
+            counted.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        runs, made = [], []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(sweep, "_cpus", lambda w=workers: w)
+            path = tmp_path / f"{workers}.csv"
+            write_sweep_csv(_rows(table, rows), str(path))
+            runs.append(path.read_bytes())
+            made.append(len(counted))
+            counted.clear()
+        assert made == forks
+        assert runs[0].count(b"\n") == 1 + rows
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_this_process_holds_a_few_blocks_of_text(self, tmp_path,
+                                                     monkeypatch):
+        # the stability_edge grid's shape: 201 x 201 points, 2 % of them
+        # stable and measured, the rest with NaN measures
+        rng = np.random.default_rng(5)
+        n = 201 * 201
+        values = rng.normal(size=(n, len(FLOAT_FIELDS)))
+        stable = rng.random(n) < 0.02
+        values[~stable, 1:11] = np.nan
+        axis = np.linspace(-2.0, 2.0, 201)
+        table = SweepTable(np.repeat(axis, 201), np.tile(axis, 201), stable,
+                           values, {})
+        monkeypatch.setattr(sweep, "_cpus", lambda: 2)
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            write_sweep_csv(table, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_text = path.stat().st_size / len(range(0, n, CSV_BLOCK))
+        # holding the whole text, or one worker's share of it, would be
+        # about 20 blocks
+        assert peak < 8 * block_text
 
 
 class TestPhaseOptCommand:
