@@ -232,7 +232,7 @@ def write_sweep_csv(table: SweepTable, path: str) -> None:
 
     def work(w: int):
         if w:
-            return b"".join(texts(w))
+            return list(texts(w))
         for text in texts(0):
             fh.write(text)
 

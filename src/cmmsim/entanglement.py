@@ -5,6 +5,12 @@ order; quadratures interleave as (x_1, p_1, x_2, p_2, ...) with vacuum
 variance 1/2.  Logarithmic negativity kinks at 2*nu = 1, the contangle is
 its square, and the residual contangle of pivot r is
 E^2(r|st) - E^2(r|s) - E^2(r|t).
+
+Symplectic spectra come from one routine: :func:`_factors` checks, scales
+and Cholesky-factors a stack, and :func:`_spectra` turns the factors into
+spectra and messages.  :func:`symplectic_spectra` runs it on any stack;
+:func:`entanglement_batch` runs it once per covariance, with the three
+splits' factors taken from V's own.
 """
 
 from __future__ import annotations
@@ -55,24 +61,95 @@ class EntanglementReport:
 
 #: Omega M from the rows of M: each mode's two swapped, the second negated
 _SWAP, _SIGNS = np.arange(6) ^ 1, np.array([[1.0], [-1.0]] * 3)
+#: the same with mode a, m or b's block of Omega negated, shape (3, 6, 1).
+#: Transposing mode j negates its momentum, S_j V S_j with S_j diagonal,
+#: and the Cholesky factor of S_j V S_j is S_j L S_j exactly, so
+#: K = S_j (L^T Omega_j L) S_j with Omega_j = S_j Omega S_j: the spectra of
+#: all three splits come from V's factor L and Omega_j
+_SPLIT_OMEGA = _SIGNS * np.repeat(1.0 - 2.0 * np.eye(3), 2, axis=1)[..., None]
+#: a pair block transposes its first mode, in its own 4x4 quadratures
+_PAIR_OMEGA = _SPLIT_OMEGA[0, :4]
+
+
+def _factors(m: np.ndarray, top: np.ndarray,
+             asym: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Cholesky factors of the matrices ``m``, shape (..., n, n), whose
+    largest |entry| is ``top`` and largest |M - M^T| is ``asym``, both of
+    shape (...) and ``top`` non-finite exactly where a matrix is.
+
+    Each matrix is divided by an even power of two near its largest
+    |entry|, 2**shift, so that K^T K cannot overflow; this is exact, and L,
+    K and nu scale by exact powers of two with it.  A matrix that is
+    non-finite or not symmetric gets the identity's factor, one that is not
+    positive definite a zero factor (so nu^2 = 0).  Returns the factors and
+    the checks (top, asym, usable, shift) for :func:`_spectra`."""
+    usable = np.isfinite(top) & (asym <= 1e-8 * top)
+    shift = np.frexp(top)[1] & -2
+    size = m.shape[-1]
+    m = np.ldexp(m, -shift[..., None, None])
+    if not usable.all():
+        m[~usable] = np.eye(size)
+    l, failed = stack_or_nan(np.linalg.cholesky, m.reshape(-1, size, size))
+    if failed:
+        l[failed] = 0.0
+    return l.reshape(m.shape), (top, asym, usable, shift)
+
+
+def _spectra(l: np.ndarray, checks: tuple, signs: np.ndarray
+             ) -> tuple[np.ndarray, dict[int, str]]:
+    """Symplectic spectra from the factors and checks of :func:`_factors`,
+    with the Omega whose row signs ``signs`` broadcast against ``l``'s rows.
+
+    K = L^T Omega L is similar to Omega M and real antisymmetric, so its
+    eigenvalues are +/- i nu and K^T K has every nu^2 twice; one batched
+    ``eigvalsh`` gives them.  Returns the spectra, shape (..., n), and the
+    messages as :func:`symplectic_spectra` does, keyed by each matrix's
+    index in the flattened leading shape."""
+    top, asym, usable, shift = checks
+    size = l.shape[-1]
+    k = l.swapaxes(-1, -2) @ (l[..., _SWAP[:size], :] * signs)
+    # a copy, because numpy sends K^T @ K on one buffer to BLAS syrk, which
+    # is slower than gemm for small matrices; eigvalsh reads the lower
+    # triangle, the same bits in both
+    ktk = k.swapaxes(-1, -2) @ k.copy()
+    w = np.linalg.eigvalsh(ktk.reshape(-1, size, size)).reshape(ktk.shape[:-1])
+    nu_sq = w[..., 0::2]
+    positive = nu_sq[..., 0] > 0.0
+    ref = np.maximum(w[..., -1], 1e-300)
+    mismatch = np.abs(w[..., 1::2] - nu_sq).max(axis=-1) / ref
+    good = usable & positive & (mismatch <= PAIRING_TOL)
+    errors = {}
+    if not good.all():
+        flat = [np.broadcast_to(x, good.shape).ravel()
+                for x in (top, asym, usable, positive, mismatch)]
+        for j in np.flatnonzero(~good).tolist():
+            top_j, asym_j, usable_j, positive_j, mismatch_j = (
+                x[j] for x in flat)
+            if not np.isfinite(top_j):
+                errors[j] = "matrix has non-finite entries"
+            elif not usable_j:
+                errors[j] = f"matrix is not symmetric: |V - V^T| = {asym_j:.3e}"
+            elif not positive_j:
+                errors[j] = "matrix is not positive definite"
+            else:
+                errors[j] = ("symplectic spectrum fails +/- pairing "
+                             f"(mismatch {mismatch_j:.2e})")
+        nu_sq = np.where(positive[..., None], nu_sq, np.nan)
+    return np.ldexp(np.sqrt(nu_sq), shift[..., None]), errors
 
 
 def symplectic_spectra(m: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     """Symplectic spectra of a stack of k symmetric 2n x 2n matrices, as a
-    symmetric eigenproblem.
+    symmetric eigenproblem (see :func:`_spectra`).
 
-    With the Cholesky factor M = L L^T, K = L^T Omega L is similar to
-    Omega M and real antisymmetric, so its eigenvalues are +/- i nu and
-    K^T K has every nu^2 twice; one batched ``eigvalsh`` gives them.  A
-    partially transposed covariance matrix is congruent to the covariance
-    matrix, so the factor exists exactly when the state's matrix is
-    positive definite.
-
-    Returns the spectra, shape (k, n), each ascending, and the message of
-    every matrix that is non-finite, not symmetric (both masked before
-    LAPACK), not positive definite, or whose doubled nu^2 fail to pair up
-    to PAIRING_TOL, keyed by its index; the spectra of those matrices are
-    meaningless (NaN where the matrix is not positive definite).
+    A partially transposed covariance matrix is congruent to the
+    covariance matrix, so its Cholesky factor exists exactly when the
+    state's matrix is positive definite.  Returns the spectra, shape
+    (k, n), each ascending, and the message of every matrix that is
+    non-finite, not symmetric (both masked before LAPACK), not positive
+    definite, or whose doubled nu^2 fail to pair up to PAIRING_TOL, keyed
+    by its index; the spectra of those matrices are meaningless (NaN where
+    the matrix is not positive definite).
     """
     # max propagates NaN, so top is finite exactly where m is
     top = np.abs(m).max(axis=(1, 2))
@@ -80,40 +157,7 @@ def symplectic_spectra(m: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     if not finite.all():
         m = np.where(finite[:, None, None], m, 0.0)
     asym = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2))
-    usable = finite & (asym <= 1e-8 * top)
-    # divide each matrix by an even power of two near its largest |entry|,
-    # 2**shift, so that K^T K cannot overflow; exact, and L, K and nu
-    # scale by exact powers of two with it
-    shift = np.frexp(top)[1] & -2
-    m = np.ldexp(m, -shift[:, None, None])
-    if not usable.all():
-        m[~usable] = np.eye(m.shape[1])
-    l, failed = stack_or_nan(np.linalg.cholesky, m)
-    size = m.shape[1]
-    omega_l = l[:, _SWAP[:size]] * _SIGNS[:size]
-    k = l.swapaxes(1, 2) @ omega_l
-    ktk = k.swapaxes(1, 2) @ k
-    # zero, so nu^2 = 0, where the factor does not exist
-    ktk[failed] = 0.0
-    w = np.linalg.eigvalsh(ktk)
-    nu_sq = w[:, 0::2]
-    positive = nu_sq[:, 0] > 0.0
-    ref = np.maximum(w[:, -1], 1e-300)
-    mismatch = np.abs(w[:, 1::2] - nu_sq).max(axis=1) / ref
-    errors = {}
-    good = usable & positive & (mismatch <= PAIRING_TOL)
-    for j in (~good).nonzero()[0].tolist():
-        if not finite[j]:
-            errors[j] = "matrix has non-finite entries"
-        elif not usable[j]:
-            errors[j] = f"matrix is not symmetric: |V - V^T| = {asym[j]:.3e}"
-        elif not positive[j]:
-            errors[j] = "matrix is not positive definite"
-        else:
-            errors[j] = ("symplectic spectrum fails +/- pairing "
-                         f"(mismatch {mismatch[j]:.2e})")
-    nu = np.sqrt(np.where(positive[:, None], nu_sq, np.nan))
-    return np.ldexp(nu, shift[:, None]), errors
+    return _spectra(*_factors(m, top, asym), _SIGNS[:m.shape[1]])
 
 
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
@@ -137,14 +181,10 @@ def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
 #: columns of entanglement_batch: the EntanglementReport fields, in order
 MEASURES = tuple(f.name for f in fields(EntanglementReport))
 
-#: sign patterns transposing a, m, b against the other two modes
-_SPLIT_SIGNS = np.array([np.outer(s, s) for s in 1.0 - 2.0 * np.eye(6)[1::2]])
-#: the partially transposed pairs (a, m), (a, b), (m, b) as 4x4 blocks
-#: of the splits, flattened (k, 3, 6, 6): the pair's quadratures in the
-#: split that transposes its first mode (a, a, m)
+#: the pairs (a, m), (a, b), (m, b) as their 4x4 blocks of a flattened
+#: 6x6 covariance matrix
 _PAIR_QUADS = np.array([[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]])
-_PAIR_ENTRIES = (36 * np.array([0, 0, 1])[:, None, None]
-                 + 6 * _PAIR_QUADS[:, :, None] + _PAIR_QUADS[:, None, :])
+_PAIR_ENTRIES = 6 * _PAIR_QUADS[:, :, None] + _PAIR_QUADS[:, None, :]
 #: the residual contangle of pivot a, m, b is E^2 of its split minus
 #: E^2 of its two pairs, columns of the log-negativities en_am .. en_b_am
 _FIRST_PAIR, _SECOND_PAIR = np.array([0, 0, 1]), np.array([1, 2, 2])
@@ -154,21 +194,34 @@ def entanglement_batch(v: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     """Every measure of :func:`entanglement_report` for a stack of k
     covariance matrices, shape (k, 6, 6).
 
-    The three pair and three one-vs-two partial transpositions go through
-    two batched :func:`symplectic_spectra` calls.  Returns a (k, 10) array
-    whose columns are MEASURES, and the message of every matrix that fails
-    a spectrum check or has more than one symplectic eigenvalue below
-    vacuum after a 1|2 transposition, keyed by its index: its first pair
-    error, else its first one-vs-two error.
+    Each covariance is checked once: a split's largest |entry| and
+    asymmetry are V's, and a pair's are the maxima over its 4x4 block,
+    since transposing a mode only flips signs.  One ``cholesky`` of the k
+    covariances gives all three splits' factors (see _SPLIT_OMEGA), and
+    one of the 3k pair blocks the pairs'; :func:`_spectra` turns both into
+    spectra.  Returns a (k, 10) array whose columns are MEASURES, and the
+    message of every matrix that fails a spectrum check or has more than
+    one symplectic eigenvalue below vacuum after a 1|2 transposition,
+    keyed by its index: its first pair error, else its first one-vs-two
+    error.
     """
     k = v.shape[0]
-    splits = v[:, None] * _SPLIT_SIGNS
-    pairs = splits.reshape(k, 108)[:, _PAIR_ENTRIES]
-    nu_pair, pair_errors = symplectic_spectra(pairs.reshape(3 * k, 4, 4))
-    nu_split, split_errors = symplectic_spectra(splits.reshape(3 * k, 6, 6))
+    pairs = v.reshape(k, 36)[:, _PAIR_ENTRIES]
+    # every entry of V lies in a pair block, so V's largest |entry| and
+    # asymmetry are the largest of its pairs'
+    top = np.abs(pairs).max(axis=(2, 3))
+    finite = np.isfinite(top)
+    if not finite.all():
+        pairs = np.where(finite[..., None, None], pairs, 0.0)
+    asym = np.abs(pairs - pairs.swapaxes(2, 3)).max(axis=(2, 3))
+    l_v, checks_v = _factors(v[:, None], top.max(axis=1, keepdims=True),
+                             asym.max(axis=1, keepdims=True))
+    nu_pair, pair_errors = _spectra(*_factors(pairs, top, asym), _PAIR_OMEGA)
+    nu_split, split_errors = _spectra(l_v, checks_v, _SPLIT_OMEGA)
     # at most one symplectic eigenvalue of a physical state's 1|2 partial
     # transposition, the smallest, is below vacuum; the measures rely on it
     vacuum = 0.5 - MONOGAMY_SLACK
+    nu_split = nu_split.reshape(3 * k, 3)
     for j in (nu_split[:, 1] < vacuum).nonzero()[0].tolist():
         below = int((nu_split[j] < vacuum).sum())
         split_errors.setdefault(
@@ -179,7 +232,7 @@ def entanglement_batch(v: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
         errors.setdefault(j // 3, message)
     # log-negativities max[0, -ln(2 nu)]: exactly 0.0 where 2 nu >= 1 or NaN
     two_nu = 2.0 * np.concatenate(
-        [nu_pair[:, 0].reshape(k, 3), nu_split[:, 0].reshape(k, 3)], axis=1)
+        [nu_pair[..., 0], nu_split[:, 0].reshape(k, 3)], axis=1)
     en = np.where(two_nu < 1.0, -np.log(two_nu), 0.0)
     sq = en * en
     residuals = sq[:, 3:] - sq[:, _FIRST_PAIR] - sq[:, _SECOND_PAIR]

@@ -367,9 +367,10 @@ def _in_workers(work, workers: int, name: str = "sweep worker",
     back through a pipe; with one worker nothing forks.
 
     A child's result goes back pickled, or, given ``receive``, as the
-    bytes it is: then, once ``work(0)`` has returned, ``receive(pipe)``
-    reads each child's pipe in worker order while the later children may
-    still be writing, and what it returns is that child's entry.
+    bytes of the sequence of bytes objects it is, in order: then, once
+    ``work(0)`` has returned, ``receive(pipe)`` reads each child's pipe in
+    worker order while the later children may still be writing, and what
+    it returns is that child's entry.
 
     Raises CmmError naming a child that fails (raises, dies, or sends a
     pickled result that does not unpickle), as ``name`` and its number,
@@ -419,14 +420,19 @@ def _in_workers(work, workers: int, name: str = "sweep worker",
 
 
 def _child(work, w: int, write: int, raw: bool):
-    """The forked worker ``w``: write ``work(w)``, as it is if ``raw`` and
-    else pickled, to the file descriptor ``write`` and exit, with status 1
-    and the traceback on stderr if anything raises.  Never returns."""
+    """The forked worker ``w``: write ``work(w)`` to the file descriptor
+    ``write``, its bytes objects one after another if ``raw`` (so they are
+    never joined into a second copy) and else pickled, and exit, with
+    status 1 and the traceback on stderr if anything raises.  Never
+    returns."""
     code = 1
     try:
         with open(write, "wb") as fh:
             result = work(w)
-            fh.write(result if raw else pickle.dumps(result))
+            if raw:
+                fh.writelines(result)
+            else:
+                fh.write(pickle.dumps(result))
         code = 0
     except BaseException:
         sys.excepthook(*sys.exc_info())

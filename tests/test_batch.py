@@ -283,11 +283,12 @@ class TestEigenvaluesOnly:
 def chunk_calls(k):
     """The linear-algebra calls of one chunk of k stable points, in order,
     each with the shape of its stack: the Lyapunov solve of the k points,
-    then a Cholesky factor and a symmetric eigenproblem for the 3k
-    partially transposed pairs and again for the 3k splits."""
-    return [("solve", (k, 21, 21)),
+    the Cholesky factors of the k covariances (which give all 3k splits'),
+    a Cholesky factor and a symmetric eigenproblem for the 3k pair blocks,
+    and a symmetric eigenproblem for the 3k splits."""
+    return [("solve", (k, 21, 21)), ("cholesky", (k, 6, 6)),
             ("cholesky", (3 * k, 4, 4)), ("eigvalsh", (3 * k, 4, 4)),
-            ("cholesky", (3 * k, 6, 6)), ("eigvalsh", (3 * k, 6, 6))]
+            ("eigvalsh", (3 * k, 6, 6))]
 
 
 class TestLinearAlgebraCalls:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmmsim import NumericalError, entanglement_report, symplectic_eigenvalues
-from cmmsim.entanglement import (MEASURES, entanglement_batch,
-                                 symplectic_spectra)
+from cmmsim.entanglement import (MEASURES, MONOGAMY_SLACK,
+                                 entanglement_batch, symplectic_spectra)
 from conftest import (PAIRS, embed_with_vacuum, entanglement_oracle,
                       min_uncertainty_eig, pt_symplectic_oracle,
                       random_physical_cm, random_symplectic,
@@ -118,6 +118,166 @@ class TestSymplecticEigenvalues:
         for k in (0, 2):
             alone, _ = entanglement_batch(good[k][None])
             assert np.array_equal(measures[k], alone[0])
+
+
+def measures_of_spectra(v):
+    """The MEASURES of each covariance of the stack ``v`` from
+    symplectic_spectra of its explicitly built partial transposes, the
+    arithmetic of entanglement_batch written out, and the first error of
+    each covariance: its first pair's, else its first split's."""
+    k = len(v)
+    pairs = np.array([transpose_mode(cm[np.ix_(q, q)], 0)
+                      for cm in v for q in PAIRS])
+    splits = np.array([transpose_mode(cm, mode)
+                       for cm in v for mode in range(3)])
+    nu_pair, pair_errors = symplectic_spectra(pairs)
+    nu_split, split_errors = symplectic_spectra(splits)
+    for j in np.flatnonzero(nu_split[:, 1] < 0.5 - MONOGAMY_SLACK).tolist():
+        below = int((nu_split[j] < 0.5 - MONOGAMY_SLACK).sum())
+        split_errors.setdefault(
+            j, f"{below} symplectic eigenvalues below vacuum after a 1|2 "
+            "partial transposition; covariance matrix is not physical")
+    errors = {}
+    for j, message in sorted(pair_errors.items()) + sorted(split_errors.items()):
+        errors.setdefault(j // 3, message)
+    two_nu = 2.0 * np.concatenate([nu_pair[:, 0].reshape(k, 3),
+                                   nu_split[:, 0].reshape(k, 3)], axis=1)
+    en = np.where(two_nu < 1.0, -np.log(two_nu), 0.0)
+    sq = en * en
+    residuals = np.stack([sq[:, 3] - sq[:, 0] - sq[:, 1],
+                          sq[:, 4] - sq[:, 0] - sq[:, 2],
+                          sq[:, 5] - sq[:, 1] - sq[:, 2]], axis=1)
+    return (np.concatenate([en, residuals, residuals.min(axis=1)[:, None]],
+                           axis=1), errors)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64),
+                                                 y.view(np.uint64))
+
+
+#: momentum sign flips S_j transposing mode a, m, b of a 6x6 matrix
+SIGN_FLIPS = [np.diag(np.where(np.arange(6) == 2 * mode + 1, -1.0, 1.0))
+              for mode in range(3)]
+
+
+class TestOnePass:
+    """entanglement_batch checks each covariance once and factors it once
+    for its three splits; it must give what symplectic_spectra gives for
+    each explicitly built partial transpose, bit for bit, and the same
+    message for every kind of failure."""
+
+    @pytest.fixture(scope="class")
+    def physical(self):
+        rng = np.random.default_rng(21)
+        return np.array([random_physical_cm(
+            rng, nu_max=10.0 ** rng.uniform(0.0, 3.0),
+            squeeze_max=rng.uniform(0.0, 2.0)) for _ in range(12)])
+
+    @pytest.fixture(scope="class")
+    def covariances(self, physical):
+        # scaled by 4**k, k = -200 ... 200; below k = 0 most are below
+        # vacuum, so they fail the vacuum check, with the same messages
+        return np.concatenate([4.0 ** k * physical
+                               for k in range(-200, 201, 8)])
+
+    def test_equals_the_spectra_of_explicit_transposes_bit_for_bit(
+            self, covariances):
+        want, want_errors = measures_of_spectra(covariances)
+        assert 0 < len(want_errors) < len(covariances)
+        for chunk in (len(covariances), 128, 7):
+            got, errors = [], {}
+            for s in range(0, len(covariances), chunk):
+                measures, found = entanglement_batch(covariances[s:s + chunk])
+                got.append(measures)
+                errors.update((s + j, message) for j, message in found.items())
+            assert same_bits(np.concatenate(got), want)
+            assert errors == want_errors
+        for j, (v, row) in enumerate(zip(covariances, want)):
+            got, errors = entanglement_batch(v[None])
+            assert same_bits(got[0], row)
+            assert errors == ({0: want_errors[j]} if j in want_errors else {})
+
+    def test_the_factor_of_a_sign_flip_is_the_flipped_factor(
+            self, covariances):
+        # cholesky(S V S) = S cholesky(V) S for diagonal S = +/-1, bit for
+        # bit: every product in the factorization flips with S
+        factors = np.linalg.cholesky(covariances)
+        for s in SIGN_FLIPS:
+            assert same_bits(np.linalg.cholesky(s @ covariances @ s),
+                             s @ factors @ s)
+            for q in PAIRS:
+                blocks = covariances[:, q][:, :, q]
+                sq = s[np.ix_(q, q)]
+                assert same_bits(np.linalg.cholesky(sq @ blocks @ sq),
+                                 sq @ np.linalg.cholesky(blocks) @ sq)
+
+    @staticmethod
+    def crafted():
+        """Covariances that fail in one way each, by name, with the
+        message each gets."""
+        v = random_physical_cm(np.random.default_rng(22))
+        v = 0.5 * (v + v.T)
+        non_finite = v.copy()
+        non_finite[0, 5] = non_finite[5, 0] = np.inf
+        # (2, 4) lies in the block of the pair (m, b) only
+        asymmetric = v.copy()
+        asymmetric[2, 4] += 1e-5
+        # eigenvalues 1.3 (five times) and -0.5; every 4x4 block has
+        # eigenvalues 1.3 and 0.1
+        not_pd = np.eye(6) - 0.3 * (np.ones((6, 6)) - np.eye(6))
+        two_below = np.diag([0.3, 0.3, 0.3, 0.3, 1.0, 1.0])
+        return {
+            "non_finite": (non_finite, "matrix has non-finite entries"),
+            "asymmetric_pair": (asymmetric,
+                                "matrix is not symmetric: |V - V^T| = "
+                                "1.000e-05"),
+            "not_pd_with_pd_pairs": (not_pd,
+                                     "matrix is not positive definite"),
+            "two_below_vacuum": (two_below,
+                                 "2 symplectic eigenvalues below vacuum "
+                                 "after a 1|2 partial transposition; "
+                                 "covariance matrix is not physical"),
+        }
+
+    @pytest.mark.parametrize("name", ["non_finite", "asymmetric_pair",
+                                      "not_pd_with_pd_pairs",
+                                      "two_below_vacuum"])
+    def test_crafted_failures_keep_their_message(self, name, physical):
+        bad, message = self.crafted()[name]
+        if name == "not_pd_with_pd_pairs":
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(bad)
+            for q in PAIRS:
+                np.linalg.cholesky(bad[np.ix_(q, q)])
+        stack = np.array([physical[0], bad, physical[1]])
+        measures, errors = entanglement_batch(stack)
+        assert errors == {1: message}
+        assert measures_of_spectra(stack)[1] == errors
+        for k in (0, 2):
+            alone, _ = entanglement_batch(stack[k][None])
+            assert same_bits(measures[k], alone[0])
+        with pytest.raises(NumericalError) as err:
+            entanglement_report(bad)
+        assert str(err.value) == message
+
+    def test_a_pairing_failure_keeps_its_message(self, physical,
+                                                 monkeypatch):
+        # no covariance fails the pairing check, so the eigenvalues of one
+        # split (covariance 1, m|ab: row 3 * 1 + 1 of the 3k splits) are
+        # pulled apart by 1e-6 of the largest
+        eigvalsh = np.linalg.eigvalsh
+
+        def unpaired(m):
+            w = eigvalsh(m)
+            if m.shape[1:] == (6, 6):
+                w[4, 1] = w[4, 0] + 1e-6 * w[4, -1]
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unpaired)
+        _, errors = entanglement_batch(physical[:3])
+        assert errors == {1: "symplectic spectrum fails +/- pairing "
+                             "(mismatch 1.00e-06)"}
 
 
 class TestLogNegativity:
