@@ -8,8 +8,9 @@ real solve, no eigenvectors) and the partial-transpose spectra.  A single
 point is a batch of one.  Every step treats each point on its own, so a
 point's row is bit-identical whichever batch it is evaluated in, and a
 grid's blocks can be shared among processes: one worker per CPU of the
-process's affinity mask, this process and forked children, each writing
-its rows into one shared buffer.  Results are kept as columns (a
+process's affinity mask, this process and forked children, each taking
+the next unclaimed block from one shared queue until none is left and
+writing its rows into one shared buffer.  Results are kept as columns (a
 SweepTable), a grid's points in row-major order with the first axis
 outermost; a row object is built only where one is asked for.
 """
@@ -21,6 +22,7 @@ import operator
 import os
 import pickle
 import sys
+import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -338,19 +340,45 @@ def _coordinates(values: list[np.ndarray], k: np.ndarray) -> list[np.ndarray]:
             if shape else [])
 
 
-def _blocks(spec: SweepSpec, values: list[np.ndarray], first: int,
-            step: int):
-    """The grid offset and parameters of blocks first, first + step, ...
-    of the grid's blocks of BLOCK * CHUNK points, row-major; ``values``
-    holds each axis's values."""
+def _block(base: PhysicalParams, axes: tuple[SweepAxis, ...],
+           values: list[np.ndarray], b: int) -> tuple[int, ParamBatch]:
+    """The grid offset and parameters of block ``b`` of the grid's blocks
+    of BLOCK * CHUNK points, row-major; ``base`` has the pump mode
+    applied, and ``values`` holds each axis's values."""
     total = math.prod(len(x) for x in values)
-    base = apply_pump_mode(spec.base, spec.pump_mode)
-    size = BLOCK * CHUNK
-    for start in range(first * size, total, step * size):
-        k = np.arange(start, min(start + size, total))
-        columns = dict(_axis_field(base, ax.name, x)
-                       for ax, x in zip(spec.axes, _coordinates(values, k)))
-        yield start, ParamBatch.from_base(base, k.size, **columns)
+    start = b * BLOCK * CHUNK
+    k = np.arange(start, min(start + BLOCK * CHUNK, total))
+    columns = dict(_axis_field(base, ax.name, x)
+                   for ax, x in zip(axes, _coordinates(values, k)))
+    return start, ParamBatch.from_base(base, k.size, **columns)
+
+
+def _block_queue(blocks: int):
+    """An unlinked temporary file holding the block numbers 0 ... blocks
+    - 1 as 8-byte records, read from its start.  Workers forked after it
+    is opened share its one file offset, which the kernel advances
+    atomically for a file opened by path, so each ``os.read(fd, 8)``
+    claims the next block exactly once, with no lock and no capacity
+    limit.  (Not a ``memfd_create`` file: its offset is not advanced
+    atomically, and two workers can read the same record.)"""
+    try:
+        fh = tempfile.TemporaryFile()
+        try:
+            fh.write(np.arange(blocks, dtype="<i8").tobytes())
+            fh.seek(0)
+        except BaseException:
+            fh.close()
+            raise
+    except OSError as exc:
+        raise CmmError(f"cannot queue the sweep's blocks: {exc}") from None
+    return fh
+
+
+def _claims(fd: int):
+    """The block numbers that this process claims from the queue ``fd``,
+    until it is empty."""
+    while record := os.read(fd, 8):
+        yield int.from_bytes(record, "little")
 
 
 def _cpus() -> int:
@@ -447,11 +475,14 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     The blocks are shared among W workers, W the number of CPUs in the
     process's affinity mask or of blocks if that is smaller: this process
-    is worker 0 and forks the others, and worker w evaluates blocks w,
-    w + W, ...  Each writes its rows into one table allocated in shared
-    memory, and sends back only its errors, so the table's bits depend
-    neither on the chunking nor on W (``taskset -c 0`` runs serially, and
-    with one worker nothing forks).  A worker that fails makes this raise
+    is worker 0 and forks the others, and each worker claims the next
+    unclaimed block from one queue shared by all of them until none is
+    left, so a faster worker evaluates more blocks.  Each writes its rows
+    into one table allocated in shared memory, and sends back only its
+    errors, so the table's bits depend neither on the chunking nor on W,
+    nor on which worker evaluated a block (``taskset -c 0`` runs
+    serially, and with one worker nothing forks and the blocks are
+    evaluated in order).  A worker that fails makes this raise
     CmmError naming it and its exit status; no child outlives the call.
     A table too large to size or map raises CmmError naming the point
     count before any point is evaluated.
@@ -468,19 +499,28 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         total, width)
     stable = np.frombuffer(shared, bool, total, offset=values.nbytes)
     axis_values = [ax.values() for ax in spec.axes]
-    workers = min(_cpus(), len(range(0, total, BLOCK * CHUNK)))
+    base = apply_pump_mode(spec.base, spec.pump_mode)
+    blocks = len(range(0, total, BLOCK * CHUNK))
+    workers = min(_cpus(), blocks)
+    queue = _block_queue(blocks) if workers > 1 else None
 
     def work(w: int) -> dict[int, str]:
         errors = {}
-        for start, p in _blocks(spec, axis_values, w, workers):
+        claimed = range(blocks) if queue is None else _claims(queue.fileno())
+        for b in claimed:
+            start, p = _block(base, spec.axes, axis_values, b)
             table = evaluate_batch(p).table
             values[start:start + len(p)] = table.values
             stable[start:start + len(p)] = table.stable
             errors.update((start + k, s) for k, s in table.errors.items())
         return errors
 
-    errors = dict(sorted(item for part in _in_workers(work, workers)
-                         for item in part.items()))
+    try:
+        parts = _in_workers(work, workers)
+    finally:
+        if queue is not None:
+            queue.close()
+    errors = dict(sorted(item for part in parts for item in part.items()))
     table = SweepTable(*np.full((2, total), np.nan), stable, values, errors)
     for name, x in zip(("axis1", "axis2"),
                        _coordinates(axis_values, np.arange(total))):

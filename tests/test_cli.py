@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -366,17 +367,20 @@ class TestSweepWorkers:
     def test_a_failing_worker_is_an_error(self, tmp_path, capsys,
                                           monkeypatch, kind):
         message = self.FAILURES[kind]
-        parent, evaluate = os.getpid(), sweep.evaluate_batch
+        child = sweep._child
 
-        def fail_in_children(p):
-            if os.getpid() != parent and kind != "short":
+        def failing_child(work, w, write, raw):
+            # fail before the first block: this process may empty the
+            # block queue before a child claims one
+            def fail(w):
                 _die(kind)
-            return evaluate(p)
+            child(fail, w, write, raw)
 
-        monkeypatch.setattr(sweep, "evaluate_batch", fail_in_children)
         if kind == "short":
             monkeypatch.setattr(pickle, "dumps",
                                 lambda obj, dumps=pickle.dumps: dumps(obj)[:4])
+        else:
+            monkeypatch.setattr(sweep, "_child", failing_child)
         monkeypatch.setattr(sweep, "_cpus", lambda: 2)
         monkeypatch.setattr(sweep, "BLOCK", 1)
         monkeypatch.setattr(sweep, "CHUNK", 7)  # four blocks
@@ -390,6 +394,30 @@ class TestSweepWorkers:
         assert not out_path.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_forking_never_warns(self, tmp_path, monkeypatch):
+        # Python >= 3.12 warns when a process with threads forks; under an
+        # "error" filter CPython drops that warning, so it is recorded
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(sweep, "_cpus", lambda: 2)
+        monkeypatch.setattr(sweep, "BLOCK", 1)
+        monkeypatch.setattr(sweep, "CHUNK", 7)
+        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        params, spec = parse_config(GRID_CFG)
+        evaluate_point(params)  # numpy's BLAS has started its threads
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            write_sweep_csv(run_sweep(spec), str(tmp_path / "out.csv"))
+        assert len(forks) == 2
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, DeprecationWarning)
+                and "fork" in str(w.message)] == []
 
     def test_small_work_never_forks(self, tmp_path, capsys, monkeypatch):
         def refuse():

@@ -1,13 +1,14 @@
 """Sweep engine: grid order, determinism, sentinels, phase optimizer."""
 
 import dataclasses
+import errno
 import math
 import os
 
 import numpy as np
 import pytest
 
-from cmmsim import (NoStablePointError, NumericalError, ParamBatch,
+from cmmsim import (CmmError, NoStablePointError, NumericalError, ParamBatch,
                     SweepAxis, SweepSpec, apply_axis, apply_pump_mode,
                     baseline_params, evaluate_batch, evaluate_point,
                     optimize_phase, run_sweep, sweep)
@@ -207,6 +208,107 @@ class TestRunSweep:
                 for k in range(len(table))} == {"ok", "unstable", "error"}
         assert {float(table.axis2[k]) for k in table.errors} == {5e299, 1e300}
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_every_block_is_evaluated_once(self, base, tmp_path, monkeypatch,
+                                           workers):
+        # 20 blocks of 3 points; whichever process evaluates a block
+        # appends its start to one file
+        temps = np.linspace(0.01, 0.6, 60)
+        spec = SweepSpec(base=base, axes=(SweepAxis("T", 0.01, 0.6, 60),))
+        monkeypatch.setattr(sweep, "CHUNK", 3)
+        monkeypatch.setattr(sweep, "BLOCK", 1)
+        monkeypatch.setattr(sweep, "_cpus", lambda: 1)
+        want = run_sweep(spec)
+        path = tmp_path / "starts"
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        evaluate = sweep.evaluate_batch
+
+        def spy(p):
+            start = int(np.flatnonzero(temps == p.T[0])[0])
+            os.write(fd, f"{start}\n".encode())
+            return evaluate(p)
+
+        monkeypatch.setattr(sweep, "evaluate_batch", spy)
+        monkeypatch.setattr(sweep, "_cpus", lambda: workers)
+        try:
+            got = run_sweep(spec)
+        finally:
+            os.close(fd)
+        starts = sorted(int(line) for line in path.read_text().split())
+        assert starts == list(range(0, 60, 3))
+        assert got.stable.tolist() == want.stable.tolist()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.errors == want.errors
+
+    def test_the_block_queue_has_no_capacity_limit(self, base, tmp_path,
+                                                   monkeypatch):
+        # more blocks than a pipe holds records, and more workers than this
+        # host may have CPUs; each block is a cheap table whose margins are
+        # its temperatures, and appends one byte to a file
+        n = 20_000
+        monkeypatch.setattr(sweep, "CHUNK", 1)
+        monkeypatch.setattr(sweep, "BLOCK", 1)
+        monkeypatch.setattr(sweep, "_cpus", lambda: 3)
+        path = tmp_path / "claims"
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def margins(p):
+            os.write(fd, b".")
+            values = np.full((len(p), len(sweep.FLOAT_FIELDS)), np.nan)
+            values[:, sweep.FLOAT_FIELDS.index("margin")] = p.T
+            table = sweep.SweepTable(*np.full((2, len(p)), np.nan),
+                                     np.zeros(len(p), bool), values, {})
+            return sweep.BatchResult(table, None)
+
+        monkeypatch.setattr(sweep, "evaluate_batch", margins)
+        try:
+            table = run_sweep(SweepSpec(base=base,
+                                        axes=(SweepAxis("T", 0.0, 1.0, n),)))
+        finally:
+            os.close(fd)
+        assert path.stat().st_size == n
+        assert np.array_equal(table.column("margin"), table.axis1)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_no_descriptor_is_left_open(self, base, monkeypatch):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        spec = SweepSpec(base=base, axes=(SweepAxis("delta_a", -2.0, 2.0, 28),))
+        monkeypatch.setattr(sweep, "CHUNK", 7)
+        monkeypatch.setattr(sweep, "BLOCK", 1)
+        monkeypatch.setattr(sweep, "_cpus", lambda: 2)
+        before = open_fds()
+        run_sweep(spec)
+        assert open_fds() == before
+        # a child that fails, then this process failing; the exception's
+        # traceback keeps run_sweep's frame alive
+        child = sweep._child
+        monkeypatch.setattr(sweep, "_child", lambda work, w, write, raw:
+                            child(lambda w: os._exit(3), w, write, raw))
+        with pytest.raises(CmmError, match="^sweep worker 1 exited with "
+                                           "status 3$") as failed:
+            run_sweep(spec)
+        assert open_fds() == before
+        monkeypatch.setattr(sweep, "_child", child)
+        monkeypatch.setattr(sweep, "evaluate_batch", lambda p: 1 / 0)
+        with pytest.raises(ZeroDivisionError) as failed:
+            run_sweep(spec)
+        assert open_fds() == before
+        # no room for the queue
+        def no_space():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sweep.tempfile, "TemporaryFile", no_space)
+        with pytest.raises(CmmError) as failed:
+            run_sweep(spec)
+        assert str(failed.value) == ("cannot queue the sweep's blocks: "
+                                     "[Errno 28] No space left on device")
+        assert open_fds() == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_pump_mode_equivalence(self, base):
         axes = (SweepAxis("delta_a", -1.5, -1.0, 4),)
