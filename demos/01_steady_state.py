@@ -26,6 +26,18 @@ print(f"  bare magnon detuning back-solved to {state.delta_m / p.omega_b:+.4f} o
 print(f"  frequency pull g_mb*q_s = {p.g_mb * state.q_s / p.omega_b:+.4f} omega_b")
 print(f"  fixed-point residual    = {c.steady_state_residual(p, state):.3e}")
 
+# bare-detuning mode takes the bare detuning as the input instead: at the
+# back-solved one it returns the same state; further up, the
+# self-consistency cubic has three roots, and the branch continued from
+# zero magnomechanical coupling is taken
+trip = c.solve_steady_state(p, bare_delta_m=state.delta_m)
+print(f"  bare mode at the back-solved detuning: effective "
+      f"{trip.delta_m_tilde / p.omega_b:+.4f} omega_b, |m_s|^2 relative "
+      f"change {abs(trip.m_s) ** 2 / abs(state.m_s) ** 2 - 1:+.1e}")
+high = c.solve_steady_state(p, bare_delta_m=1.6 * p.omega_b)
+print(f"  bare mode at +1.6000 omega_b: {high.root_multiplicity} roots, "
+      f"effective {high.delta_m_tilde / p.omega_b:+.4f} omega_b")
+
 # effective magnomechanical coupling set by the drives: |G_mb| = sqrt2 g_mb |m_s|
 g_mb_eff = np.sqrt(2.0) * p.g_mb * abs(state.m_s)
 print(f"\nEffective magnomechanical coupling |G_mb|/2pi = "

@@ -151,7 +151,7 @@ def _load(config_path: str) -> tuple[PhysicalParams, SweepSpec]:
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {config_path!r}: {exc}") from None
     return parse_config(text)
 

@@ -10,9 +10,10 @@ modes are supported:
   the magnon equation is then linear, the displacement follows from
   |m_s|^2, and the bare detuning is back-solved.  No iteration.
 * bare mode: the bare detuning is given, and |m_s|^2 must satisfy a cubic
-  self-consistency condition.  The cubic is solved in closed form, each
-  root polished by one Newton step, and the physical root selected by a
-  16-step homotopy continued from the zero-coupling solution.  That finds
+  self-consistency condition.  Its roots at the 16 steps of a homotopy in
+  the coupling are the eigenvalues of a stack of companion matrices, for a
+  whole batch at once; each is polished by Newton steps, and the physical
+  root is the one continued from the zero-coupling solution.  That finds
   the self-consistent effective detuning; the effective solver gives the
   state there.
 """
@@ -20,8 +21,7 @@ modes are supported:
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -75,12 +75,13 @@ class MeanFieldBatch(NamedTuple):
     delta_m_tilde: np.ndarray
     singular: np.ndarray
 
-    def state(self, k: int) -> MeanFieldState:
+    def state(self, k: int, root_multiplicity: int = 1) -> MeanFieldState:
         """The scalar state of entry ``k``."""
         return MeanFieldState(
             alpha_s=complex(self.alpha_s[k]), m_s=complex(self.m_s[k]),
             q_s=float(self.q_s[k]), p_s=0.0, delta_m=float(self.delta_m[k]),
-            delta_m_tilde=float(self.delta_m_tilde[k]))
+            delta_m_tilde=float(self.delta_m_tilde[k]),
+            root_multiplicity=root_multiplicity)
 
 
 def _magnon_response(p, eps_a, eps_m, delta_m_tilde):
@@ -127,6 +128,106 @@ def solve_effective_batch(p: ParamBatch) -> MeanFieldBatch:
     return MeanFieldBatch(alpha_s, m_s, abs_ms_sq, q_s, delta_m, dt, singular)
 
 
+def solve_bare_batch(p: ParamBatch,
+                     delta_m) -> tuple[MeanFieldBatch, np.ndarray]:
+    """Bare-mode fixed points of every entry of ``p`` at the bare magnon
+    detunings ``delta_m`` (one per entry, or one for all): u = |m_s|^2
+    solves u |d0 - i beta c u|^2 = |num|^2, with d0 the response's den at
+    the bare detuning, c = i delta_a + kappa_a and beta = g_mb^2 / omega_b.
+    Its roots at the 16 couplings g_mb k / 16 of a homotopy are the real
+    eigenvalues of one stack of companion matrices in w = u / u_ref (u_ref
+    the zero-coupling root keeps the coefficients O(1)), clamped at 0,
+    polished by Newton steps and merged within 1e-9; the homotopy follows
+    the nearest root from u_ref.  :func:`solve_effective_batch` gives the
+    state at the self-consistent detuning, with the homotopy's ``q_s`` and
+    the given ``delta_m``.
+
+    Returns the states and each entry's number of roots at the last step,
+    0 at a pole of the response at the bare detuning, which ``singular``
+    marks as it marks one at the self-consistent detuning.  Undriven
+    entries have the zero state, and entries that overflow have non-finite
+    fields.  Entries must have no ``violations``; call under
+    ``np.errstate(all="ignore")``, since entries may overflow.
+    """
+    delta_m = np.full(len(p), delta_m, dtype=float)
+    eps_a, eps_m = p.drive_amplitudes()
+    num, d0, _, c, _ = _magnon_response(p, eps_a, eps_m, delta_m)
+    num2, k1 = np.abs(num) ** 2, np.abs(d0) ** 2
+    u_ref = num2 / k1
+    # the cubic k3 u^3 + k2 u^2 + k1 u - num2, one row per homotopy step,
+    # its coefficients in real arithmetic: complex products broadcast over
+    # the steps would round differently in batches of different sizes
+    steps = np.arange(1.0, _HOMOTOPY_STEPS + 1)[:, None]
+    beta = (p.g_mb * steps / _HOMOTOPY_STEPS) ** 2 / p.omega_b
+    k3 = beta ** 2 * np.abs(c) ** 2
+    k2 = 2.0 * beta * (c.imag * d0.real - c.real * d0.imag)
+    a3 = k3 * (u_ref * u_ref * u_ref)
+    companion = np.zeros(beta.shape + (3, 3))
+    companion[..., 0, 0] = -(k2 * (u_ref * u_ref)) / a3
+    companion[..., 0, 1] = -(k1 * u_ref) / a3
+    companion[..., 0, 2] = num2 / a3
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    cubic = np.isfinite(companion[..., 0, :]).all(-1)
+    # where k1 u_ref / a3 is not finite, the cubic term is absent (g_mb = 0,
+    # no numerator) or below the smallest double: the one root is u_ref
+    single = ~np.isfinite(companion[..., 0, 1])
+    companion[~cubic] = 0.0
+    w = np.linalg.eigvals(companion)
+    # the real roots in u, a tiny negative one clamped to 0 and negative
+    # ones inadmissible (NaN), each polished by up to 3 Newton steps
+    k1, num2, ref = k1[:, None], num2[:, None], u_ref[:, None]
+    u = w.real * ref
+    u = np.where(cubic[..., None] & (w.imag == 0.0) & (u > -1e-12 * ref),
+                 np.maximum(u, 0.0), np.nan)
+    k2, k3 = k2[..., None], k3[..., None]
+    live = u == u
+    for _ in range(3):
+        f = ((k3 * u + k2) * u + k1) * u - num2
+        df = (3.0 * k3 * u + 2.0 * k2) * u + k1
+        live &= df != 0.0
+        polished = np.maximum(u - f / df, 0.0)
+        moved = np.abs(polished - u) > _POLISH_TOL * np.maximum(u, ref)
+        u = np.where(live, polished, u)
+        live &= moved
+        if not live.any():
+            break
+    # sorted, inadmissible roots (NaN) last; a root within 1e-9 of the
+    # last one kept collapsed onto it
+    u.sort(axis=-1)
+    tol = 1e-9 * np.maximum(u[..., 1:], ref)
+    fresh = u[..., 1:] - u[..., :2] > tol
+    fresh[..., 1] = (u[..., 2] - np.where(fresh[..., 0], u[..., 1], u[..., 0])
+                     > tol[..., 1])
+    u[..., 1:][~fresh] = np.nan
+    u = np.where(single[..., None], ref * [1.0, np.nan, np.nan], u)  # u_ref
+    # the homotopy follows the nearest root from u_ref: a table of each
+    # root's nearest successor, walked by flat indices into each step
+    previous = np.empty_like(u)
+    previous[0], previous[1:] = ref, u[:-1]
+    nearest = np.fmin(np.abs(u[..., None, :] - previous[..., None]),
+                      np.inf).argmin(-1)
+    j = first = 3 * np.arange(len(p))
+    for step in (nearest + first[:, None]).reshape(len(nearest), -1):
+        j = step[j]
+    roots = u[-1]
+    u = roots.ravel()[j]
+    # tie-break: of the roots within 1e-9 (of the largest) of u, the smallest
+    ambiguous = (np.abs(roots - u[:, None])
+                 <= 1e-9 * np.fmax.reduce(roots, axis=1)[:, None])
+    u = np.fmin.reduce(np.where(ambiguous, roots, np.nan), axis=1)
+    count = (roots == roots).sum(1)
+    undriven = eps_a + eps_m == 0.0
+    pole = (d0 == 0.0) & ~undriven
+    count[undriven] = 1
+    count[pole] = 0
+    q_s = np.where(undriven, 0.0, -p.g_mb * u / p.omega_b)
+    at = ParamBatch(p.block.copy())
+    at.delta_m_tilde_target[:] = delta_m + p.g_mb * q_s
+    mf = solve_effective_batch(at)
+    return mf._replace(q_s=q_s, delta_m=delta_m,
+                       singular=mf.singular | pole), count
+
+
 def solve_steady_state(params: PhysicalParams,
                        bare_delta_m: float | None = None) -> MeanFieldState:
     """Solve the classical fixed point.
@@ -134,8 +235,8 @@ def solve_steady_state(params: PhysicalParams,
     With ``bare_delta_m=None`` the effective detuning is pinned to
     ``params.delta_m_tilde_target`` and the bare detuning is back-solved,
     by :func:`solve_effective_batch` on a batch of one.  Passing a bare
-    detuning instead activates the cubic self-consistency mode with
-    homotopy root selection.
+    detuning instead solves the cubic self-consistency condition with
+    homotopy root selection, by :func:`solve_bare_batch` on a batch of one.
 
     Raises ParameterError outside the parameter domain, NoSteadyStateError
     if the magnon response has no admissible solution (e.g. at an exact
@@ -144,125 +245,17 @@ def solve_steady_state(params: PhysicalParams,
     p = batch_of_one(params)
     with np.errstate(all="ignore"):
         if bare_delta_m is None:
-            mf = solve_effective_batch(p)
-            if mf.singular[0]:
-                raise NoSteadyStateError(SINGULAR_RESPONSE)
-            state = mf.state(0)
+            mf, roots = solve_effective_batch(p), None
         else:
-            eps_a, eps_m = (float(eps[0]) for eps in p.drive_amplitudes())
-            state = _solve_bare(params, eps_a, eps_m, bare_delta_m)
+            mf, roots = solve_bare_batch(p, bare_delta_m)
+    if mf.singular[0]:
+        raise NoSteadyStateError(
+            SINGULAR_RESPONSE if roots is None or roots[0] == 0 else
+            "magnon linear response is singular at the self-consistent detuning")
+    state = mf.state(0, 1 if roots is None else int(roots[0]))
     if not np.isfinite(list(vars(state).values())).all():
         raise NumericalError(NON_FINITE_STATE)
     return state
-
-
-def _cubic_real_roots(a3: float, a2: float, a1: float, a0: float) -> list[float]:
-    """Real roots of a3 x^3 + a2 x^2 + a1 x + a0 via the discriminant-based
-    closed form (trigonometric/Cardano), no iteration."""
-    b, c, d = a2 / a3, a1 / a3, a0 / a3
-    p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    shift = -b / 3.0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc > 0.0:  # one real root
-        s = math.sqrt(disc)
-        t = math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
-        u = math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)
-        return [t + u + shift]
-    if p == 0.0:  # triple root
-        return [shift]
-    # three real roots (possibly degenerate)
-    r = 2.0 * math.sqrt(-p / 3.0)
-    arg = max(-1.0, min(1.0, 3.0 * q / (p * r)))
-    phi = math.acos(arg)
-    return sorted(r * math.cos((phi - turn) / 3.0) + shift
-                  for turn in (0.0, 2.0 * math.pi, 4.0 * math.pi))
-
-
-def _self_consistency_roots(num2: float, d0: complex, c: complex,
-                            beta: float) -> list[float]:
-    """Admissible (real, non-negative) roots u = |m_s|^2 of
-    u * |d0 - i*beta*c*u|^2 = num2: num2 is |num|^2 and d0 the response's
-    den at the bare detuning, c the cavity response i*delta_a + kappa_a,
-    and beta = g_mb^2 / omega_b.
-
-    The cubic is solved in a normalized variable w = u / u_ref with
-    u_ref the zero-coupling solution, which keeps coefficients O(1).
-    """
-    if abs(d0) == 0.0 and beta == 0.0:
-        raise NoSteadyStateError(SINGULAR_RESPONSE)
-    if beta == 0.0:
-        return [num2 / abs(d0) ** 2]
-    u_ref = num2 / abs(d0) ** 2 if abs(d0) > 0.0 else (num2 / beta ** 2) ** (1. / 3.)
-    if u_ref == 0.0:
-        return [0.0]
-    # u|d0 - i*beta*c*u|^2 - num2 = 0, expanded in powers of u
-    k3 = beta ** 2 * abs(c) ** 2
-    k2 = 2.0 * beta * (c * d0.conjugate()).imag
-    k1 = abs(d0) ** 2
-    # normalize: u = u_ref * w
-    roots = _cubic_real_roots(k3 * u_ref ** 3, k2 * u_ref ** 2, k1 * u_ref, -num2)
-    out = []
-    for w in roots:
-        u = w * u_ref
-        if u < 0.0 and u > -1e-12 * u_ref:
-            u = 0.0
-        if u < 0.0:
-            continue
-        # one Newton polish step on f(u) = u|den(u)|^2 - num2
-        for _ in range(3):
-            f = u * (k1 + k2 * u + k3 * u * u) - num2
-            df = k1 + 2.0 * k2 * u + 3.0 * k3 * u * u
-            if df == 0.0:
-                break
-            u_new = max(u - f / df, 0.0)
-            if abs(u_new - u) <= _POLISH_TOL * max(u, u_ref):
-                u = u_new
-                break
-            u = u_new
-        out.append(u)
-    # deduplicate roots that collapsed under polishing
-    out.sort()
-    dedup: list[float] = []
-    for u in out:
-        if not dedup or abs(u - dedup[-1]) > 1e-9 * max(u, u_ref):
-            dedup.append(u)
-    if not dedup:
-        raise NoSteadyStateError(
-            "self-consistency cubic has no admissible non-negative root")
-    return dedup
-
-
-def _solve_bare(params: PhysicalParams, eps_a: float, eps_m: float,
-                delta_m: float) -> MeanFieldState:
-    """Find the self-consistent effective detuning at the bare detuning
-    ``delta_m``; :func:`solve_effective_batch` gives the state there.  An
-    undriven system has the zero state."""
-    if eps_a == 0.0 and eps_m == 0.0:
-        return MeanFieldState(alpha_s=0j, m_s=0j, q_s=0.0, p_s=0.0,
-                              delta_m=delta_m, delta_m_tilde=delta_m)
-    num, d0, _, c, _ = _magnon_response(params, eps_a, eps_m, delta_m)
-    num2, d0 = float(abs(num) ** 2), complex(d0)
-    # homotopy in the coupling, continued from the zero-coupling solution
-    u = _self_consistency_roots(num2, d0, c, 0.0)[0]
-    roots = [u]
-    for k in range(1, _HOMOTOPY_STEPS + 1):
-        g_k = params.g_mb * k / _HOMOTOPY_STEPS
-        roots = _self_consistency_roots(num2, d0, c, g_k ** 2 / params.omega_b)
-        u = min(roots, key=lambda r: abs(r - u))
-    # tie-break: smallest admissible root wins if continuation is ambiguous
-    ambiguous = [r for r in roots if abs(r - u) <= 1e-9 * max(u, roots[-1])]
-    if len(ambiguous) > 1:
-        u = min(ambiguous)
-    q_s = -params.g_mb * u / params.omega_b
-    delta_m_tilde = delta_m + params.g_mb * q_s
-    mf = solve_effective_batch(ParamBatch.from_base(
-        params.replace(delta_m_tilde_target=delta_m_tilde), 1))
-    if mf.singular[0]:
-        raise NoSteadyStateError(
-            "magnon linear response is singular at the self-consistent detuning")
-    return replace(mf.state(0), q_s=q_s, delta_m=delta_m,
-                   root_multiplicity=len(roots))
 
 
 def magnon_amplitude_approx(params: PhysicalParams,
@@ -290,36 +283,32 @@ def magnon_amplitude_approx(params: PhysicalParams,
     return m_s
 
 
-def classical_rhs(params: PhysicalParams, alpha: complex, m: complex,
-                  q: float, p: float, delta_m: float):
-    """Right-hand side of the nonlinear classical flow at a given point.
-
-    Returns (dalpha/dt, dm/dt, dq/dt, dp/dt).  The drift matrix of the
-    linearized fluctuation dynamics is the Jacobian of this flow mapped to
-    quadratures.
-    """
-    eps_a, eps_m = params.drive_amplitudes()
-    dalpha = (-(1j * params.delta_a + params.kappa_a) * alpha
-              - 1j * params.g_ma * m
-              + eps_a * cmath.exp(-1j * params.theta_a))
-    dm = (-(1j * delta_m + params.kappa_m) * m
-          - 1j * params.g_ma * alpha
-          - 1j * params.g_mb * m * q
-          + eps_m * cmath.exp(-1j * params.theta_m))
-    dq = params.omega_b * p
-    dp = (-params.omega_b * q - params.g_mb * abs(m) ** 2
-          - params.gamma_b * p)
-    return dalpha, dm, dq, dp
+def residual_batch(p: ParamBatch, alpha_s, m_s, q_s, p_s,
+                   delta_m) -> np.ndarray:
+    """Euclidean norm of the classical flow (d alpha/dt, dm/dt, dq/dt,
+    dp/dt) at the given fields of each entry of ``p`` at bare magnon
+    detuning ``delta_m``, normalized by the larger drive amplitude (1 if
+    undriven).  Zero iff the fields are an exact fixed point; the drift
+    matrix of the fluctuations is this flow's Jacobian in quadratures.
+    Call under ``np.errstate(all="ignore")``."""
+    eps_a, eps_m = p.drive_amplitudes()
+    dalpha = (-(1j * p.delta_a + p.kappa_a) * alpha_s - 1j * p.g_ma * m_s
+              + eps_a * np.exp(-1j * p.theta_a))
+    dm = (-(1j * delta_m + p.kappa_m) * m_s - 1j * p.g_ma * alpha_s
+          - 1j * p.g_mb * m_s * q_s + eps_m * np.exp(-1j * p.theta_m))
+    dq = p.omega_b * p_s
+    dp = -p.omega_b * q_s - p.g_mb * np.abs(m_s) ** 2 - p.gamma_b * p_s
+    scale = np.maximum(eps_a, eps_m)
+    return (np.sqrt(np.abs(dalpha) ** 2 + np.abs(dm) ** 2 + dq ** 2 + dp ** 2)
+            / np.where(scale == 0.0, 1.0, scale))
 
 
 def steady_state_residual(params: PhysicalParams,
                           state: MeanFieldState) -> float:
     """Euclidean norm of the classical flow at ``state``, normalized by the
-    drive-amplitude scale.  Zero iff the state is an exact fixed point."""
-    dalpha, dm, dq, dp = classical_rhs(
-        params, state.alpha_s, state.m_s, state.q_s, state.p_s, state.delta_m)
-    eps_a, eps_m = params.drive_amplitudes()
-    scale = max(eps_a, eps_m)
-    if scale == 0.0:
-        scale = 1.0
-    return math.sqrt(abs(dalpha) ** 2 + abs(dm) ** 2 + dq ** 2 + dp ** 2) / scale
+    drive-amplitude scale: :func:`residual_batch` of the batch of one.
+    Zero iff the state is an exact fixed point."""
+    with np.errstate(all="ignore"):
+        return float(residual_batch(
+            batch_of_one(params), state.alpha_s, state.m_s, state.q_s,
+            state.p_s, state.delta_m)[0])

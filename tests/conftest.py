@@ -1,13 +1,17 @@
 """Shared fixtures, generators and from-scratch oracles for the test
 suite."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate
 
-from cmmsim import SweepTable, baseline_params
+from cmmsim import (MeanFieldState, NoSteadyStateError, NumericalError,
+                    ParamBatch, SweepTable, baseline_params, validate)
+from cmmsim.meanfield import (NON_FINITE_STATE, SINGULAR_RESPONSE,
+                              solve_effective_batch)
 from cmmsim.sweep import FLOAT_FIELDS
 
 
@@ -142,3 +146,99 @@ def ode_covariance(a, d, v0, t_final, atol):
                                     method="DOP853", rtol=1e-10, atol=atol)
     assert sol.success, sol.message
     return sol.y[:, -1].reshape(v0.shape)
+
+
+def cubic_real_roots(a3, a2, a1, a0):
+    """Real roots of a3 x^3 + a2 x^2 + a1 x + a0 in closed form
+    (trigonometric or Cardano, by the sign of the discriminant)."""
+    b, c, d = a2 / a3, a1 / a3, a0 / a3
+    p = c - b * b / 3.0
+    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+    shift = -b / 3.0
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    if disc > 0.0:  # one real root
+        s = math.sqrt(disc)
+        t = math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
+        u = math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)
+        return [t + u + shift]
+    if p == 0.0:  # triple root
+        return [shift]
+    r = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r))))
+    return sorted(r * math.cos((phi - turn) / 3.0) + shift
+                  for turn in (0.0, 2.0 * math.pi, 4.0 * math.pi))
+
+
+def self_consistency_roots(num2, d0, c, beta):
+    """Admissible roots u = |m_s|^2 of u |d0 - i beta c u|^2 = num2, solved
+    in w = u / u_ref (u_ref the zero-coupling root), each clamped at 0,
+    polished by up to 3 Newton steps and merged within 1e-9."""
+    if abs(d0) == 0.0:
+        raise NoSteadyStateError(SINGULAR_RESPONSE)
+    u_ref = num2 / abs(d0) ** 2
+    if beta == 0.0 or u_ref == 0.0:
+        return [u_ref]
+    k3 = beta ** 2 * abs(c) ** 2
+    k2 = 2.0 * beta * (c * d0.conjugate()).imag
+    k1 = abs(d0) ** 2
+    out = []
+    for w in cubic_real_roots(k3 * u_ref ** 3, k2 * u_ref ** 2, k1 * u_ref,
+                              -num2):
+        u = w * u_ref
+        if -1e-12 * u_ref < u < 0.0:
+            u = 0.0
+        if u < 0.0:
+            continue
+        for _ in range(3):
+            f = u * (k1 + k2 * u + k3 * u * u) - num2
+            df = k1 + 2.0 * k2 * u + 3.0 * k3 * u * u
+            if df == 0.0:
+                break
+            u_new = max(u - f / df, 0.0)
+            done = abs(u_new - u) <= 1e-14 * max(u, u_ref)
+            u = u_new
+            if done:
+                break
+        out.append(u)
+    merged = []
+    for u in sorted(out):
+        if not merged or abs(u - merged[-1]) > 1e-9 * max(u, u_ref):
+            merged.append(u)
+    return merged
+
+
+def bare_state_oracle(params, delta_m):
+    """Bare-mode fixed point by the closed-form cubic and a 16-step
+    homotopy in g_mb, continued from the zero-coupling root; the state at
+    the self-consistent detuning comes from the effective solver.  Raises
+    as ``solve_steady_state(params, bare_delta_m=delta_m)`` does."""
+    validate(params)
+    eps_a, eps_m = params.drive_amplitudes()
+    if eps_a == 0.0 and eps_m == 0.0:
+        return MeanFieldState(0j, 0j, 0.0, 0.0, delta_m, delta_m)
+    c = 1j * params.delta_a + params.kappa_a
+    num = (-1j * params.g_ma * eps_a * cmath.exp(-1j * params.theta_a)
+           + c * eps_m * cmath.exp(-1j * params.theta_m))
+    d0 = (1j * delta_m + params.kappa_m) * c + params.g_ma ** 2
+    num2 = abs(num) ** 2
+    u = self_consistency_roots(num2, d0, c, 0.0)[0]
+    for k in range(1, 17):
+        beta = (params.g_mb * k / 16) ** 2 / params.omega_b
+        roots = self_consistency_roots(num2, d0, c, beta)
+        u = min(roots, key=lambda r: abs(r - u))
+    ambiguous = [r for r in roots if abs(r - u) <= 1e-9 * max(u, roots[-1])]
+    u = min(ambiguous, default=u)
+    q_s = -params.g_mb * u / params.omega_b
+    with np.errstate(all="ignore"):
+        mf = solve_effective_batch(ParamBatch.from_base(
+            params.replace(delta_m_tilde_target=delta_m + params.g_mb * q_s),
+            1))
+    if mf.singular[0]:
+        raise NoSteadyStateError("magnon linear response is singular at "
+                                 "the self-consistent detuning")
+    state = MeanFieldState(complex(mf.alpha_s[0]), complex(mf.m_s[0]), q_s,
+                           0.0, delta_m, float(mf.delta_m_tilde[0]),
+                           len(roots))
+    if not np.isfinite(list(vars(state).values())).all():
+        raise NumericalError(NON_FINITE_STATE)
+    return state

@@ -118,6 +118,19 @@ class TestParseConfig:
         params, _ = parse_config(BASELINE_CFG + "\n# trailing comment\n\n")
         assert params.P_m == 0.9
 
+    @pytest.mark.parametrize("command, options", [
+        ("steady", []), ("sweep", ["--out", "out.csv"]),
+        ("phase-opt", ["--resolution", "16"])])
+    def test_a_file_that_is_not_utf8_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, command, options):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.cfg").write_bytes(b"\xff\xfe omega_a_hz = 1\n")
+        assert main([command, "--config", "bad.cfg", *options]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config 'bad.cfg': ")
+        assert "can't decode byte 0xff" in err
+        assert not Path("out.csv").exists()
+
 
 class TestFormatting:
     def test_nine_significant_digits(self):

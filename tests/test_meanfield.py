@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from cmmsim import (NoSteadyStateError, NumericalError, SingularityError,
-                    baseline_params, evaluate_point, magnon_amplitude_approx,
-                    solve_steady_state, steady_state_residual)
-from cmmsim.meanfield import NON_FINITE_STATE, SINGULAR_RESPONSE
+from cmmsim import (CmmError, NoSteadyStateError, NumericalError, ParamBatch,
+                    SingularityError, baseline_params, evaluate_point,
+                    magnon_amplitude_approx, solve_steady_state,
+                    steady_state_residual)
+from cmmsim.meanfield import (NON_FINITE_STATE, SINGULAR_RESPONSE,
+                              residual_batch, solve_bare_batch)
+from conftest import bare_state_oracle
 
 
 def magnon_numerator(p):
@@ -169,6 +172,17 @@ class TestBareDetuningMode:
         assert u * abs(den) ** 2 == pytest.approx(
             abs(magnon_numerator(base)) ** 2, rel=1e-10)
 
+    def test_a_vanishing_coupling_gives_the_uncoupled_state(self, base):
+        # a cubic term below the smallest double leaves the one root u_ref
+        for bare in (-1.1 * base.omega_b, 1.6 * base.omega_b):
+            uncoupled = solve_steady_state(base.replace(g_mb=0.0),
+                                           bare_delta_m=bare)
+            for g_mb in 10.0 ** np.linspace(-200.0, -30.0, 69):
+                st = solve_steady_state(base.replace(g_mb=g_mb),
+                                        bare_delta_m=bare)
+                assert st.m_s == pytest.approx(uncoupled.m_s, rel=1e-14)
+                assert st.root_multiplicity == 1
+
     def test_homotopy_continuity_in_coupling(self, base):
         # the selected branch varies continuously as g_mb ramps up
         bare = 1.6 * base.omega_b
@@ -179,6 +193,167 @@ class TestBareDetuningMode:
             us.append(abs(st.m_s) ** 2)
         jumps = np.abs(np.diff(us)) / np.maximum.reduce([us[:-1], us[1:]])
         assert jumps.max() < 0.3
+
+
+def random_bare_points(seed, n):
+    """``n`` seeded (params, bare detuning) pairs from the distributions of
+    test_every_root_satisfies_the_cubic."""
+    base = baseline_params()
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(n):
+        p = base.replace(
+            g_mb=base.g_mb * rng.uniform(0.1, 3.0),
+            P_a=rng.uniform(0.0, 0.5),
+            P_m=rng.uniform(0.0, 1.2),
+            delta_a=rng.uniform(-2.0, 2.0) * base.omega_b,
+            theta_a=rng.uniform(0.0, 2.0 * math.pi),
+        )
+        points.append((p, rng.uniform(-2.0, 2.0) * p.omega_b))
+    return points
+
+
+def edge_bare_points():
+    """Bare-mode points at the edges of the solver, as (params, bare)."""
+    base = baseline_params()
+    w_b = base.omega_b
+    # with linewidths this small and g_ma = 0, d0 underflows to exactly 0
+    zero_d0 = dict(kappa_a=1e-200, kappa_m=1e-200, delta_a=0.0, g_ma=0.0)
+    # a pole of the response at the bare detuning, which g_mb = 0 keeps
+    near_pole = dict(kappa_a=1e-9, kappa_m=1e-9, delta_a=base.g_ma, g_mb=0.0)
+    st = solve_steady_state(base)
+    return [
+        (base.replace(P_a=0.0, P_m=0.0), -1.1 * w_b),  # undriven
+        (base.replace(P_a=0.0, P_m=0.0, **zero_d0), 0.0),  # ... at a pole
+        (base.replace(P_m=0.0), 1.6 * w_b),  # cavity drive only
+        (base.replace(P_a=0.0), 1.6 * w_b),  # magnon drive only
+        (base.replace(P_a=0.0, g_ma=0.0), -1.1 * w_b),  # ... uncoupled
+        (base.replace(g_mb=0.0), 0.9 * w_b),
+        (base.replace(g_ma=0.0), 1.6 * w_b),
+        (base, 1.6 * w_b),  # three roots
+        (base, st.delta_m),  # round trip
+        (base.replace(**zero_d0), 0.0),  # pole at the bare detuning
+        (base.replace(**near_pole), base.g_ma),  # ... at the fixed point
+        (base.replace(P_m=1e308), -1.1 * w_b),  # overflow
+        (base.replace(omega_a=1e-300, delta_a=0.0, delta_m_tilde_target=1.0),
+         1.6 * w_b),
+        (base.replace(kappa_a=-1.0), 1.6 * w_b),  # invalid
+    ]
+
+
+def outcome(solve, p, bare):
+    try:
+        return solve(p, bare)
+    except CmmError as exc:
+        return type(exc), str(exc)
+
+
+class TestBareOracle:
+    """Bare mode against the closed-form cubic and homotopy of the tests'
+    oracle (conftest.bare_state_oracle)."""
+
+    @pytest.mark.parametrize("points, errors", [
+        *(pytest.param(random_bare_points(seed, 100), [], id=f"seed{seed}")
+          for seed in (7, 8, 9, 10)),
+        pytest.param(edge_bare_points(), [
+            SINGULAR_RESPONSE,
+            "magnon linear response is singular at the self-consistent "
+            "detuning",
+            NON_FINITE_STATE, NON_FINITE_STATE,
+            "kappa_a must be > 0, got -1.0"], id="edges")])
+    def test_agrees_with_the_closed_form(self, points, errors):
+        raised = []
+        for p, bare in points:
+            got = outcome(
+                lambda p, bare: solve_steady_state(p, bare_delta_m=bare),
+                p, bare)
+            want = outcome(bare_state_oracle, p, bare)
+            if isinstance(want, tuple):
+                assert got == want
+                raised.append(want[1])
+                continue
+            assert got.root_multiplicity == want.root_multiplicity
+            assert got.delta_m == want.delta_m and got.p_s == 0.0
+            for name, rel in (("m_s", 1e-13), ("q_s", 1e-13),
+                              ("delta_m_tilde", 1e-13), ("alpha_s", 1e-12)):
+                a, b = getattr(got, name), getattr(want, name)
+                assert abs(a - b) <= rel * abs(b), (name, a, b)
+        assert raised == errors
+
+
+def bare_batch():
+    """A 2 048-entry bare batch of random points, with undriven,
+    single-drive, g_mb = 0, pole and overflowing entries mixed in; returns
+    the batch, its bare detunings and the indices of each kind."""
+    base = baseline_params()
+    rng = np.random.default_rng(12)
+    n = 2048
+    p = ParamBatch.from_base(
+        base, n, g_mb=base.g_mb * rng.uniform(0.1, 3.0, n),
+        P_a=rng.uniform(0.0, 0.5, n), P_m=rng.uniform(0.0, 1.2, n),
+        delta_a=rng.uniform(-2.0, 2.0, n) * base.omega_b,
+        theta_a=rng.uniform(0.0, 2.0 * math.pi, n))
+    bare = rng.uniform(-2.0, 2.0, n) * base.omega_b
+    kinds = {"undriven": [3, 1024, 2047], "cavity only": [17, 1500],
+             "magnon only": [18, 1501], "uncoupled": [400, 1999],
+             "pole": [0, 777, 2046], "pole at the fixed point": [5, 1300],
+             "overflow": [9, 1030, 2045]}
+    for k in kinds["undriven"]:
+        p.P_a[k] = p.P_m[k] = 0.0
+    p.P_m[kinds["cavity only"]] = 0.0
+    p.P_a[kinds["magnon only"]] = 0.0
+    p.g_mb[kinds["uncoupled"]] = 0.0
+    for k in kinds["pole"]:
+        p.kappa_a[k] = p.kappa_m[k] = 1e-200
+        p.delta_a[k] = p.g_ma[k] = bare[k] = 0.0
+    for k in kinds["pole at the fixed point"]:
+        p.kappa_a[k] = p.kappa_m[k] = 1e-9
+        p.delta_a[k] = bare[k] = base.g_ma
+        p.g_mb[k] = 0.0
+    p.P_m[kinds["overflow"]] = 1e308
+    return p, bare, kinds
+
+
+class TestBareBatch:
+    def test_entries_equal_their_batches_of_one_bit_for_bit(self):
+        # 2 048 entries make the homotopy's arrays of 16 steps x 3 roots
+        # far longer than numpy's 8 192-element buffers
+        p, bare, kinds = bare_batch()
+        with np.errstate(all="ignore"):
+            mf, roots = solve_bare_batch(p, bare)
+            special = sorted(k for ks in kinds.values() for k in ks)
+            sample = np.random.default_rng(13).choice(len(p), 40,
+                                                      replace=False)
+            for k in [*special, *sample]:
+                one, one_roots = solve_bare_batch(p.take([k]), bare[k])
+                for name, a, b in zip(mf._fields, mf, one):
+                    assert a[k:k + 1].tobytes() == b.tobytes(), (k, name)
+                assert roots[k] == one_roots[0]
+        # each outcome stays in its own entries
+        pole = kinds["pole"] + kinds["pole at the fixed point"]
+        finite = np.isfinite([mf.alpha_s, mf.m_s, mf.q_s,
+                              mf.delta_m_tilde]).all(0)
+        assert np.flatnonzero(mf.singular).tolist() == sorted(pole)
+        assert np.flatnonzero(~finite & ~mf.singular).tolist() == sorted(
+            kinds["overflow"])
+        assert (roots[kinds["pole"]] == 0).all()
+        assert (roots[finite & ~mf.singular] > 0).all()
+        undriven = kinds["undriven"]
+        assert (mf.m_s[undriven] == 0).all() and (mf.q_s[undriven] == 0).all()
+        assert (mf.delta_m_tilde[undriven] == bare[undriven]).all()
+        assert set(roots.tolist()) == {0, 1, 3}
+        assert (mf.delta_m == bare).all()
+
+    def test_every_solved_entry_is_a_fixed_point(self):
+        p, bare, kinds = bare_batch()
+        with np.errstate(all="ignore"):
+            mf, _ = solve_bare_batch(p, bare)
+            residual = residual_batch(p, mf.alpha_s, mf.m_s, mf.q_s, 0.0,
+                                      mf.delta_m)
+        solved = ~mf.singular & np.isfinite(mf.m_s)
+        assert solved.sum() == len(p) - 8
+        assert residual[solved].max() < 1e-9
+        assert (residual[kinds["undriven"]] == 0.0).all()
 
 
 class TestPhaseStructure:
