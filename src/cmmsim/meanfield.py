@@ -10,12 +10,11 @@ modes are supported:
   the magnon equation is then linear, the displacement follows from
   |m_s|^2, and the bare detuning is back-solved.  No iteration.
 * bare mode: the bare detuning is given, and |m_s|^2 must satisfy a cubic
-  self-consistency condition.  Its roots at the 16 steps of a homotopy in
-  the coupling are the eigenvalues of a stack of companion matrices, for a
-  whole batch at once; each is polished by Newton steps, and the physical
-  root is the one continued from the zero-coupling solution.  That finds
-  the self-consistent effective detuning; the effective solver gives the
-  state there.
+  self-consistency condition.  Its roots are the eigenvalues of a stack of
+  companion matrices, for a whole batch at once; each is polished by
+  Newton steps, and the physical root, the one continued from the
+  zero-coupling solution, is the smallest.  That finds the self-consistent
+  effective detuning; the effective solver gives the state there.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import numpy as np
 from .errors import NoSteadyStateError, NumericalError, SingularityError
 from .params import ParamBatch, PhysicalParams, batch_of_one
 
-_HOMOTOPY_STEPS = 16
 _POLISH_TOL = 1e-14
 
 #: message of the NoSteadyStateError raised at a pole of the magnon response
@@ -134,31 +132,37 @@ def solve_bare_batch(p: ParamBatch,
     detunings ``delta_m`` (one per entry, or one for all): u = |m_s|^2
     solves u |d0 - i beta c u|^2 = |num|^2, with d0 the response's den at
     the bare detuning, c = i delta_a + kappa_a and beta = g_mb^2 / omega_b.
-    Its roots at the 16 couplings g_mb k / 16 of a homotopy are the real
-    eigenvalues of one stack of companion matrices in w = u / u_ref (u_ref
-    the zero-coupling root keeps the coefficients O(1)), clamped at 0,
-    polished by Newton steps and merged within 1e-9; the homotopy follows
-    the nearest root from u_ref.  :func:`solve_effective_batch` gives the
-    state at the self-consistent detuning, with the homotopy's ``q_s`` and
-    the given ``delta_m``.
+    Its roots are the real eigenvalues of one stack of companion matrices
+    in w = u / u_ref (u_ref the zero-coupling root keeps the coefficients
+    O(1)), clamped at 0, polished by Newton steps and merged within 1e-9.
+    :func:`solve_effective_batch` gives the state at the self-consistent
+    detuning, with the root's ``q_s`` and the given ``delta_m``.
 
-    Returns the states and each entry's number of roots at the last step,
-    0 at a pole of the response at the bare detuning, which ``singular``
-    marks as it marks one at the self-consistent detuning.  Undriven
-    entries have the zero state, and entries that overflow have non-finite
-    fields.  Entries must have no ``violations``; call under
-    ``np.errstate(all="ignore")``, since entries may overflow.
+    The physical root is the branch continued from u_ref as the coupling
+    rises from 0, and that is the smallest root.  With v = beta u the
+    cubic reads f(v) = v |d0 - i c v|^2 = beta |num|^2: f does not depend
+    on g_mb, and the right side is a level that rises with beta.  The
+    branch from v = 0 is the lowest crossing of f until the level passes
+    f's local maximum, above which only one crossing is left; so where the
+    cubic has three roots the branch is the smallest, and where it has one
+    that root is the branch.
+
+    Returns the states and each entry's number of roots, 0 at a pole of
+    the response at the bare detuning, which ``singular`` marks as it
+    marks one at the self-consistent detuning.  Undriven entries have the
+    zero state, and entries that overflow have non-finite fields.  Entries
+    must have no ``violations``; call under ``np.errstate(all="ignore")``,
+    since entries may overflow.
     """
     delta_m = np.full(len(p), delta_m, dtype=float)
     eps_a, eps_m = p.drive_amplitudes()
     num, d0, _, c, _ = _magnon_response(p, eps_a, eps_m, delta_m)
     num2, k1 = np.abs(num) ** 2, np.abs(d0) ** 2
     u_ref = num2 / k1
-    # the cubic k3 u^3 + k2 u^2 + k1 u - num2, one row per homotopy step,
-    # its coefficients in real arithmetic: complex products broadcast over
-    # the steps would round differently in batches of different sizes
-    steps = np.arange(1.0, _HOMOTOPY_STEPS + 1)[:, None]
-    beta = (p.g_mb * steps / _HOMOTOPY_STEPS) ** 2 / p.omega_b
+    # the cubic k3 u^3 + k2 u^2 + k1 u - num2; k2 in real arithmetic, since
+    # the complex product (c * conj(d0)).imag rounds differently and would
+    # change the states' last bits
+    beta = p.g_mb ** 2 / p.omega_b
     k3 = beta ** 2 * np.abs(c) ** 2
     k2 = 2.0 * beta * (c.imag * d0.real - c.real * d0.imag)
     a3 = k3 * (u_ref * u_ref * u_ref)
@@ -200,22 +204,8 @@ def solve_bare_batch(p: ParamBatch,
                      > tol[..., 1])
     u[..., 1:][~fresh] = np.nan
     u = np.where(single[..., None], ref * [1.0, np.nan, np.nan], u)  # u_ref
-    # the homotopy follows the nearest root from u_ref: a table of each
-    # root's nearest successor, walked by flat indices into each step
-    previous = np.empty_like(u)
-    previous[0], previous[1:] = ref, u[:-1]
-    nearest = np.fmin(np.abs(u[..., None, :] - previous[..., None]),
-                      np.inf).argmin(-1)
-    j = first = 3 * np.arange(len(p))
-    for step in (nearest + first[:, None]).reshape(len(nearest), -1):
-        j = step[j]
-    roots = u[-1]
-    u = roots.ravel()[j]
-    # tie-break: of the roots within 1e-9 (of the largest) of u, the smallest
-    ambiguous = (np.abs(roots - u[:, None])
-                 <= 1e-9 * np.fmax.reduce(roots, axis=1)[:, None])
-    u = np.fmin.reduce(np.where(ambiguous, roots, np.nan), axis=1)
-    count = (roots == roots).sum(1)
+    count = (u == u).sum(1)
+    u = u[:, 0]  # the smallest root: the branch continued from u_ref
     undriven = eps_a + eps_m == 0.0
     pole = (d0 == 0.0) & ~undriven
     count[undriven] = 1
@@ -235,8 +225,8 @@ def solve_steady_state(params: PhysicalParams,
     With ``bare_delta_m=None`` the effective detuning is pinned to
     ``params.delta_m_tilde_target`` and the bare detuning is back-solved,
     by :func:`solve_effective_batch` on a batch of one.  Passing a bare
-    detuning instead solves the cubic self-consistency condition with
-    homotopy root selection, by :func:`solve_bare_batch` on a batch of one.
+    detuning instead solves the cubic self-consistency condition and takes
+    its smallest root, by :func:`solve_bare_batch` on a batch of one.
 
     Raises ParameterError outside the parameter domain, NoSteadyStateError
     if the magnon response has no admissible solution (e.g. at an exact
