@@ -538,6 +538,18 @@ def _phase_table(params: PhysicalParams, phases) -> SweepTable:
     return evaluate_batch(p).table
 
 
+def _vertex(phases: list[float], values: list[float], k: int):
+    """The vertex of the parabola through phase ``k`` and its neighbours,
+    or None unless it has two and their values are finite and concave."""
+    if 0 < k < len(values) - 1:
+        y0, y1, y2 = values[k - 1:k + 2]
+        curve = y0 - 2.0 * y1 + y2  # not finite if any value is not
+        if -math.inf < curve < 0.0:
+            return phases[k] + (phases[k + 1] - phases[k - 1]) / 4.0 * (
+                y0 - y2) / curve
+    return None
+
+
 def optimize_phase(params: PhysicalParams, resolution: int):
     """Maximize the minimum residual contangle over the drive phase
     difference.
@@ -546,16 +558,24 @@ def optimize_phase(params: PhysicalParams, resolution: int):
     then zooms: each round takes 2*ZOOM + 1 equally spaced phases across
     +-h around the best phase so far and divides h (at first the scan's
     spacing) by ZOOM, until h <= 1e-6 rad.  A round evaluates the 2*ZOOM
-    phases around the centre as one batch; the centre's value is the best
-    value so far, which its row would repeat bit for bit, so the best value
-    never decreases.  The phase is located to about 1e-6 rad, and less
+    phases around the centre; the centre's value is the best value so
+    far, which its row would repeat bit for bit, so the best value never
+    decreases.  The phase is located to about 1e-6 rad, and less
     precisely where the maximum is flat: there its last digits are noise.
+
+    A batch holds the next round and, while a parabola through the last
+    winner and its neighbours predicts their centres, the later rounds
+    that would run, up to ``resolution`` phases.  A round is taken while
+    its centre and half-width are exactly those the rounds before it
+    chose: a row does not depend on its batch, so the result is the
+    round-by-round one bit for bit, whatever the parabola predicts.
 
     Exact ties break toward the smallest phase of a round; an exactly flat
     scan is not refined and returns phase 0.  Unstable and errored phases
     count as minus infinity.  If no scanned phase has a value, NumericalError
     is raised with the first error of a stable phase if there is one, and
-    NoStablePointError otherwise.
+    NoStablePointError otherwise; a scan too large to allocate raises
+    CmmError naming its size.
 
     Returns ``(delta_theta_star, r_min_star, scan)``: the phase normalized
     into [0, 2*pi), its r_min, and the scan's r_min values, the first at
@@ -564,14 +584,17 @@ def optimize_phase(params: PhysicalParams, resolution: int):
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
 
-    def best(phases, values):
-        """The first phase of greatest value, NaN counting as -inf."""
-        k = max(range(len(values)),
-                key=lambda k: -math.inf if math.isnan(values[k]) else values[k])
-        return float(phases[k]), values[k]
+    def best(values):
+        """The index of the first greatest value, NaN counting as -inf."""
+        return max(range(len(values)),
+                   key=lambda k: -math.inf if math.isnan(values[k]) else values[k])
 
-    grid = 2.0 * math.pi * np.arange(resolution) / resolution
-    table = _phase_table(params, grid)
+    try:
+        grid = 2.0 * math.pi * np.arange(resolution) / resolution
+        table = _phase_table(params, grid)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise CmmError(f"cannot allocate the scan of {resolution} phases: "
+                       f"{exc}") from None
     scan = table.column("r_min").tolist()
     if all(math.isnan(v) for v in scan):
         for k in sorted(table.errors):
@@ -579,15 +602,33 @@ def optimize_phase(params: PhysicalParams, resolution: int):
                 raise NumericalError(table.errors[k].removeprefix("error: "))
         raise NoStablePointError(
             "no stable operating point at any sampled phase")
-    x, f = best(grid, scan)
+    # the scan is periodic: its last and first phases are neighbours
+    phases = [float(grid[-1]) - 2.0 * math.pi, *grid.tolist(), 2.0 * math.pi]
+    values, k = [scan[-1], *scan, scan[0]], best(scan) + 1
+    x, f = phases[k], values[k]
     # an exactly flat scan is not refined: phase 0 wins the tie
     h = 2.0 * math.pi / resolution if any(v != scan[0] for v in scan) else 0.0
     steps = np.delete(np.arange(-ZOOM, ZOOM + 1), ZOOM)
     while h > 1e-6:
-        phases = (x + h * steps / ZOOM).tolist()
-        values = _phase_table(params, phases).column("r_min").tolist()
-        phases.insert(ZOOM, x)
-        values.insert(ZOOM, f)
-        x, f = best(phases, values)
-        h /= ZOOM
+        g = _vertex(phases, values, k)
+        rounds = 1 if g is None else max(1, resolution // (2 * ZOOM))
+        plan, batch, c, w = [], [], x, h
+        while w > 1e-6 and len(plan) < rounds:
+            ahead = (c + w * steps / ZOOM).tolist()
+            batch += ahead
+            ahead.insert(ZOOM, c)
+            plan.append((c, w, ahead))
+            if g is not None:  # the step nearest g is the predicted winner
+                j = (g - c) / (w / ZOOM)
+                c = ahead[ZOOM + round(min(max(j, -ZOOM), ZOOM))]
+            w /= ZOOM
+        column = _phase_table(params, batch).column("r_min").tolist()
+        for n, (c, w, ahead) in enumerate(plan):
+            if (c, w) != (x, h):  # mispredicted: this round and the rest go
+                break
+            phases, values = ahead, column[2 * ZOOM * n:2 * ZOOM * (n + 1)]
+            values.insert(ZOOM, f)
+            k = best(values)
+            x, f = phases[k], values[k]
+            h /= ZOOM
     return x % (2.0 * math.pi), f, scan

@@ -441,10 +441,12 @@ class TestSweepWorkers:
         assert evaluate_point(params).status == "ok"
         assert len(evaluate_batch(ParamBatch.from_base(params, 16)).table) == 16
         optimize_phase(params, 8)
+        optimize_phase(params, 64)  # its zoom rounds taken four at a time
         assert len(run_sweep(spec)) == 27  # one block
         cfg = write_cfg(tmp_path, BASELINE_CFG)
         assert main(["steady", "--config", cfg]) == 0
         assert main(["phase-opt", "--config", cfg, "--resolution", "8"]) == 0
+        assert main(["phase-opt", "--config", cfg, "--resolution", "64"]) == 0
         # nor does writing a CSV of less than one block, or of no row, on
         # any number of CPUs
         monkeypatch.setattr(sweep, "_cpus", lambda: 3)
@@ -614,6 +616,26 @@ class TestPhaseOptCommand:
         assert main(["phase-opt", "--config", cfg, "--resolution", "4"]) == 2
         err = capsys.readouterr().err
         assert err == "config error: resolution must be >= 8, got 4\n"
+
+    @pytest.mark.parametrize("resolution", [2**62, 10**30, "memory"])
+    def test_an_unallocatable_scan_is_an_error(self, tmp_path, capsys,
+                                               monkeypatch, resolution):
+        # numpy rejects 2**62 and 10**30 phases before it allocates
+        # anything; a scan that runs out of memory is simulated, never run
+        if resolution == "memory":
+            def no_memory(params, phases):
+                raise MemoryError("Unable to allocate the scan")
+
+            monkeypatch.setattr(sweep, "_phase_table", no_memory)
+            resolution = 64
+        cfg = write_cfg(tmp_path, BASELINE_CFG)
+        assert main(["phase-opt", "--config", cfg, "--resolution",
+                     str(resolution)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: cannot allocate the scan of {resolution} phases: ")
+        assert captured.err.count("\n") == 1
 
     def test_all_unstable_exit_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASELINE_CFG.replace("g_mb_hz = 0.28",

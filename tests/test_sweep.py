@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from cmmsim import (CmmError, NoStablePointError, NumericalError, ParamBatch,
                     SweepAxis, SweepSpec, apply_axis, apply_pump_mode,
                     baseline_params, evaluate_batch, evaluate_point,
                     optimize_phase, run_sweep, sweep)
-from cmmsim.cli import write_sweep_csv
+from cmmsim.cli import parse_config, write_sweep_csv
 from cmmsim.entanglement import MEASURES
+
+BASELINE_CFG = Path(__file__).resolve().parents[1] / "configs" / "baseline.cfg"
 
 PHYSICS_FIELDS = ("stable", "margin", "r_min", "residual_a", "residual_m",
                   "residual_b", "en_am", "en_ab", "en_mb", "en_a_mb",
@@ -391,6 +394,77 @@ class TestOptimizePhase:
             got = optimize_phase(p, 16)
             assert repr(got[:2]) == repr(want[:2])
             assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+
+    @staticmethod
+    def draws(seed, n):
+        """Operating points drawn from the benchmark's phase_opt ranges."""
+        rng = np.random.default_rng(seed)
+        base = baseline_params()
+        return [base.replace(delta_a=rng.uniform(-1.6, -1.1) * base.omega_b,
+                             P_a=math.exp(rng.uniform(math.log(1e-3),
+                                                      math.log(0.5))),
+                             T=rng.uniform(0.01, 0.1))
+                for _ in range(n)]
+
+    @staticmethod
+    def assert_serial(got, want):
+        assert repr(got[:2]) == repr(want[:2])
+        assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+
+    @staticmethod
+    def spy_on_batches(monkeypatch):
+        """The phases of each batch that optimize_phase evaluates."""
+        batches, phase_table = [], sweep._phase_table
+
+        def spy(params, phases):
+            batches.append(list(phases))
+            return phase_table(params, phases)
+
+        monkeypatch.setattr(sweep, "_phase_table", spy)
+        return batches
+
+    @pytest.mark.parametrize("resolution", [64, 128])
+    def test_evaluating_rounds_ahead_changes_no_bit(self, monkeypatch,
+                                                    resolution):
+        batches = self.spy_on_batches(monkeypatch)
+        for p in self.draws(20261020 + resolution, 24):
+            self.assert_serial(optimize_phase(p, resolution),
+                               evaluate_every_centre(p, resolution))
+        # rounds were taken ahead: round by round, each call makes seven
+        assert len(batches) < 7 * 24
+
+    #: wrong guesses: each later round of a batch is planned from the
+    #: guess, a far phase clipping it to its last step, the centre to step 0
+    GUESSES = {"far": lambda phases, values, k: phases[k] + 100.0,
+               "centre": lambda phases, values, k: phases[k]}
+
+    @pytest.mark.parametrize("guess", GUESSES)
+    def test_a_wrong_prediction_changes_no_bit(self, monkeypatch, guess):
+        monkeypatch.setattr(sweep, "_vertex", self.GUESSES[guess])
+        batches = self.spy_on_batches(monkeypatch)
+        for p in self.draws(20261021, 8):
+            self.assert_serial(optimize_phase(p, 64),
+                               evaluate_every_centre(p, 64))
+        assert max(len(b) for b in batches[1:]) == 64
+
+    def test_evaluates_the_predicted_rounds_ahead(self, monkeypatch):
+        params, _ = parse_config(BASELINE_CFG.read_text(encoding="utf-8"))
+        with monkeypatch.context() as no_guess:
+            no_guess.setattr(sweep, "_vertex", lambda phases, values, k: None)
+            serial = self.spy_on_batches(no_guess)
+            want = optimize_phase(params, 64)
+        # with no guess, one round a batch
+        assert [len(b) for b in serial] == [64] + [2 * sweep.ZOOM] * 6
+        batches = self.spy_on_batches(monkeypatch)
+        self.assert_serial(optimize_phase(params, 64), want)
+        sizes = [len(b) for b in batches]
+        # the scan, then batches of whole rounds, none larger than the scan
+        assert sizes[0] == 64
+        assert all(n % (2 * sweep.ZOOM) == 0 and n <= 64 for n in sizes[1:])
+        evaluated = {x for b in batches for x in b}
+        assert all(set(round_) <= evaluated for round_ in serial[1:])
+        # six rounds in two batches: four, then two
+        assert sizes == [64, 64, 32]
 
     def test_optimum_beats_the_scan_and_its_neighbours(self, base):
         rng = np.random.default_rng(20260418)
