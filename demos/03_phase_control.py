@@ -15,11 +15,11 @@ base = c.baseline_params(P_a=0.45)
 print("R_min versus drive phase difference at delta_a/omega_b = "
       f"{base.delta_a / base.omega_b:+.2f}, P_a = {base.P_a} W")
 
+# the scan is one batch: a row does not depend on the batch it is in
 ths = np.linspace(0.0, 2.0 * np.pi, 25)
-vals = []
-for th in ths:
-    row = c.evaluate_point(c.apply_axis(base, "delta_theta", float(th)))
-    vals.append(row.r_min)
+scan = c.evaluate_batch(c.ParamBatch.from_base(
+    base, ths.size, theta_a=base.theta_m + ths)).table
+for th, row in zip(ths, scan):
     mark = "unstable" if not row.stable else f"{row.r_min:8.5f} " + \
         "#" * int(round(40 * row.r_min / 0.02))
     print(f"  delta_theta = {th / np.pi:5.3f} pi : {mark}")

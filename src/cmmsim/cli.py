@@ -7,8 +7,9 @@ and multiplied by 2*pi exactly once here; detunings are quoted in units of
 omega_b.  Sweep axes use ``sweep.<axis> = start:stop:count``.
 
 A sweep's grid is evaluated, and its CSV formatted, on every CPU of the
-process's affinity mask (forked workers; ``taskset -c 0`` runs serially),
-and the CSV bytes do not depend on the number of CPUs.
+process's affinity mask (forked workers pulling blocks from one queue;
+``taskset -c 0`` runs serially), and the CSV bytes do not depend on the
+number of CPUs.
 
 Exit codes: 0 success (an unstable operating point is data, not an error),
 1 runtime or I/O failure, 2 configuration error.
@@ -172,9 +173,6 @@ _UNMEASURED = [j for j, name in enumerate(FLOAT_FIELDS)
 #: holds at once
 CSV_BLOCK = 1024
 
-#: bytes copied at a time from a CSV worker's pipe to the file
-_COPY_CHUNK = 1 << 16
-
 
 def _spelled(column: np.ndarray) -> list[str]:
     """:func:`fmt` of each entry, each distinct value formatted once.
@@ -207,55 +205,55 @@ def write_sweep_csv(table: SweepTable, path: str) -> None:
     stable flag and its FLOAT_FIELDS, each number as :func:`fmt` spells
     it.
 
-    The CSV_BLOCK blocks of rows are shared among W workers, W the number
-    of CPUs in the process's affinity mask or of blocks if that is
-    smaller, each a contiguous range of blocks: this process formats the
-    first range and writes it block by block, each forked child formats
-    its range into its own memory and sends it through a pipe, and this
-    process copies the children's text to the file in order, counting
-    their rows.  The bytes do not depend on W.  A worker that fails, or
-    sends fewer rows than its range holds, makes this raise CmmError
-    naming it; a write that fails leaves no file at ``path``.
+    The CSV_BLOCK blocks of rows are shared among W workers as a sweep's
+    are (:func:`cmmsim.sweep._in_workers`), W the number of CPUs in the
+    process's affinity mask or of blocks if that is smaller.  With one
+    worker the blocks are formatted and written to ``path`` in order.
+    Otherwise each worker appends the blocks it claims to its own unlinked
+    temporary file, and this process then copies them to ``path`` in block
+    order, one block at a time, checking each block's row count.  The
+    bytes do not depend on W.  A worker that fails, or a block short of
+    rows, makes this raise CmmError naming it; a write that fails leaves
+    no file at ``path``.
     """
     n = len(table)
     blocks = len(range(0, n, CSV_BLOCK))
-    workers = max(1, min(sweep._cpus(), blocks))
-    # row offsets of the workers' ranges, whole blocks each
-    bounds = [min(n, w * blocks // workers * CSV_BLOCK)
-              for w in range(workers + 1)]
+    workers = sweep._workers(blocks)
+    scratch = []
 
-    def texts(w: int):
-        for start in range(bounds[w], bounds[w + 1], CSV_BLOCK):
-            at = slice(start, start + CSV_BLOCK)
-            yield _csv_lines(table.axis1[at], table.axis2[at],
-                             table.stable[at], table.values[at]).encode()
-
-    def work(w: int):
-        if w:
-            return list(texts(w))
-        for text in texts(0):
-            fh.write(text)
-
-    def copy(pipe) -> int:
-        rows = 0
-        while chunk := pipe.read(_COPY_CHUNK):
-            fh.write(chunk)
-            rows += chunk.count(b"\n")
-        return rows
+    def do(w: int, b: int):
+        at = slice(b * CSV_BLOCK, (b + 1) * CSV_BLOCK)
+        text = _csv_lines(table.axis1[at], table.axis2[at],
+                          table.stable[at], table.values[at]).encode()
+        if not scratch:  # one worker: straight to ``path``, in order
+            return fh.write(text)
+        try:
+            scratch[w].write(text)
+            scratch[w].flush()  # a child exits without flushing
+        except OSError as exc:  # not ``path``'s fault
+            raise CmmError(f"cannot hold the CSV's blocks: {exc}") from None
+        return w, len(text), text.count(b"\n")
 
     fh = open(path, "wb")
     try:
         with fh:
             fh.write(CSV_HEADER.encode() + b"\n")
-            rows = sweep._in_workers(work, workers, "CSV worker", copy)
-        for w in range(1, workers):
-            want = bounds[w + 1] - bounds[w]
-            if rows[w] != want:
-                raise CmmError(f"CSV worker {w} exited with status 0 but "
-                               f"sent {rows[w]} of {want} rows")
+            for _ in range(workers if workers > 1 else 0):
+                scratch.append(sweep._temporary("hold the CSV's blocks"))
+            done = sweep._in_workers(do, workers, blocks, "CSV worker")
+            for held in scratch:
+                held.seek(0)
+            for b, (w, size, rows) in (done.items() if scratch else ()):
+                want = min(CSV_BLOCK, n - b * CSV_BLOCK)
+                if rows != want:
+                    raise CmmError(f"CSV block {b} has {rows} of {want} rows")
+                fh.write(scratch[w].read(size))
     except BaseException:
         _discard(path)
         raise
+    finally:
+        for held in scratch:
+            held.close()
 
 
 def _discard(path: str) -> None:

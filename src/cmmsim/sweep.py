@@ -10,7 +10,8 @@ point's row is bit-identical whichever batch it is evaluated in, and a
 grid's blocks can be shared among processes: one worker per CPU of the
 process's affinity mask, this process and forked children, each taking
 the next unclaimed block from one shared queue until none is left and
-writing its rows into one shared buffer.  Results are kept as columns (a
+writing its rows into one shared buffer.  The CSV writer shares its blocks
+of rows through the same loop.  Results are kept as columns (a
 SweepTable), a grid's points in row-major order with the first axis
 outermost; a row object is built only where one is asked for.
 """
@@ -353,24 +354,20 @@ def _block(base: PhysicalParams, axes: tuple[SweepAxis, ...],
     return start, ParamBatch.from_base(base, k.size, **columns)
 
 
-def _block_queue(blocks: int):
-    """An unlinked temporary file holding the block numbers 0 ... blocks
-    - 1 as 8-byte records, read from its start.  Workers forked after it
-    is opened share its one file offset, which the kernel advances
-    atomically for a file opened by path, so each ``os.read(fd, 8)``
-    claims the next block exactly once, with no lock and no capacity
-    limit.  (Not a ``memfd_create`` file: its offset is not advanced
-    atomically, and two workers can read the same record.)"""
+def _temporary(what: str, data: bytes = b""):
+    """An unlinked temporary file holding ``data``, read from its start.
+    A file that cannot be made or written raises CmmError "cannot
+    ``what``: ..."."""
     try:
         fh = tempfile.TemporaryFile()
         try:
-            fh.write(np.arange(blocks, dtype="<i8").tobytes())
+            fh.write(data)
             fh.seek(0)
         except BaseException:
             fh.close()
             raise
     except OSError as exc:
-        raise CmmError(f"cannot queue the sweep's blocks: {exc}") from None
+        raise CmmError(f"cannot {what}: {exc}") from None
     return fh
 
 
@@ -388,24 +385,41 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _in_workers(work, workers: int, name: str = "sweep worker",
-                receive=None) -> list:
-    """``[work(0), ..., work(workers - 1)]``, ``work(0)`` in this process
-    and each other ``work(w)`` in a forked child that sends its result
-    back through a pipe; with one worker nothing forks.
+def _workers(blocks: int) -> int:
+    """W for ``blocks`` blocks of work: one worker per CPU of the
+    process's affinity mask, at most one per block, at least one."""
+    return max(1, min(_cpus(), blocks))
 
-    A child's result goes back pickled, or, given ``receive``, as the
-    bytes of the sequence of bytes objects it is, in order: then, once
-    ``work(0)`` has returned, ``receive(pipe)`` reads each child's pipe in
-    worker order while the later children may still be writing, and what
-    it returns is that child's entry.
+
+def _in_workers(do, workers: int, blocks: int,
+                name: str = "sweep worker") -> dict:
+    """``{b: do(w, b)}`` for the blocks b = 0 ... blocks - 1, sorted by b,
+    each evaluated by one of ``workers`` workers w: this process is worker
+    0 and forks the others.  With one worker nothing forks and the blocks
+    are taken in order.  Otherwise the block numbers sit in one queue, an
+    unlinked temporary file of 8-byte records opened before the fork, and
+    every worker claims the next one with ``os.read(fd, 8)`` until none is
+    left, so a faster worker takes more blocks and each worker's blocks
+    come in increasing order.  The workers share the file's one offset,
+    which the kernel advances atomically for a file opened by path, so each
+    block is claimed exactly once, with no lock and no capacity limit.
+    (Not a ``memfd_create`` file: its offset is not advanced atomically,
+    and two workers can read the same record.)  Each child sends its
+    results back through a pipe, pickled.
 
     Raises CmmError naming a child that fails (raises, dies, or sends a
-    pickled result that does not unpickle), as ``name`` and its number,
-    and its exit status.  Every child is reaped before this returns or
-    raises; if this process fails, it kills them first.
+    result that does not unpickle), as ``name`` and its number, and its
+    exit status.  Every child is reaped before this returns or raises; if
+    this process fails, it kills them first.
     """
-    raw = receive is not None
+    queue = (_temporary("queue the sweep's blocks",
+                        np.arange(blocks, dtype="<i8").tobytes())
+             if workers > 1 else None)
+
+    def work(w: int) -> dict:
+        claimed = range(blocks) if queue is None else _claims(queue.fileno())
+        return {b: do(w, b) for b in claimed}
+
     pids, pipes = [], []
     try:
         for w in range(1, workers):
@@ -417,11 +431,10 @@ def _in_workers(work, workers: int, name: str = "sweep worker",
                 os.close(write)
                 raise CmmError(f"cannot start {name} {w}: {exc}") from None
             if pid == 0:
-                _child(work, w, write, raw)
+                _child(work, w, write)
             os.close(write)
             pids.append(pid)
-        results = [work(0)] + [receive(pipe) if raw else pipe.read()
-                               for pipe in pipes]
+        results = [work(0)] + [pipe.read() for pipe in pipes]
     except BaseException:
         import signal  # only a failing sweep pays for the import
         for pid in pids:
@@ -430,6 +443,8 @@ def _in_workers(work, workers: int, name: str = "sweep worker",
     finally:
         for pipe in pipes:
             pipe.close()
+        if queue is not None:
+            queue.close()
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                  for pid in pids]
     for w, code in enumerate(codes, 1):
@@ -437,30 +452,22 @@ def _in_workers(work, workers: int, name: str = "sweep worker",
             raise CmmError(f"{name} {w} was killed by signal {-code}")
         if code:
             raise CmmError(f"{name} {w} exited with status {code}")
-        if raw:
-            continue
         try:
             results[w] = pickle.loads(results[w])
         except Exception:
             raise CmmError(f"{name} {w} exited with status 0 but sent "
                            f"a short result ({len(results[w])} bytes)") from None
-    return results
+    return dict(sorted(item for part in results for item in part.items()))
 
 
-def _child(work, w: int, write: int, raw: bool):
-    """The forked worker ``w``: write ``work(w)`` to the file descriptor
-    ``write``, its bytes objects one after another if ``raw`` (so they are
-    never joined into a second copy) and else pickled, and exit, with
-    status 1 and the traceback on stderr if anything raises.  Never
-    returns."""
+def _child(work, w: int, write: int):
+    """The forked worker ``w``: write ``work(w)`` pickled to the file
+    descriptor ``write`` and exit, with status 1 and the traceback on
+    stderr if anything raises.  Never returns."""
     code = 1
     try:
         with open(write, "wb") as fh:
-            result = work(w)
-            if raw:
-                fh.writelines(result)
-            else:
-                fh.write(pickle.dumps(result))
+            fh.write(pickle.dumps(work(w)))
         code = 0
     except BaseException:
         sys.excepthook(*sys.exc_info())
@@ -473,19 +480,16 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     (also the sequence of its rows) whose axis columns hold the grid's
     coordinates.
 
-    The blocks are shared among W workers, W the number of CPUs in the
-    process's affinity mask or of blocks if that is smaller: this process
-    is worker 0 and forks the others, and each worker claims the next
-    unclaimed block from one queue shared by all of them until none is
-    left, so a faster worker evaluates more blocks.  Each writes its rows
-    into one table allocated in shared memory, and sends back only its
-    errors, so the table's bits depend neither on the chunking nor on W,
-    nor on which worker evaluated a block (``taskset -c 0`` runs
-    serially, and with one worker nothing forks and the blocks are
-    evaluated in order).  A worker that fails makes this raise
-    CmmError naming it and its exit status; no child outlives the call.
-    A table too large to size or map raises CmmError naming the point
-    count before any point is evaluated.
+    The blocks are shared among W workers (:func:`_in_workers`), W the
+    number of CPUs in the process's affinity mask or of blocks if that is
+    smaller.  Each worker writes its rows into one table allocated in
+    shared memory, and sends back only its errors, so the table's bits
+    depend neither on the chunking nor on W, nor on which worker evaluated
+    a block (``taskset -c 0`` runs serially, and with one worker nothing
+    forks).  A worker that fails makes this raise CmmError naming it and
+    its exit status; no child outlives the call.  A table too large to
+    size or map raises CmmError naming the point count before any point
+    is evaluated.
     """
     import mmap  # on first use: importing cmmsim does not pay for it
     total = math.prod(ax.count for ax in spec.axes)
@@ -501,25 +505,15 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     axis_values = [ax.values() for ax in spec.axes]
     base = apply_pump_mode(spec.base, spec.pump_mode)
     blocks = len(range(0, total, BLOCK * CHUNK))
-    workers = min(_cpus(), blocks)
-    queue = _block_queue(blocks) if workers > 1 else None
 
-    def work(w: int) -> dict[int, str]:
-        errors = {}
-        claimed = range(blocks) if queue is None else _claims(queue.fileno())
-        for b in claimed:
-            start, p = _block(base, spec.axes, axis_values, b)
-            table = evaluate_batch(p).table
-            values[start:start + len(p)] = table.values
-            stable[start:start + len(p)] = table.stable
-            errors.update((start + k, s) for k, s in table.errors.items())
-        return errors
+    def do(w: int, b: int) -> dict[int, str]:
+        start, p = _block(base, spec.axes, axis_values, b)
+        table = evaluate_batch(p).table
+        values[start:start + len(p)] = table.values
+        stable[start:start + len(p)] = table.stable
+        return {start + k: s for k, s in table.errors.items()}
 
-    try:
-        parts = _in_workers(work, workers)
-    finally:
-        if queue is not None:
-            queue.close()
+    parts = _in_workers(do, _workers(blocks), blocks).values()
     errors = dict(sorted(item for part in parts for item in part.items()))
     table = SweepTable(*np.full((2, total), np.nan), stable, values, errors)
     for name, x in zip(("axis1", "axis2"),

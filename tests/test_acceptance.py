@@ -336,6 +336,7 @@ def test_criterion_09_physicality_of_produced_covariances():
                    f"min nu = {_COLLECTED['min_nu']:.12f}")
 
 
+@pytest.mark.bits
 def test_criterion_10_csv_determinism(tmp_path, monkeypatch):
     text = (
         "omega_a_hz = 10e9\nomega_b_hz = 10e6\nkappa_a_hz = 1e6\n"

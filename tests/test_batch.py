@@ -211,6 +211,7 @@ class TestBatchedLyapunov:
             rel = np.linalg.norm(v[k] - ref) / np.linalg.norm(ref)
             assert rel <= LYAPUNOV_RESIDUAL_TOL
 
+    @pytest.mark.bits
     def test_a_stack_equals_its_stacks_of_one_bit_for_bit(self):
         a, d = (np.concatenate(m) for m in zip(grid_systems(0.9),
                                                grid_systems(1.2)))
@@ -532,6 +533,7 @@ SCALAR_ENTRY_POINTS = (build_diffusion, solve_steady_state,
                        PhysicalParams.drive_amplitudes)
 
 
+@pytest.mark.bits
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.lists(parameter_points(), min_size=1, max_size=4))
 def test_batch_rows_equal_single_point_rows_and_never_raise(points):

@@ -1,5 +1,7 @@
 """Config parsing, CSV output, subcommands, exit codes."""
 
+import errno
+import io
 import math
 import os
 import pickle
@@ -314,6 +316,15 @@ class TestSweepCommand:
         assert err.count("\n") == 1
         assert not out_path.exists()
 
+    def test_three_axes_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASELINE_CFG + "sweep.delta_a = -2:2:3\n"
+                        "sweep.delta_theta = 0:6:3\nsweep.T = 0.01:0.1:3\n")
+        out_path = tmp_path / "out.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: at most two sweep axes are supported\n")
+        assert not out_path.exists()
+
     def test_builds_no_row_objects(self, tmp_path, monkeypatch):
         built = []
         init = SweepRow.__init__
@@ -363,6 +374,14 @@ def _die(kind):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _failing_child(kind):
+    """A ``sweep._child`` whose worker fails as ``kind`` says before its
+    first block: this process may empty the block queue before a child
+    claims one."""
+    child = sweep._child
+    return lambda work, w, write: child(lambda w: _die(kind), w, write)
+
+
 class TestSweepWorkers:
     """A sweep's blocks are shared among forked workers, one per CPU; a
     worker that fails is an error (exit status 1), never a hang or a
@@ -380,20 +399,11 @@ class TestSweepWorkers:
     def test_a_failing_worker_is_an_error(self, tmp_path, capsys,
                                           monkeypatch, kind):
         message = self.FAILURES[kind]
-        child = sweep._child
-
-        def failing_child(work, w, write, raw):
-            # fail before the first block: this process may empty the
-            # block queue before a child claims one
-            def fail(w):
-                _die(kind)
-            child(fail, w, write, raw)
-
         if kind == "short":
             monkeypatch.setattr(pickle, "dumps",
                                 lambda obj, dumps=pickle.dumps: dumps(obj)[:4])
         else:
-            monkeypatch.setattr(sweep, "_child", failing_child)
+            monkeypatch.setattr(sweep, "_child", _failing_child(kind))
         monkeypatch.setattr(sweep, "_cpus", lambda: 2)
         monkeypatch.setattr(sweep, "BLOCK", 1)
         monkeypatch.setattr(sweep, "CHUNK", 7)  # four blocks
@@ -465,6 +475,24 @@ class TestSweepWorkers:
         write_sweep_csv(run_sweep(spec), str(out_path))
         assert len(out_path.read_bytes().splitlines()) == 1 + 27
 
+    def test_no_affinity_mask_is_one_cpu(self, tmp_path, monkeypatch):
+        # where the OS gives no affinity mask, a grid of many blocks and a
+        # CSV of many blocks run in this process alone
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert sweep._cpus() == 1
+
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(sweep, "BLOCK", 1)
+        monkeypatch.setattr(sweep, "CHUNK", 7)
+        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        out_path = tmp_path / "out.csv"
+        assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
+                     "--out", str(out_path)]) == 0
+        assert len(out_path.read_bytes().splitlines()) == 1 + 27
+
 
 def _rows(table, n):
     """The table of the first ``n`` points of ``table``, statuses aside."""
@@ -474,36 +502,33 @@ def _rows(table, n):
 
 class TestCsvWorkers:
     """The CSV's blocks of rows are shared among forked workers, one per
-    CPU, each a contiguous range; the bytes do not depend on the worker
-    count, a worker that fails is an error that leaves no CSV and no
-    process behind, and this process holds a few blocks' text at most."""
+    CPU, through the sweep's block queue; the bytes do not depend on the
+    worker count, a worker that fails is an error that leaves no CSV and
+    no process behind, and this process holds a few blocks' text at most."""
 
-    #: the error of worker 1 failing in each way; with CSV_BLOCK = 4 the
-    #: 27 rows of GRID_CFG make seven blocks, and worker 1 of two holds
-    #: rows 12 to 26, in four blocks
+    #: the error of worker 1 failing in each way, and of a block short of
+    #: a row; with CSV_BLOCK = 4 the 27 rows of GRID_CFG make seven blocks
     FAILURES = {
         "exit": "CSV worker 1 exited with status 3",
         "raise": "CSV worker 1 exited with status 1",
         "kill": f"CSV worker 1 was killed by signal {signal.SIGKILL:d}",
-        "short": "CSV worker 1 exited with status 0 but sent 11 of 15 rows"}
+        "short": "CSV block 0 has 3 of 4 rows"}
 
     @pytest.mark.parametrize("kind", FAILURES)
     def test_a_failing_worker_is_an_error(self, tmp_path, capsys,
                                           monkeypatch, kind):
         message = self.FAILURES[kind]
-        parent, lines = os.getpid(), cli._csv_lines
-
-        def fail_in_children(*columns):
-            if os.getpid() == parent:
-                return lines(*columns)
-            if kind == "short":  # each block without its first row
-                return lines(*columns).split("\n", 1)[1]
-            _die(kind)
-
-        monkeypatch.setattr(cli, "_csv_lines", fail_in_children)
+        if kind == "short":
+            # each block without its first row, in every worker, so that
+            # block 0 is the first one short
+            lines = cli._csv_lines
+            monkeypatch.setattr(cli, "_csv_lines", lambda *columns:
+                                lines(*columns).split("\n", 1)[1])
+        else:
+            monkeypatch.setattr(sweep, "_child", _failing_child(kind))
         monkeypatch.setattr(sweep, "_cpus", lambda: 2)
         monkeypatch.setattr(cli, "CSV_BLOCK", 4)
-        _, spec = parse_config(GRID_CFG)
+        _, spec = parse_config(GRID_CFG)  # one block of the sweep: no fork
         out_path = tmp_path / "out.csv"
         with pytest.raises(CmmError, match=f"^{re.escape(message)}$"):
             write_sweep_csv(run_sweep(spec), str(out_path))
@@ -513,6 +538,35 @@ class TestCsvWorkers:
         assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
                      "--out", str(out_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_path.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fails", ["open", "write"])
+    def test_no_room_for_the_scratch_files_is_an_error(self, tmp_path, capsys,
+                                                       monkeypatch, fails):
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class Full(io.BytesIO):
+            def write(self, data):
+                return no_space() if data else 0
+
+        if fails == "open":
+            monkeypatch.setattr(sweep.tempfile, "TemporaryFile", no_space)
+        else:  # the scratch files are made empty, the queue is not
+            temporary = sweep._temporary
+            monkeypatch.setattr(sweep, "_temporary", lambda what, data=b"":
+                                temporary(what, data) if data else Full())
+        monkeypatch.setattr(sweep, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        out_path = tmp_path / "out.csv"
+        assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
+                     "--out", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: cannot hold the CSV's blocks: "
+                                "[Errno 28] No space left on device\n")
         assert not out_path.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import sys
 import warnings
 
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cmmsim import (ParameterError, PhysicalParams, UnstableSystemError,
-                    baseline_params, build_diffusion, build_drift, dynamics,
-                    evaluate_point, solve_lyapunov, solve_steady_state,
-                    symplectic_eigenvalues)
+from cmmsim import (NumericalError, ParameterError, PhysicalParams,
+                    UnstableSystemError, baseline_params, build_diffusion,
+                    build_drift, dynamics, evaluate_point, solve_lyapunov,
+                    solve_steady_state, symplectic_eigenvalues)
 from cmmsim.meanfield import MeanFieldState
 from conftest import min_uncertainty_eig, transpose_mode
 
@@ -225,6 +226,19 @@ class TestSolveLyapunov:
         assert residual == pytest.approx(unscaled(perturbed), rel=1e-6,
                                          abs=0.0)
         assert residual > dynamics.LYAPUNOV_RESIDUAL_TOL
+
+    def test_a_residual_over_the_tolerance_is_an_error(self, base,
+                                                       monkeypatch):
+        # no solve meets a zero tolerance: the gate names the residual, a
+        # stable point keeps its flag, and the scalar solve raises
+        monkeypatch.setattr(dynamics, "LYAPUNOV_RESIDUAL_TOL", 0.0)
+        message = r"Lyapunov residual \d\.\d{3}e-\d\d exceeds 0\.0e\+00"
+        row = evaluate_point(base)
+        assert row.stable
+        assert re.fullmatch("error: " + message, row.status)
+        a = build_drift(base, solve_steady_state(base))
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            solve_lyapunov(a, build_diffusion(base))
 
     def test_against_schur_based_solver(self, base):
         st = solve_steady_state(base)

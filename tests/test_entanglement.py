@@ -181,6 +181,7 @@ class TestOnePass:
         return np.concatenate([4.0 ** k * physical
                                for k in range(-200, 201, 8)])
 
+    @pytest.mark.bits
     def test_equals_the_spectra_of_explicit_transposes_bit_for_bit(
             self, covariances):
         want, want_errors = measures_of_spectra(covariances)
@@ -198,6 +199,7 @@ class TestOnePass:
             assert same_bits(got[0], row)
             assert errors == ({0: want_errors[j]} if j in want_errors else {})
 
+    @pytest.mark.bits
     def test_the_factor_of_a_sign_flip_is_the_flipped_factor(
             self, covariances):
         # cholesky(S V S) = S cholesky(V) S for diagonal S = +/-1, bit for

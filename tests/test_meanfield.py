@@ -295,7 +295,7 @@ class TestBareOracle:
         # rounding of both solvers above the tolerances (1e-12 at 1e-6)
         pytest.param([*near_fold_points(11, 300, 1e-2),
                       *near_fold_points(12, 300, 1e-3)], [], 3,
-                     id="near-folds")])
+                     id="near-folds", marks=pytest.mark.bits)])
     def test_agrees_with_the_closed_form(self, points, errors, roots):
         raised = []
         for p, bare in points:
@@ -351,6 +351,7 @@ def bare_batch():
 
 
 class TestBareBatch:
+    @pytest.mark.bits
     def test_entries_equal_their_batches_of_one_bit_for_bit(self):
         # 4 096 entries make the arrays of 3 roots an entry (12 288
         # elements) longer than numpy's 8 192-element buffers

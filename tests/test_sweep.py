@@ -11,7 +11,7 @@ import pytest
 
 from cmmsim import (CmmError, NoStablePointError, NumericalError, ParamBatch,
                     SweepAxis, SweepSpec, apply_axis, apply_pump_mode,
-                    baseline_params, evaluate_batch, evaluate_point,
+                    baseline_params, cli, evaluate_batch, evaluate_point,
                     optimize_phase, run_sweep, sweep)
 from cmmsim.cli import parse_config, write_sweep_csv
 from cmmsim.entanglement import MEASURES
@@ -33,14 +33,17 @@ def rows_equal(r1, r2, fields=PHYSICS_FIELDS):
     return True
 
 
-def evaluate_every_centre(params, resolution):
+def evaluate_every_centre(params, resolution, r_min=None):
     """The phase optimizer with every zoom round evaluating all of its
     2*ZOOM + 1 phases, the centre again included: the reference that
-    optimize_phase matches bit for bit."""
-    def r_min(phases):
+    optimize_phase matches bit for bit.  ``r_min`` maps an array of phases
+    to their values, by default the engine's."""
+    def engine(phases):
         p = ParamBatch.from_base(params, len(phases),
                                  theta_a=params.theta_m + phases)
         return evaluate_batch(p).table.column("r_min").tolist()
+
+    r_min = r_min or engine
 
     def best(phases, values):
         k = max(range(len(values)),
@@ -136,6 +139,7 @@ class TestRunSweep:
             assert abs(r1.r_min - r2.r_min) < 1e-10
             assert abs(r1.abs_ms_sq - r2.abs_ms_sq) <= 1e-10 * r1.abs_ms_sq
 
+    @pytest.mark.bits
     def test_chunking_never_changes_bits(self, base, monkeypatch):
         # a whole block and a partial one, then a different chunking; at
         # P_m = 1.0 W about half of the axis is unstable, at 1.2 W nearly
@@ -275,7 +279,7 @@ class TestRunSweep:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="needs /proc/self/fd")
-    def test_no_descriptor_is_left_open(self, base, monkeypatch):
+    def test_no_descriptor_is_left_open(self, base, tmp_path, monkeypatch):
         def open_fds():
             return len(os.listdir("/proc/self/fd"))
 
@@ -283,24 +287,36 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "CHUNK", 7)
         monkeypatch.setattr(sweep, "BLOCK", 1)
         monkeypatch.setattr(sweep, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        path = str(tmp_path / "out.csv")
         before = open_fds()
-        run_sweep(spec)
+        table = run_sweep(spec)
+        assert open_fds() == before
+        write_sweep_csv(table, path)  # its queue and two scratch files
         assert open_fds() == before
         # a child that fails, then this process failing; the exception's
         # traceback keeps run_sweep's frame alive
         child = sweep._child
-        monkeypatch.setattr(sweep, "_child", lambda work, w, write, raw:
-                            child(lambda w: os._exit(3), w, write, raw))
+        monkeypatch.setattr(sweep, "_child", lambda work, w, write:
+                            child(lambda w: os._exit(3), w, write))
         with pytest.raises(CmmError, match="^sweep worker 1 exited with "
                                            "status 3$") as failed:
             run_sweep(spec)
+        assert open_fds() == before
+        with pytest.raises(CmmError, match="^CSV worker 1 exited with "
+                                           "status 3$") as failed:
+            write_sweep_csv(table, path)
         assert open_fds() == before
         monkeypatch.setattr(sweep, "_child", child)
         monkeypatch.setattr(sweep, "evaluate_batch", lambda p: 1 / 0)
         with pytest.raises(ZeroDivisionError) as failed:
             run_sweep(spec)
         assert open_fds() == before
-        # no room for the queue
+        monkeypatch.setattr(cli, "_csv_lines", lambda *columns: 1 / 0)
+        with pytest.raises(ZeroDivisionError) as failed:
+            write_sweep_csv(table, path)
+        assert open_fds() == before
+        # no room for the queue, nor for the CSV's scratch files
         def no_space():
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -310,6 +326,12 @@ class TestRunSweep:
         assert str(failed.value) == ("cannot queue the sweep's blocks: "
                                      "[Errno 28] No space left on device")
         assert open_fds() == before
+        with pytest.raises(CmmError) as failed:
+            write_sweep_csv(table, path)
+        assert str(failed.value) == ("cannot hold the CSV's blocks: "
+                                     "[Errno 28] No space left on device")
+        assert open_fds() == before
+        assert not os.path.exists(path)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -381,6 +403,7 @@ class TestOptimizePhase:
             optimize_phase(p, resolution=8)
         assert str(err.value) == "Lyapunov solution overflows (residual nan)"
 
+    @pytest.mark.bits
     def test_reusing_the_centre_changes_no_bit(self, base):
         rng = np.random.default_rng(20261019)
         points = [base.replace(P_a=0.0), base.replace(P_a=0.45)] + [
@@ -423,6 +446,7 @@ class TestOptimizePhase:
         monkeypatch.setattr(sweep, "_phase_table", spy)
         return batches
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("resolution", [64, 128])
     def test_evaluating_rounds_ahead_changes_no_bit(self, monkeypatch,
                                                     resolution):
@@ -438,6 +462,7 @@ class TestOptimizePhase:
     GUESSES = {"far": lambda phases, values, k: phases[k] + 100.0,
                "centre": lambda phases, values, k: phases[k]}
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("guess", GUESSES)
     def test_a_wrong_prediction_changes_no_bit(self, monkeypatch, guess):
         monkeypatch.setattr(sweep, "_vertex", self.GUESSES[guess])
@@ -465,6 +490,27 @@ class TestOptimizePhase:
         assert all(set(round_) <= evaluated for round_ in serial[1:])
         # six rounds in two batches: four, then two
         assert sizes == [64, 64, 32]
+
+    def test_a_winner_at_the_edge_of_its_round_gives_no_guess(
+            self, base, monkeypatch):
+        # r_min rising linearly with the phase: each zoom round is won by
+        # its last phase, which has one neighbour, so no parabola predicts
+        # the next round and each batch after the first zoom holds one
+        def ramp(params, phases):
+            phases = np.asarray(phases, dtype=float)
+            values = np.full((phases.size, len(sweep.FLOAT_FIELDS)), np.nan)
+            values[:, sweep.FLOAT_FIELDS.index("r_min")] = phases
+            return sweep.SweepTable(*np.full((2, phases.size), np.nan),
+                                    np.ones(phases.size, bool), values, {})
+
+        monkeypatch.setattr(sweep, "_phase_table", ramp)
+        batches = self.spy_on_batches(monkeypatch)
+        self.assert_serial(optimize_phase(base, 64), evaluate_every_centre(
+            base, 64, r_min=lambda phases: phases.tolist()))
+        # the scan's winner, its last phase, has two neighbours (the one
+        # before it, and 2pi, the first phase wrapped), so the first zoom
+        # batch is planned from a guess
+        assert [len(b) for b in batches] == [64, 64] + [2 * sweep.ZOOM] * 5
 
     def test_optimum_beats_the_scan_and_its_neighbours(self, base):
         rng = np.random.default_rng(20260418)
