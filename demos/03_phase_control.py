@@ -2,8 +2,10 @@
 
 The drive phase difference modulates the steady-state magnon amplitude and
 through it the effective magnomechanical coupling, so R_min(delta_theta) is
-2pi-periodic.  The optimizer scans the phase and then zooms in on the best
-one, batch by batch.
+2pi-periodic.  The drives interfere in one term, so R_min depends on the
+phase only through cos(delta_theta - theta0): the phases theta0 + x and
+theta0 - x are the same point.  The optimizer scans the half period from
+theta0 and then zooms in on the best phase, batch by batch.
 """
 import numpy as np
 
@@ -14,6 +16,9 @@ import cmmsim as c
 base = c.baseline_params(P_a=0.45)
 print("R_min versus drive phase difference at delta_a/omega_b = "
       f"{base.delta_a / base.omega_b:+.2f}, P_a = {base.P_a} W")
+window = c.phase_window(base)
+print(f"phase window: theta0 = {window.theta0:.6f} rad, "
+      f"rho = {window.rho:.4f}")
 
 # the scan is one batch: a row does not depend on the batch it is in
 ths = np.linspace(0.0, 2.0 * np.pi, 25)
@@ -27,6 +32,13 @@ for th, row in zip(ths, scan):
 theta_star, r_star, _ = c.optimize_phase(base, resolution=48)
 print(f"\noptimizer: delta_theta* = {theta_star / np.pi:.4f} pi, "
       f"R_min* = {r_star:.6f}")
+
+# the mirror: theta0 + x and theta0 - x are the same point
+x = 1.0
+pair = [c.evaluate_point(c.apply_axis(base, "delta_theta",
+                                      window.theta0 + dx)) for dx in (x, -x)]
+print(f"mirror: R_min(theta0 + 1 rad) = {pair[0].r_min:.9f}, "
+      f"R_min(theta0 - 1 rad) = {pair[1].r_min:.9f}")
 
 # periodicity and gauge invariance checks
 row_a = c.evaluate_point(c.apply_axis(base, "delta_theta", 1.0))

@@ -4,8 +4,9 @@ Gaussian entanglement measures, and a deterministic sweep engine."""
 
 from .params import (PhysicalParams, ParamBatch, baseline_params, validate,
                      HBAR, BOLTZMANN, TWO_PI)
-from .meanfield import (MeanFieldState, magnon_amplitude_approx,
-                        solve_steady_state, steady_state_residual)
+from .meanfield import (MeanFieldState, PhaseWindow, magnon_amplitude_approx,
+                        phase_window, solve_steady_state,
+                        steady_state_residual)
 from .dynamics import build_diffusion, build_drift, solve_lyapunov
 from .entanglement import (EntanglementReport, entanglement_report,
                            symplectic_eigenvalues)
@@ -21,8 +22,8 @@ __version__ = "0.1.0"
 __all__ = [
     "PhysicalParams", "ParamBatch", "baseline_params", "validate",
     "HBAR", "BOLTZMANN", "TWO_PI",
-    "MeanFieldState", "magnon_amplitude_approx", "solve_steady_state",
-    "steady_state_residual",
+    "MeanFieldState", "PhaseWindow", "magnon_amplitude_approx",
+    "phase_window", "solve_steady_state", "steady_state_residual",
     "build_diffusion", "build_drift", "solve_lyapunov",
     "EntanglementReport", "entanglement_report", "symplectic_eigenvalues",
     "SweepAxis", "SweepRow", "SweepSpec", "SweepTable", "apply_axis",

@@ -3,8 +3,9 @@
 The mean-field equations close on the magnon amplitude once the effective
 magnon detuning (bare detuning plus the static magnomechanical frequency
 pull) is known: m_s = num / den, where the two drives interfere in num.
-That response is written once, in ``_magnon_response``.  Two solving
-modes are supported:
+That response is written once, in ``_magnon_response``, and
+``phase_window`` reads from its numerator's two terms the phase about
+which every point is mirror-symmetric.  Two solving modes are supported:
 
 * effective targeting (default): the effective detuning is an *input*;
   the magnon equation is then linear, the displacement follows from
@@ -82,6 +83,16 @@ class MeanFieldBatch(NamedTuple):
             root_multiplicity=root_multiplicity)
 
 
+def _drive_terms(p, eps_a, eps_m):
+    """The two terms of the magnon response's numerator without their
+    drive phases, A = -i g_ma eps_a (the cavity drive, through the
+    coupling) and B = (i delta_a + kappa_a) eps_m (the magnon drive), so
+    that num = A exp(-i theta_a) + B exp(-i theta_m); also the cavity
+    response i delta_a + kappa_a."""
+    c_a = 1j * p.delta_a + p.kappa_a
+    return -1j * p.g_ma * eps_a, c_a * eps_m, c_a
+
+
 def _magnon_response(p, eps_a, eps_m, delta_m_tilde):
     """The steady magnon amplitude m_s = num / den at effective detuning
     ``delta_m_tilde``, where the two drives interfere in ``num``, and the
@@ -89,15 +100,53 @@ def _magnon_response(p, eps_a, eps_m, delta_m_tilde):
     i delta_a + kappa_a and the cavity drive's phase factor
     exp(-i theta_a), which the cavity amplitude reuses.  Reads only
     parameter attributes, so ``p`` is a ParamBatch or a PhysicalParams."""
-    c_a = 1j * p.delta_a + p.kappa_a
+    a, b, c_a = _drive_terms(p, eps_a, eps_m)
     phase_a = np.exp(-1j * p.theta_a)
-    num = (-1j * p.g_ma * eps_a * phase_a
-           + c_a * eps_m * np.exp(-1j * p.theta_m))
+    num = a * phase_a + b * np.exp(-1j * p.theta_m)
     g2 = p.g_ma * p.g_ma
     den = (1j * delta_m_tilde + p.kappa_m) * c_a + g2
     scale = np.maximum(np.maximum(np.abs(delta_m_tilde * p.delta_a),
                                   p.kappa_m * p.kappa_a), g2)
     return num, den, scale, c_a, phase_a
+
+
+class PhaseWindow(NamedTuple):
+    """Where the drives' phase difference acts: |num|^2 = |A|^2 + |B|^2
+    + 2 |A| |B| cos(delta_theta - theta0), so a point depends on the phase
+    only through cos(delta_theta - theta0), and the points at theta0 + x
+    and theta0 - x are the same.  ``rho`` = |A| / |B| is the depth of the
+    interference; ``u_max`` and ``u_min`` are |m_s|^2 at theta0 and at
+    theta0 + pi with the effective detuning pinned, the ends of the range
+    that |m_s|^2 runs over."""
+
+    theta0: np.ndarray
+    rho: np.ndarray
+    u_max: np.ndarray
+    u_min: np.ndarray
+
+
+def phase_window(p) -> PhaseWindow:
+    """The :class:`PhaseWindow` of each entry of a ParamBatch, as arrays,
+    or of a PhysicalParams, as numpy floats.  theta0 = arg(A conj(B)) =
+    arg(-delta_a - i kappa_a), in (-pi, pi], is 0 where a drive is off,
+    and then rho is 0 or inf and the window is flat.  A PhysicalParams is
+    checked (ParameterError outside the domain); an entry of a ParamBatch
+    outside the domain has meaningless fields, which may be NaN."""
+    with np.errstate(all="ignore"):
+        eps_a, eps_m = p.drive_amplitudes()
+        a, b, c_a = _drive_terms(p, eps_a, eps_m)
+        _, den, _, _, _ = _magnon_response(p, eps_a, eps_m,
+                                           p.delta_m_tilde_target)
+        # A conj(B) = g_ma eps_a eps_m (-i conj(c_a)): its argument is read
+        # without the factor > 0, so theta0 has the same bits whatever the
+        # couplings and powers
+        on = (a != 0.0) & (b != 0.0)
+        abs_a, abs_b, abs_den2 = np.abs(a), np.abs(b), np.abs(den) ** 2
+        window = (np.where(on, np.angle(-1j * np.conj(c_a)), 0.0),
+                  abs_a / abs_b,
+                  (abs_a + abs_b) ** 2 / abs_den2,
+                  (abs_a - abs_b) ** 2 / abs_den2)
+    return PhaseWindow(*(x[()] for x in window))
 
 
 def solve_effective_batch(p: ParamBatch) -> MeanFieldBatch:

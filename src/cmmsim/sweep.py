@@ -409,8 +409,9 @@ def _in_workers(do, workers: int, blocks: int,
 
     Raises CmmError naming a child that fails (raises, dies, or sends a
     result that does not unpickle), as ``name`` and its number, and its
-    exit status.  Every child is reaped before this returns or raises; if
-    this process fails, it kills them first.
+    exit status, or the message of the CmmError it raised.  Every child is
+    reaped before this returns or raises; if this process fails, it kills
+    them first.
     """
     queue = (_temporary("queue the sweep's blocks",
                         np.arange(blocks, dtype="<i8").tobytes())
@@ -450,6 +451,9 @@ def _in_workers(do, workers: int, blocks: int,
     for w, code in enumerate(codes, 1):
         if code < 0:
             raise CmmError(f"{name} {w} was killed by signal {-code}")
+        if code == 1 and results[w]:  # a CmmError, its message sent
+            raise CmmError(f"{name} {w} failed: "
+                           f"{results[w].decode('utf-8', 'replace')}")
         if code:
             raise CmmError(f"{name} {w} exited with status {code}")
         try:
@@ -462,14 +466,19 @@ def _in_workers(do, workers: int, blocks: int,
 
 def _child(work, w: int, write: int):
     """The forked worker ``w``: write ``work(w)`` pickled to the file
-    descriptor ``write`` and exit, with status 1 and the traceback on
-    stderr if anything raises.  Never returns."""
+    descriptor ``write`` and exit.  If ``work`` raises CmmError, write its
+    message instead and exit with status 1; if anything else raises, exit
+    with status 1 and the traceback on stderr.  Never returns."""
     code = 1
     try:
+        try:
+            data, code = pickle.dumps(work(w)), 0
+        except CmmError as exc:  # one line for the parent to report
+            data = str(exc).encode("utf-8", "backslashreplace")
         with open(write, "wb") as fh:
-            fh.write(pickle.dumps(work(w)))
-        code = 0
+            fh.write(data)
     except BaseException:
+        code = 1  # the result may be made and its write fail
         sys.excepthook(*sys.exc_info())
     finally:
         os._exit(code)
@@ -548,32 +557,42 @@ def optimize_phase(params: PhysicalParams, resolution: int):
     """Maximize the minimum residual contangle over the drive phase
     difference.
 
-    Scans ``resolution`` (>= 8) equally spaced phases over [0, 2*pi),
-    then zooms: each round takes 2*ZOOM + 1 equally spaced phases across
-    +-h around the best phase so far and divides h (at first the scan's
-    spacing) by ZOOM, until h <= 1e-6 rad.  A round evaluates the 2*ZOOM
-    phases around the centre; the centre's value is the best value so
-    far, which its row would repeat bit for bit, so the best value never
-    decreases.  The phase is located to about 1e-6 rad, and less
-    precisely where the maximum is flat: there its last digits are noise.
+    A point depends on the phase difference only through
+    cos(delta_theta - theta0), theta0 from :func:`meanfield.phase_window`,
+    so the phases theta0 + x and theta0 - x are the same point and half
+    the period holds every value.  One batch scans phase 0 and
+    theta0 + x for x = 2*pi*k/``resolution`` (``resolution`` >= 8) in
+    [0, pi), then x = pi: 34 phases at resolution 64.  The search starts
+    from the best of them, phase 0 included, and zooms: each round takes
+    2*ZOOM + 1 equally spaced phases across +-h around the best phase so
+    far and divides h (at first 2*pi/``resolution``) by ZOOM, until
+    h <= 1e-6 rad.  A round evaluates the 2*ZOOM phases around the
+    centre; the centre's value is the best value so far, which its row
+    would repeat bit for bit, so the best value never decreases.  The
+    phase is located to about 1e-6 rad, and less precisely where the
+    maximum is flat: there its last digits are noise.  The optimum
+    theta0 + x* reported is one of a pair: theta0 - x* is the same point.
 
     A batch holds the next round and, while a parabola through the last
     winner and its neighbours predicts their centres, the later rounds
-    that would run, up to ``resolution`` phases.  A round is taken while
+    that would run, up to ``resolution`` phases.  Each end of the half
+    scan has its mirror image as its outer neighbour, with the value of
+    its inner one, and phase 0 has no neighbours.  A round is taken while
     its centre and half-width are exactly those the rounds before it
     chose: a row does not depend on its batch, so the result is the
     round-by-round one bit for bit, whatever the parabola predicts.
 
-    Exact ties break toward the smallest phase of a round; an exactly flat
-    scan is not refined and returns phase 0.  Unstable and errored phases
-    count as minus infinity.  If no scanned phase has a value, NumericalError
-    is raised with the first error of a stable phase if there is one, and
+    Exact ties break toward phase 0, then toward the first phase of the
+    scan or of a round; an exactly flat scan (a single drive) is not
+    refined and returns phase 0.  Unstable and errored phases count as
+    minus infinity.  If no scanned phase has a value, NumericalError is
+    raised with the first error of a stable phase if there is one, and
     NoStablePointError otherwise; a scan too large to allocate raises
-    CmmError naming its size.
+    CmmError naming ``resolution``.
 
     Returns ``(delta_theta_star, r_min_star, scan)``: the phase normalized
     into [0, 2*pi), its r_min, and the scan's r_min values, the first at
-    phase 0.
+    phase 0 and the rest from theta0 to theta0 + pi.
     """
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
@@ -583,8 +602,13 @@ def optimize_phase(params: PhysicalParams, resolution: int):
         return max(range(len(values)),
                    key=lambda k: -math.inf if math.isnan(values[k]) else values[k])
 
+    theta0 = float(meanfield.phase_window(
+        ParamBatch.from_base(params, 1)).theta0[0])
     try:
-        grid = 2.0 * math.pi * np.arange(resolution) / resolution
+        offsets = (2.0 * math.pi * np.arange(-(-resolution // 2))
+                   / resolution)
+        grid = np.concatenate(([0.0], theta0 + offsets,
+                               [theta0 + math.pi]))
         table = _phase_table(params, grid)
     except (OverflowError, ValueError, MemoryError) as exc:
         raise CmmError(f"cannot allocate the scan of {resolution} phases: "
@@ -596,9 +620,13 @@ def optimize_phase(params: PhysicalParams, resolution: int):
                 raise NumericalError(table.errors[k].removeprefix("error: "))
         raise NoStablePointError(
             "no stable operating point at any sampled phase")
-    # the scan is periodic: its last and first phases are neighbours
-    phases = [float(grid[-1]) - 2.0 * math.pi, *grid.tolist(), 2.0 * math.pi]
-    values, k = [scan[-1], *scan, scan[0]], best(scan) + 1
+    # the half scan in order, each end's mirror image outside it with the
+    # value of the end's inner neighbour
+    phases = [theta0 - float(offsets[1]), *grid[1:].tolist(),
+              theta0 + 2.0 * math.pi - float(offsets[-1])]
+    values, k = [scan[2], *scan[1:], scan[-2]], best(scan)
+    if k == 0:  # phase 0 lies off the half scan's lattice
+        phases[0], values[0] = 0.0, scan[0]
     x, f = phases[k], values[k]
     # an exactly flat scan is not refined: phase 0 wins the tie
     h = 2.0 * math.pi / resolution if any(v != scan[0] for v in scan) else 0.0

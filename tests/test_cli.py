@@ -418,6 +418,38 @@ class TestSweepWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("error", [CmmError, RuntimeError])
+    def test_a_worker_error_reports_one_line(self, tmp_path, capfd,
+                                             monkeypatch, error):
+        # a worker's CmmError reaches this process as its message, and the
+        # child prints no traceback; any other exception still prints one.
+        # capfd reads file descriptor 2, which the child writes too
+        def fail(w):
+            raise error("cannot hold the CSV's blocks: no room")
+
+        child = sweep._child
+        monkeypatch.setattr(sweep, "_child",
+                            lambda work, w, write: child(fail, w, write))
+        monkeypatch.setattr(sweep, "_cpus", lambda: 2)
+        monkeypatch.setattr(sweep, "BLOCK", 1)
+        monkeypatch.setattr(sweep, "CHUNK", 7)  # four blocks
+        message = ("sweep worker 1 failed: cannot hold the CSV's blocks: "
+                   "no room" if error is CmmError
+                   else "sweep worker 1 exited with status 1")
+        out_path = tmp_path / "out.csv"
+        assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
+                     "--out", str(out_path)]) == 1
+        err = capfd.readouterr().err
+        assert not out_path.exists()
+        if error is CmmError:
+            assert err == f"error: {message}\n"
+        else:
+            assert "Traceback" in err
+            assert err.endswith(f"RuntimeError: cannot hold the CSV's "
+                                f"blocks: no room\nerror: {message}\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_forking_never_warns(self, tmp_path, monkeypatch):
         # Python >= 3.12 warns when a process with threads forks; under an
         # "error" filter CPython drops that warning, so it is recorded
@@ -649,11 +681,12 @@ class TestPhaseOptCommand:
         monkeypatch.setattr(sweep, "evaluate_batch", spy)
         cfg = write_cfg(tmp_path, BASELINE_CFG)
         assert main(["phase-opt", "--config", cfg, "--resolution", "16"]) == 0
-        # the scan, then rounds of the 2 * ZOOM phases around the best one
-        # so far, whose value is known; the zero-phase baseline is the
-        # scan's first point, not evaluated again.  The half-width 2pi/16
-        # shrinks ZOOM-fold per round: 7 rounds to 1e-6
-        assert sizes == [16] + [2 * sweep.ZOOM] * 7
+        # the scan (phase 0, then 9 phases across the half period), then
+        # rounds of the 2 * ZOOM phases around the best one so far, whose
+        # value is known; the zero-phase baseline is the scan's first
+        # point, not evaluated again.  The half-width 2pi/16 shrinks
+        # ZOOM-fold per round: 7 rounds to 1e-6
+        assert sizes == [10] + [2 * sweep.ZOOM] * 7
         monkeypatch.undo()
         out = capsys.readouterr().out
         params, _ = parse_config(BASELINE_CFG)

@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from cmmsim import (CmmError, NoSteadyStateError, NumericalError, ParamBatch,
-                    SingularityError, baseline_params, evaluate_point,
-                    magnon_amplitude_approx, solve_steady_state,
+from cmmsim import (TWO_PI, CmmError, NoSteadyStateError, NumericalError,
+                    ParamBatch, SingularityError, baseline_params,
+                    evaluate_batch, evaluate_point, magnon_amplitude_approx,
+                    optimize_phase, phase_window, solve_steady_state,
                     steady_state_residual)
 from cmmsim.meanfield import (NON_FINITE_STATE, SINGULAR_RESPONSE,
-                              residual_batch, solve_bare_batch)
+                              residual_batch, solve_bare_batch,
+                              solve_effective_batch)
+from cmmsim.sweep import FLOAT_FIELDS
 from conftest import bare_state_oracle
 
 
@@ -427,6 +430,96 @@ class TestPhaseStructure:
             st2 = solve_steady_state(base.replace(theta_a=dth + 2.0 * math.pi))
             assert abs(st1.m_s) ** 2 == pytest.approx(abs(st2.m_s) ** 2,
                                                       rel=1e-12)
+
+
+def at_phases(params, phases):
+    """A batch of ``params`` at each phase difference of ``phases``."""
+    return ParamBatch.from_base(params, len(phases),
+                                theta_a=params.theta_m + np.asarray(phases))
+
+
+class TestPhaseWindow:
+    """A point depends on the drives' phase difference only through
+    cos(delta_theta - theta0): the two drives interfere in one term."""
+
+    #: where the phase acts most: P_m = 90 uW, and the edge coupling
+    EDGE = {"P_m": 9e-5, "g_mb": TWO_PI * 19.6}
+    #: offsets from theta0 across the half period
+    OFFSETS = np.linspace(0.01, math.pi - 0.01, 40)
+
+    def test_rows_are_mirror_images_about_theta0(self):
+        # 27 of the 40 pairs stable; 8e-12 relative was measured
+        p = baseline_params(**self.EDGE)
+        theta0 = phase_window(p).theta0
+        plus = evaluate_batch(at_phases(p, theta0 + self.OFFSETS)).table
+        minus = evaluate_batch(at_phases(p, theta0 - self.OFFSETS)).table
+        assert plus.stable.tolist() == minus.stable.tolist()
+        assert 0 < plus.stable.sum() < len(plus)
+        assert ([plus.status(k) for k in range(len(plus))]
+                == [minus.status(k) for k in range(len(minus))])
+        for j, name in enumerate(FLOAT_FIELDS):
+            np.testing.assert_allclose(plus.values[:, j], minus.values[:, j],
+                                       rtol=1e-11, atol=0.0, err_msg=name)
+
+    @pytest.mark.parametrize("bare", [0.9, 1.1, 1.3])
+    def test_bare_states_are_mirror_images_about_theta0(self, bare):
+        # the cubic reads |num|^2 alone; one and three roots both occur
+        p = baseline_params(**self.EDGE)
+        theta0 = phase_window(p).theta0
+        with np.errstate(all="ignore"):
+            plus, n_plus = solve_bare_batch(
+                at_phases(p, theta0 + self.OFFSETS), bare * p.omega_b)
+            minus, n_minus = solve_bare_batch(
+                at_phases(p, theta0 - self.OFFSETS), bare * p.omega_b)
+        assert n_plus.tolist() == n_minus.tolist()
+        assert set(n_plus.tolist()) == {1, 3}
+        for name in ("abs_ms_sq", "delta_m_tilde"):
+            np.testing.assert_allclose(getattr(plus, name),
+                                       getattr(minus, name),
+                                       rtol=1e-13, atol=0.0, err_msg=name)
+
+    @pytest.mark.parametrize("g_mb_hz", [0.28, 14.0])
+    def test_the_intensity_follows_the_window(self, g_mb_hz):
+        # |m_s|^2 = |B|^2 |1 + rho e^{i(dtheta - theta0)}|^2 / |den|^2
+        p = baseline_params(P_m=9e-5, g_mb=TWO_PI * g_mb_hz)
+        window = phase_window(p)
+        phases = TWO_PI * np.arange(64) / 64
+        with np.errstate(all="ignore"):
+            u = solve_effective_batch(at_phases(p, phases)).abs_ms_sq
+        want = (window.u_max / (1.0 + window.rho) ** 2 * np.abs(
+            1.0 + window.rho * np.exp(1j * (phases - window.theta0))) ** 2)
+        np.testing.assert_allclose(u, want, rtol=10 * np.finfo(float).eps,
+                                   atol=0.0)
+        assert window.u_min <= u.min() <= u.max() <= window.u_max
+
+    def test_theta0_is_the_cavity_response_alone(self, base):
+        theta0 = phase_window(base).theta0
+        assert theta0 == math.atan2(-base.kappa_a, -base.delta_a)
+        changes = [{"g_ma": 3.0 * base.g_ma}, {"P_a": 0.45}, {"P_m": 9e-5},
+                   {"delta_m_tilde_target": 0.3 * base.omega_b},
+                   {"g_mb": 70.0 * base.g_mb}]
+        for change in changes:
+            assert phase_window(base.replace(**change)).theta0 == theta0
+        # a batch's entries are their batches of one
+        points = [base, base.replace(P_a=0.45, delta_a=-1.1 * base.omega_b),
+                  base.replace(P_a=0.0)]
+        batch = phase_window(ParamBatch.from_base(
+            base, 3, P_a=[p.P_a for p in points],
+            delta_a=[p.delta_a for p in points]))
+        for k, p in enumerate(points):
+            assert tuple(x[k] for x in batch) == tuple(phase_window(p))
+
+    @pytest.mark.parametrize("off", ["P_a", "P_m"])
+    def test_a_single_drive_has_a_flat_window(self, base, off):
+        p = base.replace(**{off: 0.0})
+        window = phase_window(p)
+        assert window.theta0 == 0.0
+        assert window.rho == (0.0 if off == "P_a" else math.inf)
+        assert window.u_min == window.u_max
+        theta, value, scan = optimize_phase(p, 16)
+        assert theta == 0.0
+        assert scan == [scan[0]] * len(scan) == [value] * len(scan)
+        assert value == evaluate_point(p).r_min
 
 
 class TestMagnonAmplitudeApprox:

@@ -12,7 +12,7 @@ import pytest
 from cmmsim import (CmmError, NoStablePointError, NumericalError, ParamBatch,
                     SweepAxis, SweepSpec, apply_axis, apply_pump_mode,
                     baseline_params, cli, evaluate_batch, evaluate_point,
-                    optimize_phase, run_sweep, sweep)
+                    optimize_phase, phase_window, run_sweep, sweep)
 from cmmsim.cli import parse_config, write_sweep_csv
 from cmmsim.entanglement import MEASURES
 
@@ -36,8 +36,9 @@ def rows_equal(r1, r2, fields=PHYSICS_FIELDS):
 def evaluate_every_centre(params, resolution, r_min=None):
     """The phase optimizer with every zoom round evaluating all of its
     2*ZOOM + 1 phases, the centre again included: the reference that
-    optimize_phase matches bit for bit.  ``r_min`` maps an array of phases
-    to their values, by default the engine's."""
+    optimize_phase matches bit for bit.  The scan is phase 0, then the
+    half period from the window's theta0 to theta0 + pi.  ``r_min`` maps
+    an array of phases to their values, by default the engine's."""
     def engine(phases):
         p = ParamBatch.from_base(params, len(phases),
                                  theta_a=params.theta_m + phases)
@@ -50,7 +51,9 @@ def evaluate_every_centre(params, resolution, r_min=None):
                 key=lambda k: -math.inf if math.isnan(values[k]) else values[k])
         return float(phases[k]), values[k]
 
-    grid = 2.0 * math.pi * np.arange(resolution) / resolution
+    theta0 = float(phase_window(params).theta0)
+    half = 2.0 * math.pi * np.arange(math.ceil(resolution / 2)) / resolution
+    grid = np.concatenate(([0.0], theta0 + half, [theta0 + math.pi]))
     scan = r_min(grid)
     x, f = best(grid, scan)
     h = 2.0 * math.pi / resolution if any(v != scan[0] for v in scan) else 0.0
@@ -446,6 +449,19 @@ class TestOptimizePhase:
         monkeypatch.setattr(sweep, "_phase_table", spy)
         return batches
 
+    @classmethod
+    def stub_r_min(cls, monkeypatch, r_min):
+        """Make every phase stable with the value ``r_min(phases)`` and
+        no engine call; return the spy on the batches."""
+        def table(params, phases):
+            values = np.full((len(phases), len(sweep.FLOAT_FIELDS)), np.nan)
+            values[:, sweep.FLOAT_FIELDS.index("r_min")] = r_min(phases)
+            return sweep.SweepTable(*np.full((2, len(phases)), np.nan),
+                                    np.ones(len(phases), bool), values, {})
+
+        monkeypatch.setattr(sweep, "_phase_table", table)
+        return cls.spy_on_batches(monkeypatch)
+
     @pytest.mark.bits
     @pytest.mark.parametrize("resolution", [64, 128])
     def test_evaluating_rounds_ahead_changes_no_bit(self, monkeypatch,
@@ -478,39 +494,50 @@ class TestOptimizePhase:
             no_guess.setattr(sweep, "_vertex", lambda phases, values, k: None)
             serial = self.spy_on_batches(no_guess)
             want = optimize_phase(params, 64)
-        # with no guess, one round a batch
-        assert [len(b) for b in serial] == [64] + [2 * sweep.ZOOM] * 6
+        # with no guess, one round a batch; the scan is phase 0 and 33
+        # phases across the half period
+        assert [len(b) for b in serial] == [34] + [2 * sweep.ZOOM] * 6
         batches = self.spy_on_batches(monkeypatch)
         self.assert_serial(optimize_phase(params, 64), want)
         sizes = [len(b) for b in batches]
-        # the scan, then batches of whole rounds, none larger than the scan
-        assert sizes[0] == 64
+        # the scan, then batches of whole rounds, none larger than the
+        # resolution
+        assert sizes[0] == 34
         assert all(n % (2 * sweep.ZOOM) == 0 and n <= 64 for n in sizes[1:])
         evaluated = {x for b in batches for x in b}
         assert all(set(round_) <= evaluated for round_ in serial[1:])
         # six rounds in two batches: four, then two
-        assert sizes == [64, 64, 32]
+        assert sizes == [34, 64, 32]
 
     def test_a_winner_at_the_edge_of_its_round_gives_no_guess(
             self, base, monkeypatch):
         # r_min rising linearly with the phase: each zoom round is won by
         # its last phase, which has one neighbour, so no parabola predicts
         # the next round and each batch after the first zoom holds one
-        def ramp(params, phases):
-            phases = np.asarray(phases, dtype=float)
-            values = np.full((phases.size, len(sweep.FLOAT_FIELDS)), np.nan)
-            values[:, sweep.FLOAT_FIELDS.index("r_min")] = phases
-            return sweep.SweepTable(*np.full((2, phases.size), np.nan),
-                                    np.ones(phases.size, bool), values, {})
+        def ramp(phases):
+            return np.asarray(phases, dtype=float)
 
-        monkeypatch.setattr(sweep, "_phase_table", ramp)
-        batches = self.spy_on_batches(monkeypatch)
+        batches = self.stub_r_min(monkeypatch, ramp)
         self.assert_serial(optimize_phase(base, 64), evaluate_every_centre(
-            base, 64, r_min=lambda phases: phases.tolist()))
-        # the scan's winner, its last phase, has two neighbours (the one
-        # before it, and 2pi, the first phase wrapped), so the first zoom
-        # batch is planned from a guess
-        assert [len(b) for b in batches] == [64, 64] + [2 * sweep.ZOOM] * 5
+            base, 64, r_min=lambda phases: ramp(phases).tolist()))
+        # the scan's winner, its last phase theta0 + pi, has two
+        # neighbours (the one before it, and its mirror image with that
+        # one's value), so the first zoom batch is planned from a guess
+        assert [len(b) for b in batches] == [34, 64] + [2 * sweep.ZOOM] * 5
+
+    def test_phase_zero_can_win_off_the_half_scan(self, base, monkeypatch):
+        # r_min peaking at phase 0, which the half scan from theta0 does
+        # not hold: the search starts there, with no neighbours, so the
+        # first zoom round is a batch of its own
+        def peak(phases):
+            return -np.abs(np.asarray(phases, dtype=float))
+
+        batches = self.stub_r_min(monkeypatch, peak)
+        got = optimize_phase(base, 64)
+        self.assert_serial(got, evaluate_every_centre(
+            base, 64, r_min=lambda phases: peak(phases).tolist()))
+        assert got[:2] == (0.0, 0.0)
+        assert [len(b) for b in batches] == [34, 16, 64, 16]
 
     def test_optimum_beats_the_scan_and_its_neighbours(self, base):
         rng = np.random.default_rng(20260418)
