@@ -180,9 +180,9 @@ CHUNK = 128
 #: stable points of a mostly unstable grid still fill whole chunks
 BLOCK = 8
 
-#: the phase optimizer's zoom factor: each round spans 2*ZOOM + 1 phases,
-#: the centre's value known, and then narrows its bracket ZOOM-fold
-ZOOM = 8
+#: the phase optimizer's zoom factor: each round takes ZOOM steps of h/ZOOM
+#: to each side of the best offset so far, and then narrows h ZOOM-fold
+ZOOM = 10
 
 
 def apply_pump_mode(params: PhysicalParams, pump_mode: str) -> PhysicalParams:
@@ -531,26 +531,13 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return table
 
 
-def _phase_table(params: PhysicalParams, phases) -> SweepTable:
+def _phase_table(params: PhysicalParams, phases: np.ndarray) -> SweepTable:
     """The table of ``params`` at each phase difference of ``phases``, as
     one batch; each row equals that phase's ``evaluate_point`` row bit for
     bit."""
-    field, column = _axis_field(params, "delta_theta",
-                                np.asarray(phases, dtype=float))
+    field, column = _axis_field(params, "delta_theta", phases)
     p = ParamBatch.from_base(params, column.size, **{field: column})
     return evaluate_batch(p).table
-
-
-def _vertex(phases: list[float], values: list[float], k: int):
-    """The vertex of the parabola through phase ``k`` and its neighbours,
-    or None unless it has two and their values are finite and concave."""
-    if 0 < k < len(values) - 1:
-        y0, y1, y2 = values[k - 1:k + 2]
-        curve = y0 - 2.0 * y1 + y2  # not finite if any value is not
-        if -math.inf < curve < 0.0:
-            return phases[k] + (phases[k + 1] - phases[k - 1]) / 4.0 * (
-                y0 - y2) / curve
-    return None
 
 
 def optimize_phase(params: PhysicalParams, resolution: int):
@@ -559,36 +546,29 @@ def optimize_phase(params: PhysicalParams, resolution: int):
 
     A point depends on the phase difference only through
     cos(delta_theta - theta0), theta0 from :func:`meanfield.phase_window`,
-    so the phases theta0 + x and theta0 - x are the same point and half
-    the period holds every value.  One batch scans phase 0 and
-    theta0 + x for x = 2*pi*k/``resolution`` (``resolution`` >= 8) in
-    [0, pi), then x = pi: 34 phases at resolution 64.  The search starts
-    from the best of them, phase 0 included, and zooms: each round takes
-    2*ZOOM + 1 equally spaced phases across +-h around the best phase so
-    far and divides h (at first 2*pi/``resolution``) by ZOOM, until
-    h <= 1e-6 rad.  A round evaluates the 2*ZOOM phases around the
-    centre; the centre's value is the best value so far, which its row
-    would repeat bit for bit, so the best value never decreases.  The
-    phase is located to about 1e-6 rad, and less precisely where the
-    maximum is flat: there its last digits are noise.  The optimum
-    theta0 + x* reported is one of a pair: theta0 - x* is the same point.
-
-    A batch holds the next round and, while a parabola through the last
-    winner and its neighbours predicts their centres, the later rounds
-    that would run, up to ``resolution`` phases.  Each end of the half
-    scan has its mirror image as its outer neighbour, with the value of
-    its inner one, and phase 0 has no neighbours.  A round is taken while
-    its centre and half-width are exactly those the rounds before it
-    chose: a row does not depend on its batch, so the result is the
-    round-by-round one bit for bit, whatever the parabola predicts.
+    so the phases theta0 + x and theta0 - x are the same point and the
+    offsets x in [0, pi] hold every value; phase 0 is the offset
+    -theta0.  One batch scans phase 0 and theta0 + x for
+    x = 2*pi*k/``resolution`` (``resolution`` >= 8) in [0, pi), then
+    x = pi: 34 phases at resolution 64.  The search starts from the best
+    of them, phase 0 included, and zooms, one round a batch: a round
+    evaluates the offsets x +- h*j/ZOOM, j = 1 ... ZOOM, that lie in
+    [0, pi] around the best offset x so far, moves x only to a strictly
+    greater value, and divides h (at first 2*pi/``resolution``) by ZOOM,
+    until h <= 1e-6 rad.  At an end of the half period a round is one
+    side, ZOOM offsets.  The phase is located to about 1e-6 rad, and less
+    precisely where the maximum is flat: there its last digits are noise.
+    The optimum theta0 + x* reported is one of a pair: theta0 - x* is the
+    same point.
 
     Exact ties break toward phase 0, then toward the first phase of the
-    scan or of a round; an exactly flat scan (a single drive) is not
-    refined and returns phase 0.  Unstable and errored phases count as
-    minus infinity.  If no scanned phase has a value, NumericalError is
-    raised with the first error of a stable phase if there is one, and
-    NoStablePointError otherwise; a scan too large to allocate raises
-    CmmError naming ``resolution``.
+    scan, and a tie in a round leaves x where it is, so a single drive,
+    whose r_min does not depend on the phase, returns phase 0.  Unstable
+    and errored phases count as minus infinity.  If no scanned phase has a
+    value, NumericalError is raised with the first error of a stable phase
+    if there is one, and NoStablePointError otherwise; a scan too large to
+    allocate raises CmmError naming ``resolution``, and ``params`` outside
+    the domain raise ParameterError.
 
     Returns ``(delta_theta_star, r_min_star, scan)``: the phase normalized
     into [0, 2*pi), its r_min, and the scan's r_min values, the first at
@@ -602,14 +582,14 @@ def optimize_phase(params: PhysicalParams, resolution: int):
         return max(range(len(values)),
                    key=lambda k: -math.inf if math.isnan(values[k]) else values[k])
 
-    theta0 = float(meanfield.phase_window(
-        ParamBatch.from_base(params, 1)).theta0[0])
+    theta0 = float(meanfield.phase_window(params).theta0)
     try:
-        offsets = (2.0 * math.pi * np.arange(-(-resolution // 2))
-                   / resolution)
-        grid = np.concatenate(([0.0], theta0 + offsets,
-                               [theta0 + math.pi]))
-        table = _phase_table(params, grid)
+        # phase 0 is the offset -theta0, in [0, pi) as theta0 <= 0
+        # (kappa_a > 0); theta0 + -theta0 is 0.0 exactly
+        offsets = np.concatenate((
+            [-theta0], 2.0 * math.pi * np.arange(-(-resolution // 2))
+            / resolution, [math.pi]))
+        table = _phase_table(params, theta0 + offsets)
     except (OverflowError, ValueError, MemoryError) as exc:
         raise CmmError(f"cannot allocate the scan of {resolution} phases: "
                        f"{exc}") from None
@@ -620,37 +600,17 @@ def optimize_phase(params: PhysicalParams, resolution: int):
                 raise NumericalError(table.errors[k].removeprefix("error: "))
         raise NoStablePointError(
             "no stable operating point at any sampled phase")
-    # the half scan in order, each end's mirror image outside it with the
-    # value of the end's inner neighbour
-    phases = [theta0 - float(offsets[1]), *grid[1:].tolist(),
-              theta0 + 2.0 * math.pi - float(offsets[-1])]
-    values, k = [scan[2], *scan[1:], scan[-2]], best(scan)
-    if k == 0:  # phase 0 lies off the half scan's lattice
-        phases[0], values[0] = 0.0, scan[0]
-    x, f = phases[k], values[k]
-    # an exactly flat scan is not refined: phase 0 wins the tie
-    h = 2.0 * math.pi / resolution if any(v != scan[0] for v in scan) else 0.0
+    k = best(scan)
+    x, f = float(offsets[k]), scan[k]
+    h = 2.0 * math.pi / resolution
     steps = np.delete(np.arange(-ZOOM, ZOOM + 1), ZOOM)
     while h > 1e-6:
-        g = _vertex(phases, values, k)
-        rounds = 1 if g is None else max(1, resolution // (2 * ZOOM))
-        plan, batch, c, w = [], [], x, h
-        while w > 1e-6 and len(plan) < rounds:
-            ahead = (c + w * steps / ZOOM).tolist()
-            batch += ahead
-            ahead.insert(ZOOM, c)
-            plan.append((c, w, ahead))
-            if g is not None:  # the step nearest g is the predicted winner
-                j = (g - c) / (w / ZOOM)
-                c = ahead[ZOOM + round(min(max(j, -ZOOM), ZOOM))]
-            w /= ZOOM
-        column = _phase_table(params, batch).column("r_min").tolist()
-        for n, (c, w, ahead) in enumerate(plan):
-            if (c, w) != (x, h):  # mispredicted: this round and the rest go
-                break
-            phases, values = ahead, column[2 * ZOOM * n:2 * ZOOM * (n + 1)]
-            values.insert(ZOOM, f)
-            k = best(values)
-            x, f = phases[k], values[k]
-            h /= ZOOM
-    return x % (2.0 * math.pi), f, scan
+        xs = x + h * steps / ZOOM
+        xs = xs[(xs >= 0.0) & (xs <= math.pi)]
+        table = _phase_table(params, theta0 + xs)
+        values = [f, *table.column("r_min").tolist()]
+        k = best(values)
+        if k:
+            x, f = float(xs[k - 1]), values[k]
+        h /= ZOOM
+    return (theta0 + x) % (2.0 * math.pi), f, scan

@@ -680,17 +680,20 @@ class TestPhaseOptCommand:
 
         monkeypatch.setattr(sweep, "evaluate_batch", spy)
         cfg = write_cfg(tmp_path, BASELINE_CFG)
-        assert main(["phase-opt", "--config", cfg, "--resolution", "16"]) == 0
-        # the scan (phase 0, then 9 phases across the half period), then
-        # rounds of the 2 * ZOOM phases around the best one so far, whose
-        # value is known; the zero-phase baseline is the scan's first
-        # point, not evaluated again.  The half-width 2pi/16 shrinks
-        # ZOOM-fold per round: 7 rounds to 1e-6
-        assert sizes == [10] + [2 * sweep.ZOOM] * 7
+        assert main(["phase-opt", "--config", cfg, "--resolution", "64"]) == 0
+        # the scan (phase 0, then 33 phases across the half period), then
+        # one batch a round; the zero-phase baseline is the scan's first
+        # point, not evaluated again.  The best phase stays at theta0, an
+        # end of the half period, so each round is its ZOOM offsets on the
+        # inner side; the half-width 2pi/64 shrinks ZOOM-fold per round
+        rounds, h = 0, 2.0 * math.pi / 64
+        while h > 1e-6:
+            rounds, h = rounds + 1, h / sweep.ZOOM
+        assert sizes == [34] + [sweep.ZOOM] * rounds
         monkeypatch.undo()
         out = capsys.readouterr().out
         params, _ = parse_config(BASELINE_CFG)
-        theta, r_star, scan = optimize_phase(params, 16)
+        theta, r_star, scan = optimize_phase(params, 64)
         baseline = evaluate_point(apply_axis(params, "delta_theta", 0.0))
         assert scan[0] == baseline.r_min
         assert out.splitlines()[:3] == [

@@ -4,19 +4,17 @@ import dataclasses
 import errno
 import math
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmmsim import (CmmError, NoStablePointError, NumericalError, ParamBatch,
-                    SweepAxis, SweepSpec, apply_axis, apply_pump_mode,
-                    baseline_params, cli, evaluate_batch, evaluate_point,
-                    optimize_phase, phase_window, run_sweep, sweep)
-from cmmsim.cli import parse_config, write_sweep_csv
+from cmmsim import (TWO_PI, CmmError, NoStablePointError, NumericalError,
+                    ParamBatch, ParameterError, SweepAxis, SweepSpec,
+                    apply_axis, apply_pump_mode, baseline_params, cli,
+                    evaluate_batch, evaluate_point, optimize_phase,
+                    phase_window, run_sweep, sweep, validate)
+from cmmsim.cli import write_sweep_csv
 from cmmsim.entanglement import MEASURES
-
-BASELINE_CFG = Path(__file__).resolve().parents[1] / "configs" / "baseline.cfg"
 
 PHYSICS_FIELDS = ("stable", "margin", "r_min", "residual_a", "residual_m",
                   "residual_b", "en_am", "en_ab", "en_mb", "en_a_mb",
@@ -33,35 +31,30 @@ def rows_equal(r1, r2, fields=PHYSICS_FIELDS):
     return True
 
 
-def evaluate_every_centre(params, resolution, r_min=None):
-    """The phase optimizer with every zoom round evaluating all of its
-    2*ZOOM + 1 phases, the centre again included: the reference that
-    optimize_phase matches bit for bit.  The scan is phase 0, then the
-    half period from the window's theta0 to theta0 + pi.  ``r_min`` maps
-    an array of phases to their values, by default the engine's."""
-    def engine(phases):
-        p = ParamBatch.from_base(params, len(phases),
-                                 theta_a=params.theta_m + phases)
-        return evaluate_batch(p).table.column("r_min").tolist()
-
-    r_min = r_min or engine
-
-    def best(phases, values):
-        k = max(range(len(values)),
-                key=lambda k: -math.inf if math.isnan(values[k]) else values[k])
-        return float(phases[k]), values[k]
-
+def evaluate_every_centre(params, resolution):
+    """The phase optimizer with every zoom round evaluating its centre
+    again: the reference that optimize_phase matches bit for bit.  The
+    scan is phase 0, as the offset -theta0, then the half period from the
+    window's theta0 to theta0 + pi."""
     theta0 = float(phase_window(params).theta0)
+
+    def best(offsets):
+        p = ParamBatch.from_base(params, len(offsets),
+                                 theta_a=params.theta_m + (theta0 + offsets))
+        values = evaluate_batch(p).table.column("r_min")
+        k = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+        return float(offsets[k]), float(values[k]), values.tolist()
+
     half = 2.0 * math.pi * np.arange(math.ceil(resolution / 2)) / resolution
-    grid = np.concatenate(([0.0], theta0 + half, [theta0 + math.pi]))
-    scan = r_min(grid)
-    x, f = best(grid, scan)
-    h = 2.0 * math.pi / resolution if any(v != scan[0] for v in scan) else 0.0
+    x, f, scan = best(np.concatenate(([-theta0], half, [math.pi])))
+    # the centre first, so that it wins a tie
+    steps = np.array([0, *range(-sweep.ZOOM, 0), *range(1, sweep.ZOOM + 1)])
+    h = 2.0 * math.pi / resolution
     while h > 1e-6:
-        phases = x + h * np.arange(-sweep.ZOOM, sweep.ZOOM + 1) / sweep.ZOOM
-        x, f = best(phases, r_min(phases))
+        xs = x + h * steps / sweep.ZOOM
+        x, f, _ = best(xs[(xs >= 0.0) & (xs <= math.pi)])
         h /= sweep.ZOOM
-    return x % (2.0 * math.pi), f, scan
+    return (theta0 + x) % (2.0 * math.pi), f, scan
 
 
 class TestEvaluatePoint:
@@ -114,6 +107,25 @@ class TestEvaluatePoint:
         assert apply_pump_mode(base, "magnon-only").P_a == 0.0
         assert apply_pump_mode(base, "cavity-only").P_m == 0.0
         assert apply_pump_mode(base, "both") is base
+
+    @pytest.mark.bits
+    @pytest.mark.parametrize("changes", [
+        {}, {"P_a": 0.0}, {"P_m": 0.0}, {"T": 0.1, "P_a": 0.3}])
+    def test_rows_read_g_mb_and_the_powers_through_their_product(
+            self, base, changes):
+        # |m_s| scales with the drive amplitudes, the square roots of the
+        # powers, so g_mb x 4 with both powers / 16 keeps G_mb = g_mb |m_s|;
+        # every factor is a power of two, so no bit of the row moves but
+        # those of |m_s|^2 and q_s = -g_mb |m_s|^2 / omega_b
+        p = base.replace(**changes)
+        row = evaluate_point(p)
+        assert row.status == "ok"
+        scaled = evaluate_point(p.replace(g_mb=4.0 * p.g_mb, P_a=p.P_a / 16.0,
+                                          P_m=p.P_m / 16.0))
+        want = dataclasses.replace(row, abs_ms_sq=row.abs_ms_sq / 16.0,
+                                   q_s=row.q_s / 4.0)
+        assert repr(dataclasses.astuple(scaled)) == repr(
+            dataclasses.astuple(want))
 
 
 class TestRunSweep:
@@ -409,7 +421,8 @@ class TestOptimizePhase:
     @pytest.mark.bits
     def test_reusing_the_centre_changes_no_bit(self, base):
         rng = np.random.default_rng(20261019)
-        points = [base.replace(P_a=0.0), base.replace(P_a=0.45)] + [
+        points = [base.replace(P_a=0.0), base.replace(P_a=0.45),
+                  base.replace(P_m=9e-5, g_mb=TWO_PI * 19.6)] + [
             base.replace(delta_a=rng.uniform(-1.6, -1.1) * base.omega_b,
                          P_a=math.exp(rng.uniform(math.log(1e-3),
                                                   math.log(0.5))),
@@ -421,6 +434,17 @@ class TestOptimizePhase:
             assert repr(got[:2]) == repr(want[:2])
             assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
 
+    @pytest.mark.parametrize("params", [
+        {"kappa_a": -1.0}, {"T": math.nan}, {"P_a": -1.0},
+        {"theta_m": math.inf}])
+    def test_invalid_parameters_raise_their_violations(self, params):
+        p = baseline_params(**params)
+        with pytest.raises(ParameterError) as want:
+            validate(p)
+        with pytest.raises(ParameterError) as err:
+            optimize_phase(p, 16)
+        assert str(err.value) == str(want.value)
+
     @staticmethod
     def draws(seed, n):
         """Operating points drawn from the benchmark's phase_opt ranges."""
@@ -431,11 +455,6 @@ class TestOptimizePhase:
                                                       math.log(0.5))),
                              T=rng.uniform(0.01, 0.1))
                 for _ in range(n)]
-
-    @staticmethod
-    def assert_serial(got, want):
-        assert repr(got[:2]) == repr(want[:2])
-        assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
 
     @staticmethod
     def spy_on_batches(monkeypatch):
@@ -462,82 +481,87 @@ class TestOptimizePhase:
         monkeypatch.setattr(sweep, "_phase_table", table)
         return cls.spy_on_batches(monkeypatch)
 
-    @pytest.mark.bits
+    @staticmethod
+    def rounds(resolution):
+        """The zoom rounds from the scan's spacing down to 1e-6 rad."""
+        n, h = 0, 2.0 * math.pi / resolution
+        while h > 1e-6:
+            n, h = n + 1, h / sweep.ZOOM
+        return n
+
     @pytest.mark.parametrize("resolution", [64, 128])
-    def test_evaluating_rounds_ahead_changes_no_bit(self, monkeypatch,
-                                                    resolution):
-        batches = self.spy_on_batches(monkeypatch)
-        for p in self.draws(20261020 + resolution, 24):
-            self.assert_serial(optimize_phase(p, resolution),
-                               evaluate_every_centre(p, resolution))
-        # rounds were taken ahead: round by round, each call makes seven
-        assert len(batches) < 7 * 24
+    def test_no_phase_of_a_dense_scan_is_better(self, resolution):
+        base = baseline_params()
+        points = self.draws(20261027 + resolution, 12) + [
+            base, base.replace(P_a=0.45),
+            base.replace(P_m=9e-5, g_mb=TWO_PI * 14.0),
+            base.replace(P_m=9e-5, g_mb=TWO_PI * 19.6)]
+        for p in points:
+            phases = (float(phase_window(p).theta0)
+                      + np.linspace(0.0, math.pi, 2001))
+            dense = evaluate_batch(ParamBatch.from_base(
+                p, phases.size, theta_a=p.theta_m + phases)).table
+            top = np.nanmax(dense.column("r_min"))
+            theta, r_star, _ = optimize_phase(p, resolution)
+            assert r_star >= top - 1e-12 * abs(top)
+            assert evaluate_point(apply_axis(p, "delta_theta", theta)).stable
 
-    #: wrong guesses: each later round of a batch is planned from the
-    #: guess, a far phase clipping it to its last step, the centre to step 0
-    GUESSES = {"far": lambda phases, values, k: phases[k] + 100.0,
-               "centre": lambda phases, values, k: phases[k]}
+    def test_evaluates_one_round_a_batch(self, base, monkeypatch):
+        # at 90 uW with 19.6 Hz the optimum lies inside the half period,
+        # so each round is the 2 * ZOOM offsets around it
+        batches = self.spy_on_batches(monkeypatch)
+        optimize_phase(base.replace(P_m=9e-5, g_mb=TWO_PI * 19.6), 64)
+        assert [len(b) for b in batches] == (
+            [34] + [2 * sweep.ZOOM] * self.rounds(64))
 
     @pytest.mark.bits
-    @pytest.mark.parametrize("guess", GUESSES)
-    def test_a_wrong_prediction_changes_no_bit(self, monkeypatch, guess):
-        monkeypatch.setattr(sweep, "_vertex", self.GUESSES[guess])
-        batches = self.spy_on_batches(monkeypatch)
-        for p in self.draws(20261021, 8):
-            self.assert_serial(optimize_phase(p, 64),
-                               evaluate_every_centre(p, 64))
-        assert max(len(b) for b in batches[1:]) == 64
+    def test_a_peak_at_an_end_is_returned_exactly(self, base, monkeypatch):
+        # stubs that, like every point, depend on the phase only through
+        # cos(delta_theta - theta0): the peak is theta0 or theta0 + pi,
+        # and each round is the ZOOM offsets on the inner side
+        theta0 = float(phase_window(base).theta0)
+        for sign, end in ((1.0, 0.0), (-1.0, math.pi)):
+            batches = self.stub_r_min(
+                monkeypatch, lambda phases: sign * np.cos(phases - theta0))
+            theta, r_star, scan = optimize_phase(base, 64)
+            assert repr(theta) == repr((theta0 + end) % (2.0 * math.pi))
+            assert r_star == max(scan)
+            assert [len(b) for b in batches] == (
+                [34] + [sweep.ZOOM] * self.rounds(64))
 
-    def test_evaluates_the_predicted_rounds_ahead(self, monkeypatch):
-        params, _ = parse_config(BASELINE_CFG.read_text(encoding="utf-8"))
-        with monkeypatch.context() as no_guess:
-            no_guess.setattr(sweep, "_vertex", lambda phases, values, k: None)
-            serial = self.spy_on_batches(no_guess)
-            want = optimize_phase(params, 64)
-        # with no guess, one round a batch; the scan is phase 0 and 33
-        # phases across the half period
-        assert [len(b) for b in serial] == [34] + [2 * sweep.ZOOM] * 6
-        batches = self.spy_on_batches(monkeypatch)
-        self.assert_serial(optimize_phase(params, 64), want)
-        sizes = [len(b) for b in batches]
-        # the scan, then batches of whole rounds, none larger than the
-        # resolution
-        assert sizes[0] == 34
-        assert all(n % (2 * sweep.ZOOM) == 0 and n <= 64 for n in sizes[1:])
-        evaluated = {x for b in batches for x in b}
-        assert all(set(round_) <= evaluated for round_ in serial[1:])
-        # six rounds in two batches: four, then two
-        assert sizes == [34, 64, 32]
-
-    def test_a_winner_at_the_edge_of_its_round_gives_no_guess(
-            self, base, monkeypatch):
-        # r_min rising linearly with the phase: each zoom round is won by
-        # its last phase, which has one neighbour, so no parabola predicts
-        # the next round and each batch after the first zoom holds one
-        def ramp(phases):
-            return np.asarray(phases, dtype=float)
-
-        batches = self.stub_r_min(monkeypatch, ramp)
-        self.assert_serial(optimize_phase(base, 64), evaluate_every_centre(
-            base, 64, r_min=lambda phases: ramp(phases).tolist()))
-        # the scan's winner, its last phase theta0 + pi, has two
-        # neighbours (the one before it, and its mirror image with that
-        # one's value), so the first zoom batch is planned from a guess
-        assert [len(b) for b in batches] == [34, 64] + [2 * sweep.ZOOM] * 5
+    @pytest.mark.parametrize("peak", [0.05, 1.0, 2.5, math.pi - 0.05])
+    def test_a_peak_inside_the_half_period_is_found(self, base, monkeypatch,
+                                                    peak):
+        theta0 = float(phase_window(base).theta0)
+        self.stub_r_min(monkeypatch, lambda phases: -(
+            np.cos(phases - theta0) - math.cos(peak)) ** 2)
+        theta, _, _ = optimize_phase(base, 64)
+        # theta0 + x* is reported, not its mirror theta0 - x*
+        assert abs((theta - theta0) % (2.0 * math.pi) - peak) <= 1e-6
 
     def test_phase_zero_can_win_off_the_half_scan(self, base, monkeypatch):
         # r_min peaking at phase 0, which the half scan from theta0 does
-        # not hold: the search starts there, with no neighbours, so the
-        # first zoom round is a batch of its own
-        def peak(phases):
-            return -np.abs(np.asarray(phases, dtype=float))
+        # not hold: the zoom around its offset -theta0 finds nothing
+        # greater, so phase 0's own row is the result
+        self.stub_r_min(monkeypatch, lambda phases: np.cos(phases))
+        theta, r_star, scan = optimize_phase(base, 64)
+        assert (theta, r_star) == (0.0, scan[0])
 
-        batches = self.stub_r_min(monkeypatch, peak)
-        got = optimize_phase(base, 64)
-        self.assert_serial(got, evaluate_every_centre(
-            base, 64, r_min=lambda phases: peak(phases).tolist()))
-        assert got[:2] == (0.0, 0.0)
-        assert [len(b) for b in batches] == [34, 16, 64, 16]
+    @pytest.mark.bits
+    def test_a_tie_does_not_move_the_centre(self, base, monkeypatch):
+        # a plateau from theta0 + 2pi/3, unstable beyond theta0 + 2.5: the
+        # scan's first plateau phase wins, and no later tie or NaN moves it
+        theta0 = float(phase_window(base).theta0)
+
+        def plateau(phases):
+            x = phases - theta0
+            return np.where(x > 2.5, np.nan, np.minimum(-np.cos(x), 0.5))
+
+        batches = self.stub_r_min(monkeypatch, plateau)
+        theta, r_star, scan = optimize_phase(base, 64)
+        k = scan.index(0.5)
+        assert repr(theta) == repr(float(batches[0][k]) % (2.0 * math.pi))
+        assert r_star == 0.5
 
     def test_optimum_beats_the_scan_and_its_neighbours(self, base):
         rng = np.random.default_rng(20260418)
