@@ -6,11 +6,11 @@ variance 1/2.  Logarithmic negativity kinks at 2*nu = 1, the contangle is
 its square, and the residual contangle of pivot r is
 E^2(r|st) - E^2(r|s) - E^2(r|t).
 
-Symplectic spectra come from one routine: :func:`_factors` checks, scales
-and Cholesky-factors a stack, and :func:`_spectra` turns the factors into
-spectra and messages.  :func:`symplectic_spectra` runs it on any stack;
-:func:`entanglement_batch` runs it once per covariance, with the three
-splits' factors taken from V's own.
+Symplectic spectra come from one routine, :func:`_spectra`, which scales,
+Cholesky-factors and diagonalizes a checked stack (:func:`_checked`) and
+gives its messages.  :func:`symplectic_spectra` runs it on any stack;
+:func:`entanglement_batch` runs it on the pair blocks and once on V for
+its three splits.
 """
 
 from __future__ import annotations
@@ -71,18 +71,36 @@ _SPLIT_OMEGA = _SIGNS * np.repeat(1.0 - 2.0 * np.eye(3), 2, axis=1)[..., None]
 _PAIR_OMEGA = _SPLIT_OMEGA[0, :4]
 
 
-def _factors(m: np.ndarray, top: np.ndarray,
-             asym: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Cholesky factors of the matrices ``m``, shape (..., n, n), whose
+def _checked(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The matrices ``m``, shape (..., n, n), with every non-finite one
+    zeroed, and each one's largest |entry| ``top`` (non-finite exactly
+    where the matrix is: max propagates NaN) and largest |M - M^T|."""
+    top = np.abs(m).max(axis=(-2, -1))
+    finite = np.isfinite(top)
+    if not finite.all():
+        m = np.where(finite[..., None, None], m, 0.0)
+    return m, top, np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def _spectra(m: np.ndarray, top: np.ndarray, asym: np.ndarray,
+             signs: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Symplectic spectra of the matrices ``m``, shape (..., n, n), whose
     largest |entry| is ``top`` and largest |M - M^T| is ``asym``, both of
-    shape (...) and ``top`` non-finite exactly where a matrix is.
+    shape (...) and ``top`` non-finite exactly where a matrix is (see
+    :func:`_checked`), with the Omega whose row signs ``signs`` broadcast
+    against ``m``'s rows.
 
     Each matrix is divided by an even power of two near its largest
-    |entry|, 2**shift, so that K^T K cannot overflow; this is exact, and L,
-    K and nu scale by exact powers of two with it.  A matrix that is
-    non-finite or not symmetric gets the identity's factor, one that is not
-    positive definite a zero factor (so nu^2 = 0).  Returns the factors and
-    the checks (top, asym, usable, shift) for :func:`_spectra`."""
+    |entry|, 2**shift, so that K^T K cannot overflow; this is exact, and
+    its Cholesky factor L, K and nu scale by exact powers of two with it.
+    A matrix that is non-finite or not symmetric is factored as the
+    identity, one that is not positive definite gets a zero factor (so
+    nu^2 = 0).  K = L^T Omega L is similar to Omega M and real
+    antisymmetric, so its eigenvalues are +/- i nu and K^T K has every
+    nu^2 twice; one batched ``eigvalsh`` gives them.  Returns the
+    spectra, shape (..., n) with ``signs`` broadcast in, and the messages
+    as :func:`symplectic_spectra` does, keyed by each matrix's index in
+    the flattened leading shape."""
     usable = np.isfinite(top) & (asym <= 1e-8 * top)
     shift = np.frexp(top)[1] & -2
     size = m.shape[-1]
@@ -92,21 +110,7 @@ def _factors(m: np.ndarray, top: np.ndarray,
     l, failed = stack_or_nan(np.linalg.cholesky, m.reshape(-1, size, size))
     if failed:
         l[failed] = 0.0
-    return l.reshape(m.shape), (top, asym, usable, shift)
-
-
-def _spectra(l: np.ndarray, checks: tuple, signs: np.ndarray
-             ) -> tuple[np.ndarray, dict[int, str]]:
-    """Symplectic spectra from the factors and checks of :func:`_factors`,
-    with the Omega whose row signs ``signs`` broadcast against ``l``'s rows.
-
-    K = L^T Omega L is similar to Omega M and real antisymmetric, so its
-    eigenvalues are +/- i nu and K^T K has every nu^2 twice; one batched
-    ``eigvalsh`` gives them.  Returns the spectra, shape (..., n), and the
-    messages as :func:`symplectic_spectra` does, keyed by each matrix's
-    index in the flattened leading shape."""
-    top, asym, usable, shift = checks
-    size = l.shape[-1]
+    l = l.reshape(m.shape)
     k = l.swapaxes(-1, -2) @ (l[..., _SWAP[:size], :] * signs)
     # a copy, because numpy sends K^T @ K on one buffer to BLAS syrk, which
     # is slower than gemm for small matrices; eigvalsh reads the lower
@@ -151,13 +155,7 @@ def symplectic_spectra(m: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     by its index; the spectra of those matrices are meaningless (NaN where
     the matrix is not positive definite).
     """
-    # max propagates NaN, so top is finite exactly where m is
-    top = np.abs(m).max(axis=(1, 2))
-    finite = np.isfinite(top)
-    if not finite.all():
-        m = np.where(finite[:, None, None], m, 0.0)
-    asym = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2))
-    return _spectra(*_factors(m, top, asym), _SIGNS[:m.shape[1]])
+    return _spectra(*_checked(m), _SIGNS[:m.shape[1]])
 
 
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
@@ -196,28 +194,23 @@ def entanglement_batch(v: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
 
     Each covariance is checked once: a split's largest |entry| and
     asymmetry are V's, and a pair's are the maxima over its 4x4 block,
-    since transposing a mode only flips signs.  One ``cholesky`` of the k
-    covariances gives all three splits' factors (see _SPLIT_OMEGA), and
-    one of the 3k pair blocks the pairs'; :func:`_spectra` turns both into
-    spectra.  Returns a (k, 10) array whose columns are MEASURES, and the
-    message of every matrix that fails a spectrum check or has more than
-    one symplectic eigenvalue below vacuum after a 1|2 transposition,
-    keyed by its index: its first pair error, else its first one-vs-two
-    error.
+    since transposing a mode only flips signs.  :func:`_spectra` runs once
+    on the 3k pair blocks and once on the k covariances, whose one factor
+    gives all three splits' spectra (see _SPLIT_OMEGA).  Returns a (k, 10)
+    array whose columns are MEASURES, and the message of every matrix that
+    fails a spectrum check or has more than one symplectic eigenvalue
+    below vacuum after a 1|2 transposition, keyed by its index: its first
+    pair error, else its first one-vs-two error.
     """
     k = v.shape[0]
-    pairs = v.reshape(k, 36)[:, _PAIR_ENTRIES]
+    pairs, top, asym = _checked(v.reshape(k, 36)[:, _PAIR_ENTRIES])
+    nu_pair, pair_errors = _spectra(pairs, top, asym, _PAIR_OMEGA)
     # every entry of V lies in a pair block, so V's largest |entry| and
-    # asymmetry are the largest of its pairs'
-    top = np.abs(pairs).max(axis=(2, 3))
-    finite = np.isfinite(top)
-    if not finite.all():
-        pairs = np.where(finite[..., None, None], pairs, 0.0)
-    asym = np.abs(pairs - pairs.swapaxes(2, 3)).max(axis=(2, 3))
-    l_v, checks_v = _factors(v[:, None], top.max(axis=1, keepdims=True),
-                             asym.max(axis=1, keepdims=True))
-    nu_pair, pair_errors = _spectra(*_factors(pairs, top, asym), _PAIR_OMEGA)
-    nu_split, split_errors = _spectra(l_v, checks_v, _SPLIT_OMEGA)
+    # asymmetry are the largest of its pairs'; V, as (k, 1, 6, 6), is
+    # factored once for its three splits
+    nu_split, split_errors = _spectra(
+        v[:, None], top.max(axis=1, keepdims=True),
+        asym.max(axis=1, keepdims=True), _SPLIT_OMEGA)
     # at most one symplectic eigenvalue of a physical state's 1|2 partial
     # transposition, the smallest, is below vacuum; the measures rely on it
     vacuum = 0.5 - MONOGAMY_SLACK

