@@ -169,10 +169,6 @@ _MEASURED = [FLOAT_FIELDS.index(name) for name in MEASURES]
 _UNMEASURED = [j for j, name in enumerate(FLOAT_FIELDS)
                if name not in MEASURES]
 
-#: rows formatted and written together; bounds the text this process
-#: holds at once
-CSV_BLOCK = 1024
-
 
 def _spelled(column: np.ndarray) -> list[str]:
     """:func:`fmt` of each entry, each distinct value formatted once.
@@ -205,28 +201,29 @@ def write_sweep_csv(table: SweepTable, path: str) -> None:
     stable flag and its FLOAT_FIELDS, each number as :func:`fmt` spells
     it.
 
-    The CSV_BLOCK blocks of rows are shared among W workers as a sweep's
-    are (:func:`cmmsim.sweep._in_workers`), W the number of CPUs in the
-    process's affinity mask or of blocks if that is smaller.  With one
+    The rows are formatted in the blocks that a sweep is evaluated in,
+    ``sweep.BLOCK * sweep.CHUNK`` rows, shared among W workers through the
+    same loop (:func:`cmmsim.sweep._in_workers`), W the number of CPUs in
+    the process's affinity mask or of blocks if that is smaller.  With one
     worker the blocks are formatted and written to ``path`` in order.
     Otherwise each worker appends the blocks it claims to its own unlinked
     temporary file, and this process then copies them to ``path`` in block
-    order, one block at a time, checking each block's row count.  The
-    bytes do not depend on W.  A worker that fails, or a block short of
-    rows, makes this raise CmmError naming it; a write that fails leaves
-    no file at ``path``.
+    order, one block at a time.  Every block's row count is checked, and
+    the bytes do not depend on W.  A worker that fails, or a block short
+    of rows, makes this raise CmmError naming it; a write that fails
+    leaves no file at ``path``.
     """
-    n = len(table)
-    blocks = len(range(0, n, CSV_BLOCK))
+    n, size = len(table), sweep.BLOCK * sweep.CHUNK
+    blocks = len(range(0, n, size))
     workers = sweep._workers(blocks)
     scratch = []
 
     def do(w: int, b: int):
-        at = slice(b * CSV_BLOCK, (b + 1) * CSV_BLOCK)
+        at = slice(b * size, (b + 1) * size)
         text = _csv_lines(table.axis1[at], table.axis2[at],
                           table.stable[at], table.values[at]).encode()
         if not scratch:  # one worker: straight to ``path``, in order
-            return fh.write(text)
+            return w, fh.write(text), text.count(b"\n")
         try:
             scratch[w].write(text)
             scratch[w].flush()  # a child exits without flushing
@@ -243,11 +240,12 @@ def write_sweep_csv(table: SweepTable, path: str) -> None:
             done = sweep._in_workers(do, workers, blocks, "CSV worker")
             for held in scratch:
                 held.seek(0)
-            for b, (w, size, rows) in (done.items() if scratch else ()):
-                want = min(CSV_BLOCK, n - b * CSV_BLOCK)
+            for b, (w, length, rows) in done.items():
+                want = min(size, n - b * size)
                 if rows != want:
                     raise CmmError(f"CSV block {b} has {rows} of {want} rows")
-                fh.write(scratch[w].read(size))
+                if scratch:
+                    fh.write(scratch[w].read(length))
     except BaseException:
         _discard(path)
         raise

@@ -37,8 +37,11 @@ _DRIFT_SIGNS[[0, 1, 1, 1, 2, 3, 3, 3, 3, 5, 5, 5, 5],
 
 def build_drift(params: PhysicalParams, state: MeanFieldState) -> np.ndarray:
     """Real 6x6 drift matrix of the linearized fluctuation dynamics, the
-    :func:`drift_batch` of one point."""
-    return drift_batch(ParamBatch.from_base(params, 1), state)[0]
+    :func:`drift_batch` of one point.
+
+    Raises ParameterError outside the parameter domain.
+    """
+    return drift_batch(batch_of_one(params), state)[0]
 
 
 def build_diffusion(params: PhysicalParams) -> np.ndarray:

@@ -21,8 +21,7 @@ from cmmsim import (CmmError, ConfigError, ParamBatch, SweepRow, SweepTable,
                     TWO_PI, apply_axis, apply_pump_mode, cli, evaluate_batch,
                     evaluate_point, optimize_phase, run_sweep,
                     solve_steady_state, sweep)
-from cmmsim.cli import (CSV_BLOCK, CSV_HEADER, fmt, main, parse_config,
-                        write_sweep_csv)
+from cmmsim.cli import CSV_HEADER, fmt, main, parse_config, write_sweep_csv
 from cmmsim.sweep import FLOAT_FIELDS
 from conftest import table_of
 
@@ -143,11 +142,12 @@ class TestFormatting:
         assert fmt(float("nan")) == "nan"
 
     def test_csv_rows_equal_per_value_formatting(self, tmp_path):
+        block = sweep.BLOCK * sweep.CHUNK  # the CSV's rows per block
         specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e300,
                     5e-324, 0.0173489916703, 130646618067369.51]
         rows = [SweepRow(specials[k % 10], specials[(k + 3) % 10], k % 2 == 0,
                          *[specials[(k + j) % 10] for j in range(13)])
-                for k in range(2 * CSV_BLOCK + 3)]  # past two whole blocks
+                for k in range(2 * block + 3)]  # past two whole blocks
         # rows whose ten measures are all NaN, and rows where only r_min
         # is NaN; the axes take the specials and repeat -0.0, 0.0 and NaNs
         # of either sign
@@ -166,7 +166,7 @@ class TestFormatting:
                               *[finite[(k + j) % 9] for j in range(11)])
                      for k in range(40)]
         # across the boundary of the first block
-        rows[CSV_BLOCK - 40:CSV_BLOCK - 40] = nan_rows
+        rows[block - 40:block - 40] = nan_rows
         path = tmp_path / "rows.csv"
         write_sweep_csv(table_of(rows), str(path))
         want = [CSV_HEADER] + [",".join(
@@ -263,6 +263,28 @@ class TestSteadyCommand:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("line, got", [
+        ("sweep.T = 0:inf:3", "0.0:inf"),
+        ("sweep.delta_a = -inf:0:2", "-inf:0.0"),
+        ("sweep.delta_a = -1e308:1e308:3", "-1e+308:1e+308"),
+        ("sweep.T = nan:1:3", "nan:1.0")])
+    def test_non_finite_axis_bounds_are_a_config_error(self, tmp_path, capsys,
+                                                       line, got):
+        axis = line.split()[0].removeprefix("sweep.")
+        message = (f"line {len(BASELINE_CFG.splitlines()) + 1}: axis {axis}: "
+                   f"start, stop and stop - start must be finite, got {got}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(BASELINE_CFG + line + "\n")
+        assert str(err.value) == message
+        out_path = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config",
+                         write_cfg(tmp_path, BASELINE_CFG + line + "\n"),
+                         "--out", str(out_path)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not out_path.exists()
+
     def test_small_sweep_writes_csv(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASELINE_CFG + "sweep.delta_a = -1.5:-1.1:3\n")
         out_path = tmp_path / "out.csv"
@@ -462,8 +484,7 @@ class TestSweepWorkers:
         monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(sweep, "_cpus", lambda: 2)
         monkeypatch.setattr(sweep, "BLOCK", 1)
-        monkeypatch.setattr(sweep, "CHUNK", 7)
-        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        monkeypatch.setattr(sweep, "CHUNK", 7)  # four blocks in each pass
         params, spec = parse_config(GRID_CFG)
         evaluate_point(params)  # numpy's BLAS has started its threads
         with warnings.catch_warnings(record=True) as caught:
@@ -502,8 +523,7 @@ class TestSweepWorkers:
         # CPU
         monkeypatch.setattr(sweep, "_cpus", lambda: 1)
         monkeypatch.setattr(sweep, "BLOCK", 1)
-        monkeypatch.setattr(sweep, "CHUNK", 7)
-        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        monkeypatch.setattr(sweep, "CHUNK", 7)  # four blocks in each pass
         write_sweep_csv(run_sweep(spec), str(out_path))
         assert len(out_path.read_bytes().splitlines()) == 1 + 27
 
@@ -518,12 +538,25 @@ class TestSweepWorkers:
 
         monkeypatch.setattr(os, "fork", refuse)
         monkeypatch.setattr(sweep, "BLOCK", 1)
-        monkeypatch.setattr(sweep, "CHUNK", 7)
-        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        monkeypatch.setattr(sweep, "CHUNK", 7)  # four blocks in each pass
         out_path = tmp_path / "out.csv"
         assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
                      "--out", str(out_path)]) == 0
         assert len(out_path.read_bytes().splitlines()) == 1 + 27
+
+
+def _failing_csv_workers(monkeypatch, kind):
+    """Make the forked workers of a CSV write fail as ``kind`` says, before
+    their first block; a sweep's workers run as they do."""
+    in_workers, child, failing = (sweep._in_workers, sweep._child,
+                                  _failing_child(kind))
+
+    def csv_fails(do, workers, blocks, name="sweep worker"):
+        monkeypatch.setattr(sweep, "_child",
+                            failing if name == "CSV worker" else child)
+        return in_workers(do, workers, blocks, name)
+
+    monkeypatch.setattr(sweep, "_in_workers", csv_fails)
 
 
 def _rows(table, n):
@@ -539,7 +572,8 @@ class TestCsvWorkers:
     no process behind, and this process holds a few blocks' text at most."""
 
     #: the error of worker 1 failing in each way, and of a block short of
-    #: a row; with CSV_BLOCK = 4 the 27 rows of GRID_CFG make seven blocks
+    #: a row; in blocks of BLOCK * CHUNK = 1 * 4 rows the 27 rows of
+    #: GRID_CFG make seven blocks
     FAILURES = {
         "exit": "CSV worker 1 exited with status 3",
         "raise": "CSV worker 1 exited with status 1",
@@ -550,29 +584,33 @@ class TestCsvWorkers:
     def test_a_failing_worker_is_an_error(self, tmp_path, capsys,
                                           monkeypatch, kind):
         message = self.FAILURES[kind]
+        _, spec = parse_config(GRID_CFG)
+        table = run_sweep(spec)  # one block at the default sizes: no fork
         if kind == "short":
             # each block without its first row, in every worker, so that
-            # block 0 is the first one short
+            # block 0 is the first one short; a sweep formats no rows
             lines = cli._csv_lines
             monkeypatch.setattr(cli, "_csv_lines", lambda *columns:
                                 lines(*columns).split("\n", 1)[1])
         else:
-            monkeypatch.setattr(sweep, "_child", _failing_child(kind))
-        monkeypatch.setattr(sweep, "_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
-        _, spec = parse_config(GRID_CFG)  # one block of the sweep: no fork
+            _failing_csv_workers(monkeypatch, kind)
+        monkeypatch.setattr(sweep, "BLOCK", 1)
+        monkeypatch.setattr(sweep, "CHUNK", 4)  # seven blocks in each pass
         out_path = tmp_path / "out.csv"
-        with pytest.raises(CmmError, match=f"^{re.escape(message)}$"):
-            write_sweep_csv(run_sweep(spec), str(out_path))
-        assert not out_path.exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
-                     "--out", str(out_path)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out_path.exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        # a short block is an error with one worker too
+        for cpus in (1, 2) if kind == "short" else (2,):
+            monkeypatch.setattr(sweep, "_cpus", lambda cpus=cpus: cpus)
+            with pytest.raises(CmmError, match=f"^{re.escape(message)}$"):
+                write_sweep_csv(table, str(out_path))
+            assert not out_path.exists()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
+                         "--out", str(out_path)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out_path.exists()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("fails", ["open", "write"])
     def test_no_room_for_the_scratch_files_is_an_error(self, tmp_path, capsys,
@@ -584,14 +622,22 @@ class TestCsvWorkers:
             def write(self, data):
                 return no_space() if data else 0
 
-        if fails == "open":
-            monkeypatch.setattr(sweep.tempfile, "TemporaryFile", no_space)
-        else:  # the scratch files are made empty, the queue is not
-            temporary = sweep._temporary
-            monkeypatch.setattr(sweep, "_temporary", lambda what, data=b"":
-                                temporary(what, data) if data else Full())
+        temporary = sweep._temporary
+
+        def scratch_fails(what, data=b""):
+            # the scratch files are made empty, the block queues are not
+            if data:
+                return temporary(what, data)
+            if fails == "write":
+                return Full()
+            with monkeypatch.context() as patch:
+                patch.setattr(sweep.tempfile, "TemporaryFile", no_space)
+                return temporary(what)
+
+        monkeypatch.setattr(sweep, "_temporary", scratch_fails)
         monkeypatch.setattr(sweep, "_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        monkeypatch.setattr(sweep, "BLOCK", 1)
+        monkeypatch.setattr(sweep, "CHUNK", 4)  # seven blocks in each pass
         out_path = tmp_path / "out.csv"
         assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
                      "--out", str(out_path)]) == 1
@@ -614,7 +660,8 @@ class TestCsvWorkers:
         table = run_sweep(spec)
         assert {table.status(k).split(":")[0]
                 for k in range(len(table))} == {"ok", "unstable", "error"}
-        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        monkeypatch.setattr(sweep, "BLOCK", 1)
+        monkeypatch.setattr(sweep, "CHUNK", 4)  # blocks of four rows
         counted, fork = [], os.fork
 
         def counted_fork():
@@ -654,7 +701,8 @@ class TestCsvWorkers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block_text = path.stat().st_size / len(range(0, n, CSV_BLOCK))
+        block_text = path.stat().st_size / len(
+            range(0, n, sweep.BLOCK * sweep.CHUNK))
         # holding the whole text, or one worker's share of it, would be
         # about 20 blocks
         assert peak < 8 * block_text

@@ -157,12 +157,15 @@ class TestBuildDiffusion:
         (dict(delta_m_tilde_target=-1e12),
          "derived magnon frequency delta_m_tilde_target + omega_a - delta_a "
          "must be > 0, got -937083323926.5573"),
-        (dict(T=math.nan), "T must be >= 0, got nan; T must be finite, got nan")])
+        (dict(T=math.nan), "T must be >= 0, got nan; T must be finite, got nan"),
+        (dict(kappa_a=-1.0), "kappa_a must be > 0, got -1.0")])
     def test_undefined_occupation_raises(self, base, override, message):
         # every scalar entry point reads validate's rule list
         p = base.replace(**override)
+        state = solve_steady_state(base)
         for build in (build_diffusion, PhysicalParams.occupations,
-                      solve_steady_state, PhysicalParams.drive_amplitudes):
+                      solve_steady_state, PhysicalParams.drive_amplitudes,
+                      lambda q: build_drift(q, state)):
             with pytest.raises(ParameterError) as err:
                 build(p)
             assert str(err.value) == message

@@ -34,6 +34,12 @@ class TestSymplecticEigenvalues:
         assert nus[0] == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-12)
         assert np.allclose(nus, pt_symplectic_oracle(v, 0), atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 6), (6,), (2, 6, 6)])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(ValueError) as err:
+            symplectic_eigenvalues(np.zeros(shape))
+        assert str(err.value) == f"expected a 4x4 or 6x6 matrix, got {shape}"
+
     def test_asymmetric_input_rejected(self):
         v = 0.5 * np.eye(4)
         v[0, 1] = 0.3

@@ -107,6 +107,9 @@ class TestEvaluatePoint:
         assert apply_pump_mode(base, "magnon-only").P_a == 0.0
         assert apply_pump_mode(base, "cavity-only").P_m == 0.0
         assert apply_pump_mode(base, "both") is base
+        with pytest.raises(ValueError) as err:
+            apply_pump_mode(base, "sideways")
+        assert str(err.value) == "unknown pump_mode 'sideways'"
 
     @pytest.mark.bits
     @pytest.mark.parametrize("changes", [
@@ -225,7 +228,8 @@ class TestRunSweep:
             runs.append((table.stable.tolist(),
                          table.values.view(np.int64).tolist(),
                          table.errors, path.read_bytes()))
-        assert len(forks) == 0 + 1 + 2
+        # the sweep and its CSV in the same blocks: W - 1 forks a pass
+        assert len(forks) == 2 * (0 + 1 + 2)
         assert {table.status(k).split(":")[0]
                 for k in range(len(table))} == {"ok", "unstable", "error"}
         assert {float(table.axis2[k]) for k in table.errors} == {5e299, 1e300}
@@ -302,7 +306,6 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "CHUNK", 7)
         monkeypatch.setattr(sweep, "BLOCK", 1)
         monkeypatch.setattr(sweep, "_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
         path = str(tmp_path / "out.csv")
         before = open_fds()
         table = run_sweep(spec)
@@ -371,6 +374,19 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepSpec(base=base, pump_mode="nonsense")
 
+    @pytest.mark.parametrize("name, start, stop, got", [
+        ("T", 0.0, math.inf, "0.0:inf"),
+        ("delta_a", -math.inf, 0.0, "-inf:0.0"),
+        ("delta_a", -1e308, 1e308, "-1e+308:1e+308"),  # the span overflows
+        ("T", math.nan, 1.0, "nan:1.0")])
+    def test_axis_bounds_must_be_finite(self, name, start, stop, got):
+        with pytest.raises(ValueError) as err:
+            SweepAxis(name, start, stop, 3)
+        assert str(err.value) == (f"axis {name}: start, stop and stop - start "
+                                  f"must be finite, got {got}")
+        # checked without building the axis's values
+        assert SweepAxis(name, -1.0, 1.0, 4_000_000_000).count == 4_000_000_000
+
     def test_axis_of_a_switched_off_pump_rejected(self, base):
         axis = SweepAxis("P_a", 0.001, 0.1, 3)
         with pytest.raises(ValueError, match="P_a.*'magnon-only'"):
@@ -386,6 +402,9 @@ class TestRunSweep:
         assert apply_axis(base, "delta_theta", 0.7).theta_a == base.theta_m + 0.7
         assert apply_axis(base, "T", 0.05).T == 0.05
         assert apply_axis(base, "P_a", 0.2).P_a == 0.2
+        with pytest.raises(ValueError) as err:
+            apply_axis(base, "bogus", 1.0)
+        assert str(err.value) == "unknown sweep axis 'bogus'"
 
 
 class TestOptimizePhase:
