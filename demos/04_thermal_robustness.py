@@ -31,9 +31,9 @@ for T, a, b in zip(temps, curves["pi/2"], curves["0"]):
 scan = np.linspace(0.01, 1.0, 100)
 for label, values in r_min(scan).items():
     dead = np.flatnonzero(values == 0.0)
-    death = scan[dead[0]] if dead.size else None
-    print(f"delta_theta = {label:4s}: entanglement death at T = "
-          f"{1e3 * death:.0f} mK" if death else "no death below 1 K")
+    death = (f"entanglement death at T = {1e3 * scan[dead[0]]:.0f} mK"
+             if dead.size else "no death below 1 K")
+    print(f"delta_theta = {label:4s}: {death}")
 
 mono = np.all(np.diff(curves["pi/2"]) <= 1e-12)
 print(f"\nmonotone non-increasing in T (pi/2 curve): {mono}")

@@ -202,34 +202,32 @@ def write_sweep_csv(table: SweepTable, path: str) -> None:
     it.
 
     The rows are formatted in the blocks that a sweep is evaluated in,
-    ``sweep.BLOCK * sweep.CHUNK`` rows, shared among W workers through the
-    same loop (:func:`cmmsim.sweep._in_workers`), W the number of CPUs in
-    the process's affinity mask or of blocks if that is smaller.  With one
-    worker the blocks are formatted and written to ``path`` in order.
-    Otherwise each worker appends the blocks it claims to its own unlinked
-    temporary file, and this process then copies them to ``path`` in block
-    order, one block at a time.  Every block's row count is checked, and
-    the bytes do not depend on W.  A worker that fails, or a block short
-    of rows, makes this raise CmmError naming it; a write that fails
-    leaves no file at ``path``.
+    shared among W workers through the same loop
+    (:func:`cmmsim.sweep._in_workers`, which cuts the rows into blocks), W
+    the number of CPUs in the process's affinity mask or of blocks if that
+    is smaller.  With one worker the blocks are formatted and written to
+    ``path`` in order.  Otherwise each worker appends the blocks it claims
+    to its own unlinked temporary file, and this process then copies them
+    to ``path`` in block order, one block at a time.  Every block's row
+    count is checked, and the bytes do not depend on W.  A worker that
+    fails, or a block short of rows, makes this raise CmmError naming it;
+    a write that fails leaves no file at ``path``.
     """
-    n, size = len(table), sweep.BLOCK * sweep.CHUNK
-    blocks = len(range(0, n, size))
-    workers = sweep._workers(blocks)
+    n = len(table)
+    workers = sweep._workers(n)
     scratch = []
 
-    def do(w: int, b: int):
-        at = slice(b * size, (b + 1) * size)
+    def do(w: int, at: slice):
         text = _csv_lines(table.axis1[at], table.axis2[at],
                           table.stable[at], table.values[at]).encode()
         if not scratch:  # one worker: straight to ``path``, in order
-            return w, fh.write(text), text.count(b"\n")
+            return w, at, fh.write(text), text.count(b"\n")
         try:
             scratch[w].write(text)
             scratch[w].flush()  # a child exits without flushing
         except OSError as exc:  # not ``path``'s fault
             raise CmmError(f"cannot hold the CSV's blocks: {exc}") from None
-        return w, len(text), text.count(b"\n")
+        return w, at, len(text), text.count(b"\n")
 
     fh = open(path, "wb")
     try:
@@ -237,11 +235,11 @@ def write_sweep_csv(table: SweepTable, path: str) -> None:
             fh.write(CSV_HEADER.encode() + b"\n")
             for _ in range(workers if workers > 1 else 0):
                 scratch.append(sweep._temporary("hold the CSV's blocks"))
-            done = sweep._in_workers(do, workers, blocks, "CSV worker")
+            done = sweep._in_workers(do, workers, n, "CSV worker")
             for held in scratch:
                 held.seek(0)
-            for b, (w, length, rows) in done.items():
-                want = min(size, n - b * size)
+            for b, (w, at, length, rows) in done.items():
+                want = len(range(n)[at])
                 if rows != want:
                     raise CmmError(f"CSV block {b} has {rows} of {want} rows")
                 if scratch:

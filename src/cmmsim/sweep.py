@@ -60,6 +60,12 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in AXES:
             raise ValueError(f"unknown sweep axis {self.name!r}; choose from {AXES}")
+        try:
+            # a Python int: products of numpy integers would wrap
+            object.__setattr__(self, "count", operator.index(self.count))
+        except TypeError:
+            raise ValueError(f"axis {self.name}: count must be an integer, "
+                             f"got {self.count}") from None
         if self.count < 1:
             raise ValueError(f"axis {self.name}: count must be >= 1")
         if not math.isfinite(self.stop - self.start):  # NaN, inf, overflow
@@ -340,27 +346,6 @@ def evaluate_point(params: PhysicalParams) -> SweepRow:
     return evaluate_batch(ParamBatch.from_base(params, 1)).table[0]
 
 
-def _coordinates(values: list[np.ndarray], k: np.ndarray) -> list[np.ndarray]:
-    """Each axis's value at the grid points ``k``, numbered row-major with
-    the first axis outermost; ``values`` holds each axis's values."""
-    shape = tuple(len(x) for x in values)
-    return ([x[i] for x, i in zip(values, np.unravel_index(k, shape))]
-            if shape else [])
-
-
-def _block(base: PhysicalParams, axes: tuple[SweepAxis, ...],
-           values: list[np.ndarray], b: int) -> tuple[int, ParamBatch]:
-    """The grid offset and parameters of block ``b`` of the grid's blocks
-    of BLOCK * CHUNK points, row-major; ``base`` has the pump mode
-    applied, and ``values`` holds each axis's values."""
-    total = math.prod(len(x) for x in values)
-    start = b * BLOCK * CHUNK
-    k = np.arange(start, min(start + BLOCK * CHUNK, total))
-    columns = dict(_axis_field(base, ax.name, x)
-                   for ax, x in zip(axes, _coordinates(values, k)))
-    return start, ParamBatch.from_base(base, k.size, **columns)
-
-
 def _temporary(what: str, data: bytes = b""):
     """An unlinked temporary file holding ``data``, read from its start.
     A file that cannot be made or written raises CmmError "cannot
@@ -392,17 +377,21 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _workers(blocks: int) -> int:
-    """W for ``blocks`` blocks of work: one worker per CPU of the
-    process's affinity mask, at most one per block, at least one."""
-    return max(1, min(_cpus(), blocks))
+def _workers(rows: int) -> int:
+    """W for ``rows`` rows of work: one worker per CPU of the process's
+    affinity mask, at most one per block of BLOCK * CHUNK rows, at least
+    one."""
+    return max(1, min(_cpus(), len(range(0, rows, BLOCK * CHUNK))))
 
 
-def _in_workers(do, workers: int, blocks: int,
+def _in_workers(do, workers: int, rows: int,
                 name: str = "sweep worker") -> dict:
-    """``{b: do(w, b)}`` for the blocks b = 0 ... blocks - 1, sorted by b,
-    each evaluated by one of ``workers`` workers w: this process is worker
-    0 and forks the others.  With one worker nothing forks and the blocks
+    """``{b: do(w, at)}`` for the blocks b = 0, 1, ... of ``rows`` rows,
+    sorted by b: block b is the rows of the slice ``at``, BLOCK * CHUNK of
+    them from b * BLOCK * CHUNK on, the last block clipped at ``rows``.
+    This is the one place that cuts rows into blocks.  Each block is
+    evaluated by one of ``workers`` workers w: this process is worker 0
+    and forks the others.  With one worker nothing forks and the blocks
     are taken in order.  Otherwise the block numbers sit in one queue, an
     unlinked temporary file of 8-byte records opened before the fork, and
     every worker claims the next one with ``os.read(fd, 8)`` until none is
@@ -420,13 +409,16 @@ def _in_workers(do, workers: int, blocks: int,
     reaped before this returns or raises; if this process fails, it kills
     them first.
     """
+    size = BLOCK * CHUNK
+    blocks = len(range(0, rows, size))
     queue = (_temporary("queue the sweep's blocks",
                         np.arange(blocks, dtype="<i8").tobytes())
              if workers > 1 else None)
 
     def work(w: int) -> dict:
         claimed = range(blocks) if queue is None else _claims(queue.fileno())
-        return {b: do(w, b) for b in claimed}
+        return {b: do(w, slice(b * size, min(b * size + size, rows)))
+                for b in claimed}
 
     pids, pipes = [], []
     try:
@@ -492,50 +484,53 @@ def _child(work, w: int, write: int):
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the grid, BLOCK * CHUNK points at a time, into one table
-    (also the sequence of its rows) whose axis columns hold the grid's
-    coordinates.
+    """Evaluate the grid into one table (also the sequence of its rows)
+    whose axis columns hold the grid's coordinates, row-major with the
+    first axis outermost; an axis the grid does not have is a NaN column,
+    and a grid without axes is one point, ``spec.base``.
 
-    The blocks are shared among W workers (:func:`_in_workers`), W the
-    number of CPUs in the process's affinity mask or of blocks if that is
-    smaller.  Each worker writes its rows into one table allocated in
-    shared memory, and sends back only its errors, so the table's bits
-    depend neither on the chunking nor on W, nor on which worker evaluated
-    a block (``taskset -c 0`` runs serially, and with one worker nothing
-    forks).  A worker that fails makes this raise CmmError naming it and
-    its exit status; no child outlives the call.  A table too large to
-    size or map raises CmmError naming the point count before any point
-    is evaluated.
+    The coordinate columns are built once, before any point is evaluated,
+    and the grid's rows are shared among W workers in blocks
+    (:func:`_in_workers`), W the number of CPUs in the process's affinity
+    mask or of blocks if that is smaller.  A block's parameters are its
+    slice of the coordinate columns.  Each worker writes its rows into one
+    table allocated in shared memory, and sends back only its errors, so
+    the table's bits depend neither on the chunking nor on W, nor on which
+    worker evaluated a block (``taskset -c 0`` runs serially, and with one
+    worker nothing forks).  A worker that fails makes this raise CmmError
+    naming it and its exit status; no child outlives the call.  A table or
+    coordinate columns too large to size or allocate raise CmmError naming
+    the point count before any point is evaluated.
     """
     import mmap  # on first use: importing cmmsim does not pay for it
     total = math.prod(ax.count for ax in spec.axes)
     width = len(FLOAT_FIELDS)
     try:
         shared = mmap.mmap(-1, total * (8 * width + 1))
+        grid = [x.ravel() for x in np.meshgrid(
+            *(ax.values() for ax in spec.axes), indexing="ij")]
+        axis1, axis2 = grid + [np.full(total, np.nan)
+                               for _ in range(2 - len(grid))]
     except (OverflowError, OSError, MemoryError) as exc:
         raise CmmError(f"cannot allocate the results of {total} sweep "
                        f"points: {exc}") from None
     values = np.frombuffer(shared, np.float64, total * width).reshape(
         total, width)
     stable = np.frombuffer(shared, bool, total, offset=values.nbytes)
-    axis_values = [ax.values() for ax in spec.axes]
     base = apply_pump_mode(spec.base, spec.pump_mode)
-    blocks = len(range(0, total, BLOCK * CHUNK))
 
-    def do(w: int, b: int) -> dict[int, str]:
-        start, p = _block(base, spec.axes, axis_values, b)
-        table = evaluate_batch(p).table
-        values[start:start + len(p)] = table.values
-        stable[start:start + len(p)] = table.stable
-        return {start + k: s for k, s in table.errors.items()}
+    def do(w: int, at: slice) -> dict[int, str]:
+        columns = dict(_axis_field(base, ax.name, x[at])
+                       for ax, x in zip(spec.axes, (axis1, axis2)))
+        table = evaluate_batch(ParamBatch.from_base(
+            base, at.stop - at.start, **columns)).table
+        values[at] = table.values
+        stable[at] = table.stable
+        return {at.start + k: s for k, s in table.errors.items()}
 
-    parts = _in_workers(do, _workers(blocks), blocks).values()
+    parts = _in_workers(do, _workers(total), total).values()
     errors = dict(sorted(item for part in parts for item in part.items()))
-    table = SweepTable(*np.full((2, total), np.nan), stable, values, errors)
-    for name, x in zip(("axis1", "axis2"),
-                       _coordinates(axis_values, np.arange(total))):
-        setattr(table, name, x)
-    return table
+    return SweepTable(axis1, axis2, stable, values, errors)
 
 
 def _phase_table(params: PhysicalParams, phases: np.ndarray) -> SweepTable:

@@ -338,6 +338,31 @@ class TestSweepCommand:
         assert err.count("\n") == 1
         assert not out_path.exists()
 
+    def test_coordinates_that_cannot_be_allocated_are_an_error(
+            self, tmp_path, capsys, monkeypatch):
+        # the grid's coordinate columns are built under the guard of its
+        # table, before any point is evaluated
+        def no_memory(*axes, **options):
+            raise MemoryError("Unable to allocate 216 B for an array")
+
+        def refuse(p):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr(np, "meshgrid", no_memory)
+        monkeypatch.setattr(sweep, "evaluate_batch", refuse)
+        message = ("cannot allocate the results of 27 sweep points: "
+                   "Unable to allocate 216 B for an array")
+        _, spec = parse_config(GRID_CFG)
+        with pytest.raises(CmmError, match=f"^{re.escape(message)}$"):
+            run_sweep(spec)
+        out_path = tmp_path / "out.csv"
+        assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
+                     "--out", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out_path.exists()
+
     def test_three_axes_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASELINE_CFG + "sweep.delta_a = -2:2:3\n"
                         "sweep.delta_theta = 0:6:3\nsweep.T = 0.01:0.1:3\n")
@@ -551,10 +576,10 @@ def _failing_csv_workers(monkeypatch, kind):
     in_workers, child, failing = (sweep._in_workers, sweep._child,
                                   _failing_child(kind))
 
-    def csv_fails(do, workers, blocks, name="sweep worker"):
+    def csv_fails(do, workers, rows, name="sweep worker"):
         monkeypatch.setattr(sweep, "_child",
                             failing if name == "CSV worker" else child)
-        return in_workers(do, workers, blocks, name)
+        return in_workers(do, workers, rows, name)
 
     monkeypatch.setattr(sweep, "_in_workers", csv_fails)
 

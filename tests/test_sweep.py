@@ -374,6 +374,32 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepSpec(base=base, pump_mode="nonsense")
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
+    def test_axis_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError) as err:
+            SweepAxis("T", 0.01, 0.1, count)
+        assert str(err.value) == (f"axis T: count must be an integer, "
+                                  f"got {count}")
+
+    def test_any_integer_is_an_axis_count(self, base):
+        # kept as a Python int, so that the grid's size does not wrap in a
+        # small numpy integer type (200 points x 105 bytes > 255)
+        for count in (True, np.int64(3), np.uint8(200)):
+            axis = SweepAxis("T", 0.01, 0.1, count)
+            assert type(axis.count) is int and axis.count == count
+            table = run_sweep(SweepSpec(base=base, axes=(axis,)))
+            assert np.array_equal(table.axis1, np.linspace(0.01, 0.1, count))
+
+    @pytest.mark.parametrize("mode", sweep.PUMP_MODES)
+    def test_a_grid_without_axes_is_its_base_point(self, base, mode):
+        table = run_sweep(SweepSpec(base=base, pump_mode=mode))
+        assert len(table) == 1
+        assert math.isnan(table.axis1[0]) and math.isnan(table.axis2[0])
+        # every field but the axes, bit for bit (repr spells -0.0)
+        want = evaluate_point(apply_pump_mode(base, mode))
+        assert repr(dataclasses.astuple(table[0])[2:]) == repr(
+            dataclasses.astuple(want)[2:])
+
     @pytest.mark.parametrize("name, start, stop, got", [
         ("T", 0.0, math.inf, "0.0:inf"),
         ("delta_a", -math.inf, 0.0, "-inf:0.0"),
