@@ -7,9 +7,9 @@ and multiplied by 2*pi exactly once here; detunings are quoted in units of
 omega_b.  Sweep axes use ``sweep.<axis> = start:stop:count``.
 
 A sweep's grid is evaluated, and its CSV formatted, on every CPU of the
-process's affinity mask (forked workers pulling blocks from one queue;
-``taskset -c 0`` runs serially), and the CSV bytes do not depend on the
-number of CPUs.
+process's affinity mask (workers pulling blocks from one queue;
+``taskset -c 0`` runs the same loop with one worker and no fork), and
+the CSV bytes do not depend on the number of CPUs.
 
 Exit codes: 0 success (an unstable operating point is data, not an error),
 1 runtime or I/O failure, 2 configuration error.
@@ -205,13 +205,15 @@ def write_sweep_csv(table: SweepTable, path: str) -> None:
     shared among W workers through the same loop
     (:func:`cmmsim.sweep._in_workers`, which cuts the rows into blocks), W
     the number of CPUs in the process's affinity mask or of blocks if that
-    is smaller.  With one worker the blocks are formatted and written to
-    ``path`` in order.  Otherwise each worker appends the blocks it claims
-    to its own unlinked temporary file, and this process then copies them
-    to ``path`` in block order, one block at a time.  Every block's row
-    count is checked, and the bytes do not depend on W.  A worker that
-    fails, or a block short of rows, makes this raise CmmError naming it;
-    a write that fails leaves no file at ``path``.
+    is smaller.  At every W each worker appends the blocks it claims to
+    its own unlinked temporary file.  Once the loop has returned, and no
+    child is left, this process writes the header to ``path`` and copies
+    the blocks after it in block order, one block at a time, checking
+    each block's row count, so the bytes do not depend on W.  A worker
+    that fails, or a block short of rows, makes this raise CmmError naming
+    it, and so does a temporary file that cannot be made or written
+    ("cannot hold the CSV's blocks: ..."); a write that fails leaves no
+    file at ``path``.
     """
     n = len(table)
     workers = sweep._workers(n)
@@ -220,8 +222,6 @@ def write_sweep_csv(table: SweepTable, path: str) -> None:
     def do(w: int, at: slice):
         text = _csv_lines(table.axis1[at], table.axis2[at],
                           table.stable[at], table.values[at]).encode()
-        if not scratch:  # one worker: straight to ``path``, in order
-            return w, at, fh.write(text), text.count(b"\n")
         try:
             scratch[w].write(text)
             scratch[w].flush()  # a child exits without flushing
@@ -232,18 +232,17 @@ def write_sweep_csv(table: SweepTable, path: str) -> None:
     fh = open(path, "wb")
     try:
         with fh:
-            fh.write(CSV_HEADER.encode() + b"\n")
-            for _ in range(workers if workers > 1 else 0):
+            for _ in range(workers):
                 scratch.append(sweep._temporary("hold the CSV's blocks"))
             done = sweep._in_workers(do, workers, n, "CSV worker")
+            fh.write(CSV_HEADER.encode() + b"\n")  # every child reaped
             for held in scratch:
                 held.seek(0)
             for b, (w, at, length, rows) in done.items():
                 want = len(range(n)[at])
                 if rows != want:
                     raise CmmError(f"CSV block {b} has {rows} of {want} rows")
-                if scratch:
-                    fh.write(scratch[w].read(length))
+                fh.write(scratch[w].read(length))
     except BaseException:
         _discard(path)
         raise

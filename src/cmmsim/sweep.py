@@ -8,12 +8,13 @@ real solve, no eigenvectors) and the partial-transpose spectra.  A single
 point is a batch of one.  Every step treats each point on its own, so a
 point's row is bit-identical whichever batch it is evaluated in, and a
 grid's blocks can be shared among processes: one worker per CPU of the
-process's affinity mask, this process and forked children, each taking
-the next unclaimed block from one shared queue until none is left and
-writing its rows into one shared buffer.  The CSV writer formats the
-rows in the same blocks, through the same loop.  Results are kept as
-columns (a SweepTable), a grid's points in row-major order with the first
-axis outermost; a row object is built only where one is asked for.
+process's affinity mask, this process and forked children (none for one
+CPU), each taking the next unclaimed block from one shared queue until
+none is left and writing its rows into one shared buffer.  The CSV
+writer formats the rows in the same blocks, through the same loop.
+Results are kept as columns (a SweepTable), a grid's points in row-major
+order with the first axis outermost; a row object is built only where
+one is asked for.
 """
 
 from __future__ import annotations
@@ -391,34 +392,34 @@ def _in_workers(do, workers: int, rows: int,
     them from b * BLOCK * CHUNK on, the last block clipped at ``rows``.
     This is the one place that cuts rows into blocks.  Each block is
     evaluated by one of ``workers`` workers w: this process is worker 0
-    and forks the others.  With one worker nothing forks and the blocks
-    are taken in order.  Otherwise the block numbers sit in one queue, an
-    unlinked temporary file of 8-byte records opened before the fork, and
-    every worker claims the next one with ``os.read(fd, 8)`` until none is
-    left, so a faster worker takes more blocks and each worker's blocks
-    come in increasing order.  The workers share the file's one offset,
-    which the kernel advances atomically for a file opened by path, so each
-    block is claimed exactly once, with no lock and no capacity limit.
+    and forks the other W - 1, so one worker forks nothing.  At every W
+    the block numbers sit in one queue, an unlinked temporary file of
+    8-byte records opened before any fork, and every worker claims the
+    next one with ``os.read(fd, 8)`` until none is left, so a faster
+    worker takes more blocks and each worker's blocks come in increasing
+    order; W sets only how many workers claim.  The workers share the
+    file's one offset, which the kernel advances atomically for a file
+    opened by path, so each block is claimed exactly once, with no lock
+    and no capacity limit.
     (Not a ``memfd_create`` file: its offset is not advanced atomically,
     and two workers can read the same record.)  Each child sends its
     results back through a pipe, pickled.
 
     Raises CmmError naming a child that fails (raises, dies, or sends a
     result that does not unpickle), as ``name`` and its number, and its
-    exit status, or the message of the CmmError it raised.  Every child is
-    reaped before this returns or raises; if this process fails, it kills
-    them first.
+    exit status, or the message of the CmmError it raised, and a queue
+    that cannot be made "cannot queue the sweep's blocks: ...".  Every
+    child is reaped before this returns or raises; if this process fails,
+    it kills them first.
     """
     size = BLOCK * CHUNK
     blocks = len(range(0, rows, size))
-    queue = (_temporary("queue the sweep's blocks",
-                        np.arange(blocks, dtype="<i8").tobytes())
-             if workers > 1 else None)
+    queue = _temporary("queue the sweep's blocks",
+                       np.arange(blocks, dtype="<i8").tobytes())
 
     def work(w: int) -> dict:
-        claimed = range(blocks) if queue is None else _claims(queue.fileno())
         return {b: do(w, slice(b * size, min(b * size + size, rows)))
-                for b in claimed}
+                for b in _claims(queue.fileno())}
 
     pids, pipes = [], []
     try:
@@ -443,8 +444,7 @@ def _in_workers(do, workers: int, rows: int,
     finally:
         for pipe in pipes:
             pipe.close()
-        if queue is not None:
-            queue.close()
+        queue.close()
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                  for pid in pids]
     for w, code in enumerate(codes, 1):
@@ -496,11 +496,11 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     slice of the coordinate columns.  Each worker writes its rows into one
     table allocated in shared memory, and sends back only its errors, so
     the table's bits depend neither on the chunking nor on W, nor on which
-    worker evaluated a block (``taskset -c 0`` runs serially, and with one
-    worker nothing forks).  A worker that fails makes this raise CmmError
-    naming it and its exit status; no child outlives the call.  A table or
-    coordinate columns too large to size or allocate raise CmmError naming
-    the point count before any point is evaluated.
+    worker evaluated a block (``taskset -c 0`` runs the same loop with one
+    worker, which forks nothing).  A worker that fails makes this raise
+    CmmError naming it and its exit status; no child outlives the call.  A
+    table or coordinate columns too large to size or allocate raise
+    CmmError naming the point count before any point is evaluated.
     """
     import mmap  # on first use: importing cmmsim does not pay for it
     total = math.prod(ax.count for ax in spec.axes)

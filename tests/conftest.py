@@ -15,6 +15,14 @@ from cmmsim.meanfield import (NON_FINITE_STATE, SINGULAR_RESPONSE,
 from cmmsim.sweep import FLOAT_FIELDS
 
 
+#: the regimes of the claims, as overrides of baseline_params: the
+#: baseline, and P_m = 0.9 mW with g_mb = 2 pi 6.2 Hz, 90 uW with 14 Hz and
+#: 90 uW with 19.6 Hz, where the phase window reaches the stability edge
+CLAIM_REGIMES = [{}, {"P_m": 9e-4, "g_mb": 2 * math.pi * 6.2},
+                 {"P_m": 9e-5, "g_mb": 2 * math.pi * 14.0},
+                 {"P_m": 9e-5, "g_mb": 2 * math.pi * 19.6}]
+
+
 @pytest.fixture
 def base():
     """Calibrated baseline parameter set (entangled operating point)."""

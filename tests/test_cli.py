@@ -660,19 +660,21 @@ class TestCsvWorkers:
                 return temporary(what)
 
         monkeypatch.setattr(sweep, "_temporary", scratch_fails)
-        monkeypatch.setattr(sweep, "_cpus", lambda: 2)
         monkeypatch.setattr(sweep, "BLOCK", 1)
         monkeypatch.setattr(sweep, "CHUNK", 4)  # seven blocks in each pass
         out_path = tmp_path / "out.csv"
-        assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
-                     "--out", str(out_path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: cannot hold the CSV's blocks: "
-                                "[Errno 28] No space left on device\n")
-        assert not out_path.exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        # one worker holds its blocks in a scratch file as two do
+        for cpus in (1, 2):
+            monkeypatch.setattr(sweep, "_cpus", lambda cpus=cpus: cpus)
+            assert main(["sweep", "--config", write_cfg(tmp_path, GRID_CFG),
+                         "--out", str(out_path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: cannot hold the CSV's blocks: "
+                                    "[Errno 28] No space left on device\n")
+            assert not out_path.exists()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("rows, forks", [
         (27, [0, 1, 2]),  # ok, unstable and error rows; a partial block

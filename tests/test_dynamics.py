@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cmmsim import (NumericalError, ParameterError, PhysicalParams,
-                    UnstableSystemError, baseline_params, build_diffusion,
-                    build_drift, dynamics, evaluate_point, solve_lyapunov,
-                    solve_steady_state, symplectic_eigenvalues)
+from cmmsim import (NumericalError, ParamBatch, ParameterError,
+                    PhysicalParams, UnstableSystemError, baseline_params,
+                    build_diffusion, build_drift, dynamics, evaluate_batch,
+                    evaluate_point, solve_lyapunov, solve_steady_state,
+                    symplectic_eigenvalues)
 from cmmsim.meanfield import MeanFieldState
-from conftest import min_uncertainty_eig, transpose_mode
+from conftest import CLAIM_REGIMES, min_uncertainty_eig, transpose_mode
 
 TWO_NB_PLUS_1 = 41.681236678072901  # mechanical bath at 10 mK, 10 MHz
 
@@ -269,6 +270,26 @@ class TestSolveLyapunov:
             assert min_eig >= -1e-10, (
                 f"unphysical covariance, min eig {min_eig:.3e}")
             checked += 1
+
+    @pytest.mark.parametrize("regime", CLAIM_REGIMES)
+    def test_the_covariance_is_linear_in_the_bath_occupations(self, regime):
+        # nothing before the diffusion reads T, and the diffusion is three
+        # bath patterns scaled by 2 n_j + 1, so V(T) is the same sum of
+        # their solutions V_j at unit occupation; 6.3e-16 was measured
+        p = baseline_params(**regime)
+        a = build_drift(p, solve_steady_state(p))
+        patterns = np.zeros((3, 6, 6))
+        patterns[0, [0, 1], [0, 1]] = p.kappa_a
+        patterns[1, [2, 3], [2, 3]] = p.kappa_m
+        patterns[2, 5, 5] = p.gamma_b
+        v, errors = dynamics.steady_covariances(np.stack([a] * 3), patterns)
+        assert errors == {}
+        batch = ParamBatch.from_base(p, 41, T=np.linspace(0.0, 0.4, 41))
+        direct = evaluate_batch(batch).covariances
+        with np.errstate(all="ignore"):  # T = 0 divides by zero
+            weights = 2.0 * batch.occupations() + 1.0
+        summed = np.einsum("jt,jkl->tkl", weights, v)
+        assert np.abs(summed - direct).max() <= 1e-14 * np.abs(direct).max()
 
 
 class TestGaugeCovariance:

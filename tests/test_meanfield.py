@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from cmmsim import (TWO_PI, CmmError, NoSteadyStateError, NumericalError,
-                    ParamBatch, SingularityError, baseline_params,
-                    evaluate_batch, evaluate_point, magnon_amplitude_approx,
-                    optimize_phase, phase_window, solve_steady_state,
-                    steady_state_residual)
+                    ParamBatch, SingularityError, apply_pump_mode,
+                    baseline_params, evaluate_batch, evaluate_point,
+                    magnon_amplitude_approx, optimize_phase, phase_window,
+                    solve_steady_state, steady_state_residual)
+from cmmsim.entanglement import MEASURES
 from cmmsim.meanfield import (NON_FINITE_STATE, SINGULAR_RESPONSE,
                               residual_batch, solve_bare_batch,
                               solve_effective_batch)
 from cmmsim.sweep import FLOAT_FIELDS
-from conftest import bare_state_oracle
+from conftest import CLAIM_REGIMES, bare_state_oracle
 
 
 def magnon_numerator(p):
@@ -477,6 +478,31 @@ class TestPhaseWindow:
             np.testing.assert_allclose(getattr(plus, name),
                                        getattr(minus, name),
                                        rtol=1e-13, atol=0.0, err_msg=name)
+
+    @pytest.mark.parametrize("regime", CLAIM_REGIMES)
+    def test_a_phase_is_the_magnon_drive_at_a_matched_coupling(self, regime):
+        # the drift reads g_mb, the powers and the phase only through
+        # G_mb = sqrt(2) g_mb |m_s|, so a row is the magnon-only row at
+        # g_mb sqrt(u / u_mo), u_mo not depending on g_mb with
+        # delta_m_tilde pinned; 2.3e-13 was measured, and 24 of the 68
+        # points at 19.6 Hz are unstable
+        p = baseline_params(**regime)
+        x = np.repeat(np.linspace(0.0, math.pi, 17), 4)
+        T = np.tile([0.01, 0.05, 0.1, 0.2], 17)
+        rows = evaluate_batch(ParamBatch.from_base(
+            p, len(x), theta_a=p.theta_m + phase_window(p).theta0 + x,
+            T=T)).table
+        magnon = apply_pump_mode(p, "magnon-only")
+        ratio = rows.column("abs_ms_sq") / evaluate_point(magnon).abs_ms_sq
+        single = evaluate_batch(ParamBatch.from_base(
+            magnon, len(x), g_mb=p.g_mb * np.sqrt(ratio), T=T)).table
+        assert rows.stable.tolist() == single.stable.tolist()
+        for name in ("margin",) + MEASURES:
+            j = FLOAT_FIELDS.index(name)
+            np.testing.assert_allclose(
+                single.values[:, j], rows.values[:, j], rtol=0.0,
+                atol=1e-12 * np.nanmax(np.abs(rows.values[:, j])),
+                err_msg=name)
 
     @pytest.mark.parametrize("g_mb_hz", [0.28, 14.0])
     def test_the_intensity_follows_the_window(self, g_mb_hz):

@@ -304,54 +304,61 @@ class TestRunSweep:
 
         spec = SweepSpec(base=base, axes=(SweepAxis("delta_a", -2.0, 2.0, 28),))
         monkeypatch.setattr(sweep, "CHUNK", 7)
-        monkeypatch.setattr(sweep, "BLOCK", 1)
-        monkeypatch.setattr(sweep, "_cpus", lambda: 2)
+        monkeypatch.setattr(sweep, "BLOCK", 1)  # four blocks in each pass
         path = str(tmp_path / "out.csv")
         before = open_fds()
-        table = run_sweep(spec)
-        assert open_fds() == before
-        write_sweep_csv(table, path)  # its queue and two scratch files
-        assert open_fds() == before
-        # a child that fails, then this process failing; the exception's
-        # traceback keeps run_sweep's frame alive
-        child = sweep._child
-        monkeypatch.setattr(sweep, "_child", lambda work, w, write:
-                            child(lambda w: os._exit(3), w, write))
-        with pytest.raises(CmmError, match="^sweep worker 1 exited with "
-                                           "status 3$") as failed:
-            run_sweep(spec)
-        assert open_fds() == before
-        with pytest.raises(CmmError, match="^CSV worker 1 exited with "
-                                           "status 3$") as failed:
-            write_sweep_csv(table, path)
-        assert open_fds() == before
-        monkeypatch.setattr(sweep, "_child", child)
-        monkeypatch.setattr(sweep, "evaluate_batch", lambda p: 1 / 0)
-        with pytest.raises(ZeroDivisionError) as failed:
-            run_sweep(spec)
-        assert open_fds() == before
-        monkeypatch.setattr(cli, "_csv_lines", lambda *columns: 1 / 0)
-        with pytest.raises(ZeroDivisionError) as failed:
-            write_sweep_csv(table, path)
-        assert open_fds() == before
-        # no room for the queue, nor for the CSV's scratch files
-        def no_space():
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        # one worker makes the same queue and scratch files as two
+        for cpus in (1, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(sweep, "_cpus", lambda cpus=cpus: cpus)
+                table = run_sweep(spec)
+                assert open_fds() == before
+                write_sweep_csv(table, path)  # its queue and W scratch files
+                assert open_fds() == before
+                if cpus > 1:
+                    # a child that fails, then this process failing; the
+                    # exception's traceback keeps run_sweep's frame alive
+                    child = sweep._child
+                    patch.setattr(sweep, "_child", lambda work, w, write:
+                                  child(lambda w: os._exit(3), w, write))
+                    with pytest.raises(CmmError, match="^sweep worker 1 "
+                                       "exited with status 3$") as failed:
+                        run_sweep(spec)
+                    assert open_fds() == before
+                    with pytest.raises(CmmError, match="^CSV worker 1 "
+                                       "exited with status 3$") as failed:
+                        write_sweep_csv(table, path)
+                    assert open_fds() == before
+                    patch.setattr(sweep, "_child", child)
+                patch.setattr(sweep, "evaluate_batch", lambda p: 1 / 0)
+                with pytest.raises(ZeroDivisionError) as failed:
+                    run_sweep(spec)
+                assert open_fds() == before
+                patch.setattr(cli, "_csv_lines", lambda *columns: 1 / 0)
+                with pytest.raises(ZeroDivisionError) as failed:
+                    write_sweep_csv(table, path)
+                assert open_fds() == before
 
-        monkeypatch.setattr(sweep.tempfile, "TemporaryFile", no_space)
-        with pytest.raises(CmmError) as failed:
-            run_sweep(spec)
-        assert str(failed.value) == ("cannot queue the sweep's blocks: "
-                                     "[Errno 28] No space left on device")
-        assert open_fds() == before
-        with pytest.raises(CmmError) as failed:
-            write_sweep_csv(table, path)
-        assert str(failed.value) == ("cannot hold the CSV's blocks: "
-                                     "[Errno 28] No space left on device")
-        assert open_fds() == before
-        assert not os.path.exists(path)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+                # no room for the queue, nor for the CSV's scratch files
+                def no_space():
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+                patch.setattr(sweep.tempfile, "TemporaryFile", no_space)
+                with pytest.raises(CmmError) as failed:
+                    run_sweep(spec)
+                assert str(failed.value) == (
+                    "cannot queue the sweep's blocks: "
+                    "[Errno 28] No space left on device")
+                assert open_fds() == before
+                with pytest.raises(CmmError) as failed:
+                    write_sweep_csv(table, path)
+                assert str(failed.value) == (
+                    "cannot hold the CSV's blocks: "
+                    "[Errno 28] No space left on device")
+                assert open_fds() == before
+                assert not os.path.exists(path)
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(-1, os.WNOHANG)
 
     def test_pump_mode_equivalence(self, base):
         axes = (SweepAxis("delta_a", -1.5, -1.0, 4),)
