@@ -5,7 +5,9 @@ through it the effective magnomechanical coupling, so R_min(delta_theta) is
 2pi-periodic.  The drives interfere in one term, so R_min depends on the
 phase only through cos(delta_theta - theta0): the phases theta0 + x and
 theta0 - x are the same point.  The optimizer scans the half period from
-theta0 and then zooms in on the best offset from theta0, one round a batch.
+theta0 and then zooms in on the best offset from theta0: one round a batch
+inside the half period, and two a batch at its ends, where a round is one
+side.
 """
 import numpy as np
 

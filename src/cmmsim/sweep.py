@@ -196,7 +196,8 @@ CHUNK = 128
 BLOCK = 8
 
 #: the phase optimizer's zoom factor: each round takes ZOOM steps of h/ZOOM
-#: to each side of the best offset so far, and then narrows h ZOOM-fold
+#: to each side of the best offset so far, and then narrows h ZOOM-fold; a
+#: batch holds at most 2*ZOOM offsets, one interior round or two at an end
 ZOOM = 10
 
 
@@ -553,13 +554,19 @@ def optimize_phase(params: PhysicalParams, resolution: int):
     -theta0.  One batch scans phase 0 and theta0 + x for
     x = 2*pi*k/``resolution`` (``resolution`` >= 8) in [0, pi), then
     x = pi: 34 phases at resolution 64.  The search starts from the best
-    of them, phase 0 included, and zooms, one round a batch: a round
-    evaluates the offsets x +- h*j/ZOOM, j = 1 ... ZOOM, that lie in
-    [0, pi] around the best offset x so far, moves x only to a strictly
-    greater value, and divides h (at first 2*pi/``resolution``) by ZOOM,
-    until h <= 1e-6 rad.  At an end of the half period a round is one
-    side, ZOOM offsets.  The phase is located to about 1e-6 rad, and less
-    precisely where the maximum is flat: there its last digits are noise.
+    of them, phase 0 included, and zooms: a round evaluates the offsets
+    x +- h*j/ZOOM, j = 1 ... ZOOM, that lie in [0, pi] around the best
+    offset x so far, moves x only to a strictly greater value, and
+    divides h (at first 2*pi/``resolution``) by ZOOM, until h <= 1e-6 rad.
+    A batch holds the current round and the next rounds around the same
+    x, as long as it stays within 2*ZOOM offsets; its rounds are then
+    read in order, and those after a round that moves x are dropped.
+    Inside the half period a round is 2*ZOOM offsets, one a batch; at an
+    end it is one side, ZOOM offsets, and two go in a batch: 34, 20, 20
+    and 10 phases at resolution 64.  A row does not depend on its batch,
+    so the result is that of one round a batch, bit for bit.  The phase
+    is located to about 1e-6 rad, and less precisely where the maximum
+    is flat: there its last digits are noise.
     The optimum theta0 + x* reported is one of a pair: theta0 - x* is the
     same point.
 
@@ -607,12 +614,24 @@ def optimize_phase(params: PhysicalParams, resolution: int):
     h = 2.0 * math.pi / resolution
     steps = np.delete(np.arange(-ZOOM, ZOOM + 1), ZOOM)
     while h > 1e-6:
-        xs = x + h * steps / ZOOM
-        xs = xs[(xs >= 0.0) & (xs <= math.pi)]
-        table = _phase_table(params, theta0 + xs)
-        values = [f, *table.column("r_min").tolist()]
-        k = best(values)
-        if k:
-            x, f = float(xs[k - 1]), values[k]
-        h /= ZOOM
+        # this round and the next ones around the same x, as long as the
+        # batch holds no more than an interior round's 2*ZOOM offsets
+        rounds, g = [], h
+        while g > 1e-6:
+            xs = x + g * steps / ZOOM
+            xs = xs[(xs >= 0.0) & (xs <= math.pi)]
+            if sum(map(len, rounds)) + xs.size > 2 * ZOOM:
+                break
+            rounds.append(xs)
+            g /= ZOOM
+        table = _phase_table(params, theta0 + np.concatenate(rounds))
+        values = table.column("r_min").tolist()
+        # the rounds in order; those after a round that moves x are dropped
+        for xs in rounds:
+            h /= ZOOM
+            k = best([f, *values[:xs.size]])
+            if k:
+                x, f = float(xs[k - 1]), values[k - 1]
+                break
+            del values[:xs.size]
     return (theta0 + x) % (2.0 * math.pi), f, scan

@@ -529,7 +529,7 @@ class TestSweepWorkers:
         assert evaluate_point(params).status == "ok"
         assert len(evaluate_batch(ParamBatch.from_base(params, 16)).table) == 16
         optimize_phase(params, 8)
-        optimize_phase(params, 64)  # its zoom rounds taken four at a time
+        optimize_phase(params, 64)  # its zoom rounds taken two at a time
         assert len(run_sweep(spec)) == 27  # one block
         cfg = write_cfg(tmp_path, BASELINE_CFG)
         assert main(["steady", "--config", cfg]) == 0
@@ -757,14 +757,16 @@ class TestPhaseOptCommand:
         cfg = write_cfg(tmp_path, BASELINE_CFG)
         assert main(["phase-opt", "--config", cfg, "--resolution", "64"]) == 0
         # the scan (phase 0, then 33 phases across the half period), then
-        # one batch a round; the zero-phase baseline is the scan's first
+        # the zoom rounds; the zero-phase baseline is the scan's first
         # point, not evaluated again.  The best phase stays at theta0, an
         # end of the half period, so each round is its ZOOM offsets on the
-        # inner side; the half-width 2pi/64 shrinks ZOOM-fold per round
+        # inner side, and two rounds share a batch of at most 2 * ZOOM; the
+        # half-width 2pi/64 shrinks ZOOM-fold per round: 34, 20, 20, 10
         rounds, h = 0, 2.0 * math.pi / 64
         while h > 1e-6:
             rounds, h = rounds + 1, h / sweep.ZOOM
-        assert sizes == [34] + [sweep.ZOOM] * rounds
+        assert sizes == ([34] + [2 * sweep.ZOOM] * (rounds // 2)
+                         + [sweep.ZOOM] * (rounds % 2))
         monkeypatch.undo()
         out = capsys.readouterr().out
         params, _ = parse_config(BASELINE_CFG)

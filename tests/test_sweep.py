@@ -31,17 +31,22 @@ def rows_equal(r1, r2, fields=PHYSICS_FIELDS):
     return True
 
 
-def evaluate_every_centre(params, resolution):
-    """The phase optimizer with every zoom round evaluating its centre
-    again: the reference that optimize_phase matches bit for bit.  The
-    scan is phase 0, as the offset -theta0, then the half period from the
-    window's theta0 to theta0 + pi."""
+def evaluate_every_centre(params, resolution, r_min=None):
+    """The phase optimizer with one zoom round a batch, each evaluating its
+    centre again: the reference that optimize_phase matches bit for bit.
+    The scan is phase 0, as the offset -theta0, then the half period from
+    the window's theta0 to theta0 + pi.  ``r_min(phases)``, if given,
+    stands in for the engine's values."""
     theta0 = float(phase_window(params).theta0)
 
     def best(offsets):
-        p = ParamBatch.from_base(params, len(offsets),
-                                 theta_a=params.theta_m + (theta0 + offsets))
-        values = evaluate_batch(p).table.column("r_min")
+        if r_min is None:
+            p = ParamBatch.from_base(
+                params, len(offsets),
+                theta_a=params.theta_m + (theta0 + offsets))
+            values = evaluate_batch(p).table.column("r_min")
+        else:
+            values = np.asarray(r_min(theta0 + offsets), dtype=float)
         k = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
         return float(offsets[k]), float(values[k]), values.tolist()
 
@@ -471,7 +476,11 @@ class TestOptimizePhase:
         assert str(err.value) == "Lyapunov solution overflows (residual nan)"
 
     @pytest.mark.bits
-    def test_reusing_the_centre_changes_no_bit(self, base):
+    def test_reusing_the_centre_changes_no_bit(self, base, monkeypatch):
+        # the rounds that share a batch, two at an end of the half period,
+        # give the bits of one round a batch; resolution 9 ends the scan at
+        # theta0 + pi after a half step, and 64 is the command's default
+        batches = self.spy_on_batches(monkeypatch)
         rng = np.random.default_rng(20261019)
         points = [base.replace(P_a=0.0), base.replace(P_a=0.45),
                   base.replace(P_m=9e-5, g_mb=TWO_PI * 19.6)] + [
@@ -480,11 +489,15 @@ class TestOptimizePhase:
                                                   math.log(0.5))),
                          T=rng.uniform(0.01, 0.1))
             for _ in range(6)]
-        for p in points:
-            want = evaluate_every_centre(p, 16)
-            got = optimize_phase(p, 16)
-            assert repr(got[:2]) == repr(want[:2])
-            assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+        for resolution in (9, 16, 64):
+            for p in points:
+                want = evaluate_every_centre(p, resolution)
+                batches.clear()
+                got = optimize_phase(p, resolution)
+                assert repr(got[:2]) == repr(want[:2])
+                assert (np.array(got[2]).tobytes()
+                        == np.array(want[2]).tobytes())
+                assert max(map(len, batches[1:])) <= 2 * sweep.ZOOM
 
     @pytest.mark.parametrize("params", [
         {"kappa_a": -1.0}, {"T": math.nan}, {"P_a": -1.0},
@@ -541,6 +554,13 @@ class TestOptimizePhase:
             n, h = n + 1, h / sweep.ZOOM
         return n
 
+    @classmethod
+    def end_batches(cls, resolution):
+        """The zoom's batches while an end of the half period stays best:
+        its rounds of ZOOM offsets, two to a batch of at most 2 * ZOOM."""
+        n = cls.rounds(resolution)
+        return [2 * sweep.ZOOM] * (n // 2) + [sweep.ZOOM] * (n % 2)
+
     @pytest.mark.parametrize("resolution", [64, 128])
     def test_no_phase_of_a_dense_scan_is_better(self, resolution):
         base = baseline_params()
@@ -570,7 +590,8 @@ class TestOptimizePhase:
     def test_a_peak_at_an_end_is_returned_exactly(self, base, monkeypatch):
         # stubs that, like every point, depend on the phase only through
         # cos(delta_theta - theta0): the peak is theta0 or theta0 + pi,
-        # and each round is the ZOOM offsets on the inner side
+        # each round is the ZOOM offsets on the inner side, and two rounds
+        # share a batch: 34, 20, 20, 10
         theta0 = float(phase_window(base).theta0)
         for sign, end in ((1.0, 0.0), (-1.0, math.pi)):
             batches = self.stub_r_min(
@@ -578,8 +599,31 @@ class TestOptimizePhase:
             theta, r_star, scan = optimize_phase(base, 64)
             assert repr(theta) == repr((theta0 + end) % (2.0 * math.pi))
             assert r_star == max(scan)
-            assert [len(b) for b in batches] == (
-                [34] + [sweep.ZOOM] * self.rounds(64))
+            assert [len(b) for b in batches] == [34] + self.end_batches(64)
+
+    @pytest.mark.bits
+    def test_a_round_that_moves_x_drops_the_rest_of_its_batch(
+            self, base, monkeypatch):
+        # a peak 0.05 rad inside theta0: the scan's best is theta0, so the
+        # first zoom batch is two one-sided rounds; its first round moves
+        # x to 0.049, and the second round, planned around theta0, is
+        # dropped and planned again around 0.049, where every round is the
+        # 2 * ZOOM offsets of an interior x, one a batch
+        theta0 = float(phase_window(base).theta0)
+
+        def peak(phases):
+            return -(np.cos(phases - theta0) - math.cos(0.05)) ** 2
+
+        batches = self.stub_r_min(monkeypatch, peak)
+        theta, r_star, scan = optimize_phase(base, 64)
+        assert scan.index(max(scan)) == 1  # theta0
+        assert [len(b) for b in batches] == (
+            [34] + [2 * sweep.ZOOM] * self.rounds(64))
+        # the batch after the moving round is centred on theta0 + h/2
+        assert np.mean(batches[2]) - theta0 == pytest.approx(math.pi / 64)
+        want = evaluate_every_centre(base, 64, peak)
+        assert repr((theta, r_star)) == repr(want[:2])
+        assert scan == want[2]
 
     @pytest.mark.parametrize("peak", [0.05, 1.0, 2.5, math.pi - 0.05])
     def test_a_peak_inside_the_half_period_is_found(self, base, monkeypatch,
