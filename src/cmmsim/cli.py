@@ -150,7 +150,8 @@ def parse_config(text: str) -> tuple[PhysicalParams, SweepSpec]:
 
 def _load(config_path: str) -> tuple[PhysicalParams, SweepSpec]:
     try:
-        with open(config_path, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark, as some editors save, is not text
+        with open(config_path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {config_path!r}: {exc}") from None

@@ -175,12 +175,16 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     ``a`` and symmetric ``d``: the :func:`steady_covariances` of a stack
     of one, whose residual is verified against LYAPUNOV_RESIDUAL_TOL.
 
-    Raises UnstableSystemError when ``a`` is not Hurwitz-stable, and
+    Raises ValueError naming the shape of an ``a`` or ``d`` that is not
+    6x6, UnstableSystemError when ``a`` is not Hurwitz-stable, and
     NumericalError if the solution overflows (finite ``a`` and ``d``
     giving a non-finite residual) or the residual contract fails.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
+    for m in (a, d):
+        if m.shape != (6, 6):
+            raise ValueError(f"expected a 6x6 matrix, got {m.shape}")
     margin = float(np.linalg.eigvals(a).real.max())
     if margin >= 0.0:
         raise UnstableSystemError(

@@ -129,9 +129,11 @@ def phase_window(p) -> PhaseWindow:
     """The :class:`PhaseWindow` of each entry of a ParamBatch, as arrays,
     or of a PhysicalParams, as numpy floats.  theta0 = arg(A conj(B)) =
     arg(-delta_a - i kappa_a), in (-pi, pi], is 0 where a drive is off,
-    and then rho is 0 or inf and the window is flat.  A PhysicalParams is
-    checked (ParameterError outside the domain); an entry of a ParamBatch
-    outside the domain has meaningless fields, which may be NaN."""
+    and then the window is flat: rho is 0 without the cavity drive, inf
+    without the magnon drive, and NaN (0/0) without either, where u_max
+    and u_min are 0.  A PhysicalParams is checked (ParameterError outside
+    the domain); an entry of a ParamBatch outside the domain has
+    meaningless fields, which may be NaN."""
     with np.errstate(all="ignore"):
         eps_a, eps_m = p.drive_amplitudes()
         a, b, c_a = _drive_terms(p, eps_a, eps_m)

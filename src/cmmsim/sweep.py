@@ -5,13 +5,15 @@ time: mean field, drift and diffusion, and one batched ``eigvals`` of the
 drifts, whose eigenvalues give the stability margin.  The stable points
 then go CHUNK at a time through the Lyapunov solve (one batched 21x21
 real solve, no eigenvectors) and the partial-transpose spectra.  A single
-point is a batch of one.  Every step treats each point on its own, so a
-point's row is bit-identical whichever batch it is evaluated in, and a
-grid's blocks can be shared among processes: one worker per CPU of the
-process's affinity mask, this process and forked children (none for one
-CPU), each taking the next unclaimed block from one shared queue until
-none is left and writing its rows into one shared buffer.  The CSV
-writer formats the rows in the same blocks, through the same loop.
+point is a batch of one.  The engine writes a batch's rows into the
+arrays it is handed, so each row is written once: a grid block's rows go
+straight into its slice of the grid's one table, held in shared memory.
+Every step treats each point on its own, so a point's row is
+bit-identical whichever batch it is evaluated in, and a grid's blocks can
+be shared among processes: one worker per CPU of the process's affinity
+mask, this process and forked children (none for one CPU), each taking
+the next unclaimed block from one shared queue until none is left.  The
+CSV writer formats the rows in the same blocks, through the same loop.
 Results are kept as columns (a SweepTable), a grid's points in row-major
 order with the first axis outermost; a row object is built only where
 one is asked for.
@@ -172,17 +174,6 @@ class SweepTable(Sequence):
         """The column of a FLOAT_FIELDS name (a view)."""
         return self.values[:, FLOAT_FIELDS.index(name)]
 
-    @classmethod
-    def concat(cls, tables) -> SweepTable:
-        """The tables' points one after another."""
-        errors, offset = {}, 0
-        for table in tables:
-            errors.update((offset + k, s) for k, s in table.errors.items())
-            offset += len(table)
-        return cls(*(np.concatenate([getattr(t, name) for t in tables])
-                     for name in ("axis1", "axis2", "stable", "values")),
-                   errors)
-
 
 #: stable points solved together by the Lyapunov and entanglement
 #: stages; bounds the stacked arrays' memory
@@ -237,29 +228,45 @@ class BatchResult(NamedTuple):
 
 def evaluate_batch(p: ParamBatch) -> BatchResult:
     """Run the full pipeline at every point of ``p`` as arrays; the table's
-    axis values are NaN (:func:`run_sweep` fills in a grid's).
+    axis values are NaN (:func:`run_sweep`'s table holds a grid's).
 
     Like :func:`evaluate_point` this never raises for physics or numerical
     reasons, and each row equals that point's ``evaluate_point`` row bit
     for bit.  A linear-algebra or arithmetic failure that the stages do not
     turn into a per-point status (an eigensolver that does not converge, a
     domain error) is confined to its point: the batch is evaluated again
-    point by point, and the failing point becomes an error row.
+    point by point, each point into its own row, and the failing point
+    becomes an error row.  The table's columns are allocated here and
+    filled in place by the engine.
     """
     n = len(p)
+    values, stable = np.empty((n, len(FLOAT_FIELDS))), np.empty(n, bool)
+    errors, cov = _evaluate_into(p, values, stable)
+    return BatchResult(SweepTable(*np.full((2, n), np.nan), stable, values,
+                                  errors), cov)
+
+
+def _evaluate_into(p: ParamBatch, values: np.ndarray,
+                   stable: np.ndarray) -> tuple[dict[int, str], np.ndarray]:
+    """Fill ``values`` and ``stable``, the rows of the points of ``p``, and
+    return the points' ``error:`` statuses, keyed by row, and covariances.
+    Where the stages fail as a whole, each point is evaluated alone into
+    its own row, and a point that fails alone becomes an error row."""
     try:
         with np.errstate(all="ignore"):
-            return _run_stages(p)
+            return _run_stages(p, values, stable)
     except (CmmError, np.linalg.LinAlgError, ArithmeticError,
             ValueError) as exc:
-        if n == 1:
-            table = SweepTable(*np.full((2, 1), np.nan), np.zeros(1, bool),
-                               np.full((1, len(FLOAT_FIELDS)), np.nan),
-                               {0: f"error: {exc}"})
-            return BatchResult(table, np.full((1, 6, 6), np.nan))
-        parts = [evaluate_batch(p.take([k])) for k in range(n)]
-        return BatchResult(SweepTable.concat([part.table for part in parts]),
-                           np.concatenate([part.covariances for part in parts]))
+        if len(p) == 1:
+            values[:], stable[:] = np.nan, False
+            return {0: f"error: {exc}"}, np.full((1, 6, 6), np.nan)
+        errors, cov = {}, np.empty((len(p), 6, 6))
+        for k in range(len(p)):
+            at = slice(k, k + 1)
+            error, cov[at] = _evaluate_into(p.take([k]), values[at],
+                                            stable[at])
+            errors.update((k, s) for s in error.values())
+        return errors, cov
 
 
 def _survivors(failed: dict[int, str], sub: np.ndarray, errors: dict,
@@ -275,10 +282,9 @@ def _survivors(failed: dict[int, str], sub: np.ndarray, errors: dict,
     return tuple(x[keep] for x in (sub, *stacks))
 
 
-def _run_stages(p: ParamBatch) -> BatchResult:
+def _run_stages(p: ParamBatch, values: np.ndarray, stable: np.ndarray):
     n = len(p)
-    values = np.full((n, len(FLOAT_FIELDS)), np.nan)
-    stable = np.zeros(n, bool)
+    values[:], stable[:] = np.nan, False
     errors = {}
     cov = np.full((n, 6, 6), np.nan)
 
@@ -331,8 +337,7 @@ def _run_stages(p: ParamBatch) -> BatchResult:
         values[sub[:, None], _MEASURE_COLUMNS] = measures
         cov[sub] = v
 
-    return BatchResult(SweepTable(*np.full((2, n), np.nan), stable, values,
-                                  errors), cov)
+    return errors, cov
 
 
 def evaluate_point(params: PhysicalParams) -> SweepRow:
@@ -494,10 +499,12 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     and the grid's rows are shared among W workers in blocks
     (:func:`_in_workers`), W the number of CPUs in the process's affinity
     mask or of blocks if that is smaller.  A block's parameters are its
-    slice of the coordinate columns.  Each worker writes its rows into one
-    table allocated in shared memory, and sends back only its errors, so
-    the table's bits depend neither on the chunking nor on W, nor on which
-    worker evaluated a block (``taskset -c 0`` runs the same loop with one
+    slice of the coordinate columns, and the engine writes the block's
+    rows straight into its slice of one table allocated in shared memory,
+    so each row is written once and no block table is built; a worker
+    sends back only its errors, keyed by grid row.  The table's bits
+    depend neither on the chunking nor on W, nor on which worker
+    evaluated a block (``taskset -c 0`` runs the same loop with one
     worker, which forks nothing).  A worker that fails makes this raise
     CmmError naming it and its exit status; no child outlives the call.  A
     table or coordinate columns too large to size or allocate raise
@@ -523,11 +530,9 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     def do(w: int, at: slice) -> dict[int, str]:
         columns = dict(_axis_field(base, ax.name, x[at])
                        for ax, x in zip(spec.axes, (axis1, axis2)))
-        table = evaluate_batch(ParamBatch.from_base(
-            base, at.stop - at.start, **columns)).table
-        values[at] = table.values
-        stable[at] = table.stable
-        return {at.start + k: s for k, s in table.errors.items()}
+        errors, _ = _evaluate_into(ParamBatch.from_base(
+            base, at.stop - at.start, **columns), values[at], stable[at])
+        return {at.start + k: s for k, s in errors.items()}
 
     parts = _in_workers(do, _workers(total), total).values()
     errors = dict(sorted(item for part in parts for item in part.items()))
@@ -552,7 +557,7 @@ def optimize_phase(params: PhysicalParams, resolution: int):
     so the phases theta0 + x and theta0 - x are the same point and the
     offsets x in [0, pi] hold every value; phase 0 is the offset
     -theta0.  One batch scans phase 0 and theta0 + x for
-    x = 2*pi*k/``resolution`` (``resolution`` >= 8) in [0, pi), then
+    x = 2*pi*k/``resolution`` (an integer >= 8) in [0, pi), then
     x = pi: 34 phases at resolution 64.  The search starts from the best
     of them, phase 0 included, and zooms: a round evaluates the offsets
     x +- h*j/ZOOM, j = 1 ... ZOOM, that lie in [0, pi] around the best
@@ -583,6 +588,11 @@ def optimize_phase(params: PhysicalParams, resolution: int):
     into [0, 2*pi), its r_min, and the scan's r_min values, the first at
     phase 0 and the rest from theta0 to theta0 + pi.
     """
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        raise ValueError(f"resolution must be an integer, "
+                         f"got {resolution}") from None
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
 

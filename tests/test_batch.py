@@ -394,6 +394,13 @@ class TestRobustness:
         assert lines[1:] == [f"{x},nan,false" + ",nan" * 13
                              for x in ("-1.5", "-1.35", "-1.2")]
 
+    def test_an_empty_batch_is_an_empty_table(self, base):
+        result = evaluate_batch(ParamBatch.from_base(base, 0))
+        assert len(result.table) == 0 and list(result.table) == []
+        assert result.table.values.shape == (0, len(sweep.FLOAT_FIELDS))
+        assert result.table.errors == {}
+        assert result.covariances.shape == (0, 6, 6)
+
     def test_bad_points_do_not_disturb_their_chunk(self, base):
         # good (10 mK) and overflowing (1e300 K) points alternate in a chunk
         axes = (SweepAxis("delta_a", -1.6, -1.1, 6),
@@ -541,7 +548,6 @@ class TestSweepTable:
         want = table_columns(run_sweep(spec))
         monkeypatch.setattr(sweep, "BLOCK", 1)
         monkeypatch.setattr(sweep, "CHUNK", 4)  # blocks of four points
-        assert table_columns(run_sweep(spec)) == want
         eigvals = np.linalg.eigvals
 
         def refuse_stacks(m):
@@ -549,9 +555,15 @@ class TestSweepTable:
                 raise np.linalg.LinAlgError("forced")
             return eigvals(m)
 
-        # every block of more than one point is evaluated point by point
-        monkeypatch.setattr(np.linalg, "eigvals", refuse_stacks)
-        assert table_columns(run_sweep(spec)) == want
+        # one worker, and two writing into the grid's one table
+        for cpus in (1, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(sweep, "_cpus", lambda cpus=cpus: cpus)
+                assert table_columns(run_sweep(spec)) == want
+                # every block of more than one point is evaluated point by
+                # point, into the block's rows
+                patch.setattr(np.linalg, "eigvals", refuse_stacks)
+                assert table_columns(run_sweep(spec)) == want
 
 
 EXTREMES = st.one_of(

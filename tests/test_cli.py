@@ -132,6 +132,21 @@ class TestParseConfig:
         assert "can't decode byte 0xff" in err
         assert not Path("out.csv").exists()
 
+    def test_a_byte_order_mark_is_not_part_of_the_config(self, tmp_path,
+                                                         capsys):
+        # as an editor may save it: UTF-8 with a BOM
+        text = (Path(__file__).parent.parent / "configs"
+                / "baseline.cfg").read_bytes()
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert cli._load(str(marked)) == cli._load(str(plain))
+        outputs = []
+        for path in (plain, marked):
+            assert main(["steady", "--config", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]
+
 
 class TestFormatting:
     def test_nine_significant_digits(self):
@@ -345,11 +360,11 @@ class TestSweepCommand:
         def no_memory(*axes, **options):
             raise MemoryError("Unable to allocate 216 B for an array")
 
-        def refuse(p):
+        def refuse(*args):
             raise AssertionError("evaluated")
 
         monkeypatch.setattr(np, "meshgrid", no_memory)
-        monkeypatch.setattr(sweep, "evaluate_batch", refuse)
+        monkeypatch.setattr(sweep, "_evaluate_into", refuse)
         message = ("cannot allocate the results of 27 sweep points: "
                    "Unable to allocate 216 B for an array")
         _, spec = parse_config(GRID_CFG)

@@ -193,6 +193,15 @@ class TestSolveLyapunov:
         with pytest.raises(UnstableSystemError):
             solve_lyapunov(np.eye(6), np.eye(6))
 
+    @pytest.mark.parametrize("a, d, shape", [
+        (-np.eye(3), np.eye(3), (3, 3)),  # stable, but not 6x6
+        (-np.eye(6), np.eye(3), (3, 3)),
+        (-np.eye(6)[None], np.eye(6)[None], (1, 6, 6))])
+    def test_a_matrix_that_is_not_6x6_is_named(self, a, d, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected a 6x6 matrix, got {shape}")):
+            solve_lyapunov(a, d)
+
     def test_residual_on_random_stable_systems(self):
         rng = np.random.default_rng(3)
         for _ in range(500):

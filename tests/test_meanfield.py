@@ -535,13 +535,18 @@ class TestPhaseWindow:
         for k, p in enumerate(points):
             assert tuple(x[k] for x in batch) == tuple(phase_window(p))
 
-    @pytest.mark.parametrize("off", ["P_a", "P_m"])
-    def test_a_single_drive_has_a_flat_window(self, base, off):
-        p = base.replace(**{off: 0.0})
+    @pytest.mark.parametrize("off, rho", [
+        ("P_a", 0.0), ("P_m", math.inf), ("P_a P_m", math.nan)],
+        ids=["P_a", "P_m", "neither"])
+    def test_a_single_drive_has_a_flat_window(self, base, off, rho):
+        # rho = |A| / |B|, A from the cavity drive and B from the magnon
+        # drive: 0/0 without either, where the state is zero
+        p = base.replace(**dict.fromkeys(off.split(), 0.0))
         window = phase_window(p)
         assert window.theta0 == 0.0
-        assert window.rho == (0.0 if off == "P_a" else math.inf)
+        assert repr(float(window.rho)) == repr(rho)
         assert window.u_min == window.u_max
+        assert (window.u_max == 0.0) == (off == "P_a P_m")
         theta, value, scan = optimize_phase(p, 16)
         assert theta == 0.0
         assert scan == [scan[0]] * len(scan) == [value] * len(scan)

@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -253,14 +254,14 @@ class TestRunSweep:
         want = run_sweep(spec)
         path = tmp_path / "starts"
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-        evaluate = sweep.evaluate_batch
+        evaluate = sweep._evaluate_into
 
-        def spy(p):
+        def spy(p, *rows):
             start = int(np.flatnonzero(temps == p.T[0])[0])
             os.write(fd, f"{start}\n".encode())
-            return evaluate(p)
+            return evaluate(p, *rows)
 
-        monkeypatch.setattr(sweep, "evaluate_batch", spy)
+        monkeypatch.setattr(sweep, "_evaluate_into", spy)
         monkeypatch.setattr(sweep, "_cpus", lambda: workers)
         try:
             got = run_sweep(spec)
@@ -284,15 +285,13 @@ class TestRunSweep:
         path = tmp_path / "claims"
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
-        def margins(p):
+        def margins(p, values, stable):
             os.write(fd, b".")
-            values = np.full((len(p), len(sweep.FLOAT_FIELDS)), np.nan)
+            values[:], stable[:] = np.nan, False
             values[:, sweep.FLOAT_FIELDS.index("margin")] = p.T
-            table = sweep.SweepTable(*np.full((2, len(p)), np.nan),
-                                     np.zeros(len(p), bool), values, {})
-            return sweep.BatchResult(table, None)
+            return {}, None
 
-        monkeypatch.setattr(sweep, "evaluate_batch", margins)
+        monkeypatch.setattr(sweep, "_evaluate_into", margins)
         try:
             table = run_sweep(SweepSpec(base=base,
                                         axes=(SweepAxis("T", 0.0, 1.0, n),)))
@@ -335,7 +334,7 @@ class TestRunSweep:
                         write_sweep_csv(table, path)
                     assert open_fds() == before
                     patch.setattr(sweep, "_child", child)
-                patch.setattr(sweep, "evaluate_batch", lambda p: 1 / 0)
+                patch.setattr(sweep, "_evaluate_into", lambda *args: 1 / 0)
                 with pytest.raises(ZeroDivisionError) as failed:
                     run_sweep(spec)
                 assert open_fds() == before
@@ -462,6 +461,14 @@ class TestOptimizePhase:
     def test_resolution_floor(self, base):
         with pytest.raises(ValueError):
             optimize_phase(base, resolution=4)
+
+    def test_resolution_is_an_integer(self, base):
+        with pytest.raises(ValueError, match=re.escape(
+                "resolution must be an integer, got 8.5")):
+            optimize_phase(base, 8.5)
+        theta, value, scan = optimize_phase(base, np.int64(64))
+        want = optimize_phase(base, 64)
+        assert repr((theta, value, scan)) == repr(want)
 
     def test_all_unstable_raises(self, base):
         with pytest.raises(NoStablePointError):
