@@ -6,8 +6,9 @@ through it the effective magnomechanical coupling, so R_min(delta_theta) is
 phase only through cos(delta_theta - theta0): the phases theta0 + x and
 theta0 - x are the same point.  The optimizer scans the half period from
 theta0 and then zooms in on the best offset from theta0: one round a batch
-inside the half period, and two a batch at its ends, where a round is one
-side.
+inside the half period, and at its ends, where a round is one side, as
+many rounds a batch as fit in the scan's size; no phase is evaluated
+twice.
 """
 import numpy as np
 

@@ -188,7 +188,8 @@ BLOCK = 8
 
 #: the phase optimizer's zoom factor: each round takes ZOOM steps of h/ZOOM
 #: to each side of the best offset so far, and then narrows h ZOOM-fold; a
-#: batch holds at most 2*ZOOM offsets, one interior round or two at an end
+#: batch plans one interior round of 2*ZOOM offsets, or at an end as many
+#: one-sided rounds of ZOOM as fit in max(2*ZOOM, the scan's size)
 ZOOM = 10
 
 
@@ -563,15 +564,21 @@ def optimize_phase(params: PhysicalParams, resolution: int):
     x +- h*j/ZOOM, j = 1 ... ZOOM, that lie in [0, pi] around the best
     offset x so far, moves x only to a strictly greater value, and
     divides h (at first 2*pi/``resolution``) by ZOOM, until h <= 1e-6 rad.
-    A batch holds the current round and the next rounds around the same
-    x, as long as it stays within 2*ZOOM offsets; its rounds are then
-    read in order, and those after a round that moves x are dropped.
-    Inside the half period a round is 2*ZOOM offsets, one a batch; at an
-    end it is one side, ZOOM offsets, and two go in a batch: 34, 20, 20
-    and 10 phases at resolution 64.  A row does not depend on its batch,
-    so the result is that of one round a batch, bit for bit.  The phase
-    is located to about 1e-6 rad, and less precisely where the maximum
-    is flat: there its last digits are noise.
+    Inside the half period a round is 2*ZOOM offsets, and a batch holds
+    that round alone.  At an end (x = 0 or pi) a round is one side, ZOOM
+    offsets, and a batch holds the current round and the next ones
+    around the same x, as many as fit in max(2*ZOOM, the scan's size)
+    offsets: three and then two at resolution 64, all five at 128.  A
+    batch's rounds are read in order, and those after a round that moves
+    x are dropped.  Each phase evaluated keeps its r_min for the rest of
+    the search, the scan's included, and the engine is sent only the
+    phases of a batch not evaluated before: a round's outermost offset
+    often repeats, bit for bit, the last round's innermost or a scan
+    point.  At resolution 64 an end search typically sends 34, 27 and 18
+    phases in 3 batches.  A row does not depend on its batch, so the
+    result is that of one round a batch, bit for bit.  The phase is
+    located to about 1e-6 rad, and less precisely where the maximum is
+    flat: there its last digits are noise.
     The optimum theta0 + x* reported is one of a pair: theta0 - x* is the
     same point.
 
@@ -608,7 +615,8 @@ def optimize_phase(params: PhysicalParams, resolution: int):
         offsets = np.concatenate((
             [-theta0], 2.0 * math.pi * np.arange(-(-resolution // 2))
             / resolution, [math.pi]))
-        table = _phase_table(params, theta0 + offsets)
+        phases = theta0 + offsets
+        table = _phase_table(params, phases)
     except (OverflowError, ValueError, MemoryError) as exc:
         raise CmmError(f"cannot allocate the scan of {resolution} phases: "
                        f"{exc}") from None
@@ -619,23 +627,34 @@ def optimize_phase(params: PhysicalParams, resolution: int):
                 raise NumericalError(table.errors[k].removeprefix("error: "))
         raise NoStablePointError(
             "no stable operating point at any sampled phase")
+    # the r_min of every phase evaluated so far, keyed by the phase's
+    # bits: a round's outermost offset often repeats the last round's
+    # innermost, or a scan point, and is then read here, not evaluated
+    known = dict(zip(phases.view(np.int64).tolist(), scan))
     k = best(scan)
     x, f = float(offsets[k]), scan[k]
     h = 2.0 * math.pi / resolution
     steps = np.delete(np.arange(-ZOOM, ZOOM + 1), ZOOM)
+    size = max(2 * ZOOM, offsets.size)
     while h > 1e-6:
-        # this round and the next ones around the same x, as long as the
-        # batch holds no more than an interior round's 2*ZOOM offsets
+        # this round, and the next ones around the same x while they are
+        # one-sided (x at an end) and the batch plans at most ``size``
+        # offsets; an interior round is read alone
         rounds, g = [], h
         while g > 1e-6:
             xs = x + g * steps / ZOOM
             xs = xs[(xs >= 0.0) & (xs <= math.pi)]
-            if sum(map(len, rounds)) + xs.size > 2 * ZOOM:
+            if rounds and (xs.size == 2 * ZOOM
+                           or sum(map(len, rounds)) + xs.size > size):
                 break
             rounds.append(xs)
             g /= ZOOM
-        table = _phase_table(params, theta0 + np.concatenate(rounds))
-        values = table.column("r_min").tolist()
+        keys = (theta0 + np.concatenate(rounds)).view(np.int64).tolist()
+        new = np.array([key for key in dict.fromkeys(keys)
+                        if key not in known], np.int64)
+        table = _phase_table(params, new.view(np.float64))
+        known.update(zip(new.tolist(), table.column("r_min").tolist()))
+        values = [known[key] for key in keys]
         # the rounds in order; those after a round that moves x are dropped
         for xs in rounds:
             h /= ZOOM

@@ -12,7 +12,7 @@ from cmmsim import (MeanFieldState, NoSteadyStateError, NumericalError,
                     ParamBatch, SweepTable, baseline_params, validate)
 from cmmsim.meanfield import (NON_FINITE_STATE, SINGULAR_RESPONSE,
                               solve_effective_batch)
-from cmmsim.sweep import FLOAT_FIELDS
+from cmmsim.sweep import FLOAT_FIELDS, ZOOM
 
 
 #: the regimes of the claims, as overrides of baseline_params: the
@@ -21,6 +21,51 @@ from cmmsim.sweep import FLOAT_FIELDS
 CLAIM_REGIMES = [{}, {"P_m": 9e-4, "g_mb": 2 * math.pi * 6.2},
                  {"P_m": 9e-5, "g_mb": 2 * math.pi * 14.0},
                  {"P_m": 9e-5, "g_mb": 2 * math.pi * 19.6}]
+
+
+def scan_size(resolution):
+    """The phase search's scan: phase 0, ceil(resolution / 2) offsets from
+    theta0, and theta0 + pi."""
+    return -(-resolution // 2) + 2
+
+
+def zoom_rounds(resolution):
+    """The phase search's zoom rounds, from the scan's spacing
+    2 pi / resolution down ZOOM-fold a round while above 1e-6 rad."""
+    n, h = 0, 2.0 * math.pi / resolution
+    while h > 1e-6:
+        n, h = n + 1, h / ZOOM
+    return n
+
+
+def end_batches(resolution):
+    """The rounds of each zoom batch while an end of the half period stays
+    best: a round there is ZOOM one-sided offsets, and a batch takes as
+    many as fit in max(2 * ZOOM, the scan's size) offsets."""
+    n = zoom_rounds(resolution)
+    per = max(2 * ZOOM, scan_size(resolution)) // ZOOM
+    return [min(per, n - k) for k in range(0, n, per)]
+
+
+def end_phases(theta0, end, resolution):
+    """The phases that each zoom batch of a search whose best offset stays
+    at ``end`` (0 or pi) sends to the engine: its rounds' offsets, less
+    every phase of the scan or of an earlier round."""
+    offsets = np.concatenate(([-theta0], 2.0 * math.pi * np.arange(
+        -(-resolution // 2)) / resolution, [math.pi]))
+    seen = set((theta0 + offsets).tolist())
+    inward = np.arange(1, ZOOM + 1) * (1 if end == 0.0 else -1)
+    batches, g = [], 2.0 * math.pi / resolution
+    for rounds in end_batches(resolution):
+        batch = []
+        for _ in range(rounds):
+            for phase in (theta0 + (end + g * inward / ZOOM)).tolist():
+                if phase not in seen:
+                    seen.add(phase)
+                    batch.append(phase)
+            g /= ZOOM
+        batches.append(batch)
+    return batches
 
 
 @pytest.fixture

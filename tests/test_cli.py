@@ -19,11 +19,11 @@ import pytest
 import cmmsim
 from cmmsim import (CmmError, ConfigError, ParamBatch, SweepRow, SweepTable,
                     TWO_PI, apply_axis, apply_pump_mode, cli, evaluate_batch,
-                    evaluate_point, optimize_phase, run_sweep,
-                    solve_steady_state, sweep)
+                    evaluate_point, optimize_phase, phase_window,
+                    run_sweep, solve_steady_state, sweep)
 from cmmsim.cli import CSV_HEADER, fmt, main, parse_config, write_sweep_csv
 from cmmsim.sweep import FLOAT_FIELDS
-from conftest import table_of
+from conftest import end_batches, end_phases, table_of
 
 BASELINE_CFG = """\
 # baseline parameter set
@@ -775,16 +775,16 @@ class TestPhaseOptCommand:
         # the zoom rounds; the zero-phase baseline is the scan's first
         # point, not evaluated again.  The best phase stays at theta0, an
         # end of the half period, so each round is its ZOOM offsets on the
-        # inner side, and two rounds share a batch of at most 2 * ZOOM; the
-        # half-width 2pi/64 shrinks ZOOM-fold per round: 34, 20, 20, 10
-        rounds, h = 0, 2.0 * math.pi / 64
-        while h > 1e-6:
-            rounds, h = rounds + 1, h / sweep.ZOOM
-        assert sizes == ([34] + [2 * sweep.ZOOM] * (rounds // 2)
-                         + [sweep.ZOOM] * (rounds % 2))
+        # inner side, and a batch holds as many rounds as fit in the scan's
+        # 34 offsets: three, then two.  A phase evaluated before is not
+        # evaluated again: a round's outermost offset repeats the last
+        # round's innermost, or a scan point
+        params, _ = parse_config(BASELINE_CFG)
+        theta0 = float(phase_window(params).theta0)
+        assert sizes == [34] + [len(b) for b in end_phases(theta0, 0.0, 64)]
+        assert len(sizes) == 1 + len(end_batches(64)) == 3
         monkeypatch.undo()
         out = capsys.readouterr().out
-        params, _ = parse_config(BASELINE_CFG)
         theta, r_star, scan = optimize_phase(params, 64)
         baseline = evaluate_point(apply_axis(params, "delta_theta", 0.0))
         assert scan[0] == baseline.r_min

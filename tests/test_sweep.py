@@ -16,6 +16,8 @@ from cmmsim import (TWO_PI, CmmError, NoStablePointError, NumericalError,
                     phase_window, run_sweep, sweep, validate)
 from cmmsim.cli import write_sweep_csv
 from cmmsim.entanglement import MEASURES
+from conftest import (CLAIM_REGIMES, end_batches, end_phases, scan_size,
+                      zoom_rounds)
 
 PHYSICS_FIELDS = ("stable", "margin", "r_min", "residual_a", "residual_m",
                   "residual_b", "en_am", "en_ab", "en_mb", "en_a_mb",
@@ -484,9 +486,10 @@ class TestOptimizePhase:
 
     @pytest.mark.bits
     def test_reusing_the_centre_changes_no_bit(self, base, monkeypatch):
-        # the rounds that share a batch, two at an end of the half period,
-        # give the bits of one round a batch; resolution 9 ends the scan at
-        # theta0 + pi after a half step, and 64 is the command's default
+        # the rounds that share a batch at an end of the half period, and
+        # the phases read from earlier batches, give the bits of one round
+        # a batch; resolution 9 ends the scan at theta0 + pi after a half
+        # step, and 64 is the command's default
         batches = self.spy_on_batches(monkeypatch)
         rng = np.random.default_rng(20261019)
         points = [base.replace(P_a=0.0), base.replace(P_a=0.45),
@@ -504,7 +507,8 @@ class TestOptimizePhase:
                 assert repr(got[:2]) == repr(want[:2])
                 assert (np.array(got[2]).tobytes()
                         == np.array(want[2]).tobytes())
-                assert max(map(len, batches[1:])) <= 2 * sweep.ZOOM
+                assert max(map(len, batches[1:])) <= max(
+                    2 * sweep.ZOOM, scan_size(resolution))
 
     @pytest.mark.parametrize("params", [
         {"kappa_a": -1.0}, {"T": math.nan}, {"P_a": -1.0},
@@ -553,20 +557,27 @@ class TestOptimizePhase:
         monkeypatch.setattr(sweep, "_phase_table", table)
         return cls.spy_on_batches(monkeypatch)
 
-    @staticmethod
-    def rounds(resolution):
-        """The zoom rounds from the scan's spacing down to 1e-6 rad."""
-        n, h = 0, 2.0 * math.pi / resolution
-        while h > 1e-6:
-            n, h = n + 1, h / sweep.ZOOM
-        return n
-
-    @classmethod
-    def end_batches(cls, resolution):
-        """The zoom's batches while an end of the half period stays best:
-        its rounds of ZOOM offsets, two to a batch of at most 2 * ZOOM."""
-        n = cls.rounds(resolution)
-        return [2 * sweep.ZOOM] * (n // 2) + [sweep.ZOOM] * (n % 2)
+    @pytest.mark.bits
+    def test_evaluates_each_phase_once(self, monkeypatch):
+        # a phase that a round plans again (its outermost offset repeats
+        # the last round's innermost, or a scan point) is read from the
+        # earlier batch: no phase's bits go to the engine twice, no
+        # batch exceeds the scan's size or 2 * ZOOM, and the result is that
+        # of one round a batch, each evaluating its centre again
+        batches = self.spy_on_batches(monkeypatch)
+        base = baseline_params()
+        points = self.draws(20261101, 6) + [
+            base.replace(**regime) for regime in CLAIM_REGIMES]
+        for resolution in (9, 16, 64, 128):
+            for p in points:
+                want = evaluate_every_centre(p, resolution)
+                batches.clear()
+                got = optimize_phase(p, resolution)
+                assert repr(got) == repr(want)
+                bits = np.concatenate(batches).view(np.int64)
+                assert np.unique(bits).size == bits.size
+                assert max(map(len, batches)) <= max(
+                    2 * sweep.ZOOM, scan_size(resolution))
 
     @pytest.mark.parametrize("resolution", [64, 128])
     def test_no_phase_of_a_dense_scan_is_better(self, resolution):
@@ -587,35 +598,49 @@ class TestOptimizePhase:
 
     def test_evaluates_one_round_a_batch(self, base, monkeypatch):
         # at 90 uW with 19.6 Hz the optimum lies inside the half period,
-        # so each round is the 2 * ZOOM offsets around it
+        # so each round is the 2 * ZOOM offsets around it and is read
+        # alone: one batch a round, none larger than a round, even where
+        # the scan's size would hold more
         batches = self.spy_on_batches(monkeypatch)
-        optimize_phase(base.replace(P_m=9e-5, g_mb=TWO_PI * 19.6), 64)
-        assert [len(b) for b in batches] == (
-            [34] + [2 * sweep.ZOOM] * self.rounds(64))
+        for resolution in (64, 128):
+            batches.clear()
+            optimize_phase(base.replace(P_m=9e-5, g_mb=TWO_PI * 19.6),
+                           resolution)
+            assert len(batches[0]) == scan_size(resolution)
+            assert len(batches) == 1 + zoom_rounds(resolution)
+            assert max(map(len, batches[1:])) <= 2 * sweep.ZOOM
 
     @pytest.mark.bits
     def test_a_peak_at_an_end_is_returned_exactly(self, base, monkeypatch):
         # stubs that, like every point, depend on the phase only through
         # cos(delta_theta - theta0): the peak is theta0 or theta0 + pi,
-        # each round is the ZOOM offsets on the inner side, and two rounds
-        # share a batch: 34, 20, 20, 10
+        # each round is the ZOOM offsets on the inner side, a batch holds
+        # as many rounds as the scan's size or 2 * ZOOM allows (at 64 three
+        # and then two, at 128 all five), and it sends the engine only the
+        # phases not evaluated before
         theta0 = float(phase_window(base).theta0)
-        for sign, end in ((1.0, 0.0), (-1.0, math.pi)):
-            batches = self.stub_r_min(
-                monkeypatch, lambda phases: sign * np.cos(phases - theta0))
-            theta, r_star, scan = optimize_phase(base, 64)
-            assert repr(theta) == repr((theta0 + end) % (2.0 * math.pi))
-            assert r_star == max(scan)
-            assert [len(b) for b in batches] == [34] + self.end_batches(64)
+        for resolution in (64, 128):
+            for sign, end in ((1.0, 0.0), (-1.0, math.pi)):
+                batches = self.stub_r_min(
+                    monkeypatch,
+                    lambda phases: sign * np.cos(phases - theta0))
+                theta, r_star, scan = optimize_phase(base, resolution)
+                assert repr(theta) == repr((theta0 + end) % (2.0 * math.pi))
+                assert r_star == max(scan)
+                assert len(batches[0]) == scan_size(resolution)
+                assert [sorted(b) for b in batches[1:]] == [
+                    sorted(b) for b in end_phases(theta0, end, resolution)]
+        assert end_batches(64) == [3, 2]
+        assert end_batches(128) == [5]
 
     @pytest.mark.bits
     def test_a_round_that_moves_x_drops_the_rest_of_its_batch(
             self, base, monkeypatch):
         # a peak 0.05 rad inside theta0: the scan's best is theta0, so the
-        # first zoom batch is two one-sided rounds; its first round moves
-        # x to 0.049, and the second round, planned around theta0, is
-        # dropped and planned again around 0.049, where every round is the
-        # 2 * ZOOM offsets of an interior x, one a batch
+        # first zoom batch is three one-sided rounds; its first round
+        # moves x to 0.049, and the other two, planned around theta0, are
+        # dropped; the rounds left are planned around 0.049, where each is
+        # the 2 * ZOOM offsets of an interior x, one a batch
         theta0 = float(phase_window(base).theta0)
 
         def peak(phases):
@@ -624,10 +649,16 @@ class TestOptimizePhase:
         batches = self.stub_r_min(monkeypatch, peak)
         theta, r_star, scan = optimize_phase(base, 64)
         assert scan.index(max(scan)) == 1  # theta0
-        assert [len(b) for b in batches] == (
-            [34] + [2 * sweep.ZOOM] * self.rounds(64))
-        # the batch after the moving round is centred on theta0 + h/2
-        assert np.mean(batches[2]) - theta0 == pytest.approx(math.pi / 64)
+        assert end_batches(64)[0] == 3
+        assert sorted(batches[1]) == sorted(end_phases(theta0, 0.0, 64)[0])
+        # the scan, the batch that moves x, and one batch a round left
+        assert len(batches) == 1 + zoom_rounds(64)
+        assert max(map(len, batches[2:])) <= 2 * sweep.ZOOM
+        # the batch after the moving round is planned around theta0 + h/2:
+        # its phases lie within h/ZOOM of it, not of theta0
+        h = 2.0 * math.pi / 64
+        assert np.abs(np.array(batches[2]) - theta0 - h / 2).max() <= (
+            1.0 + 1e-9) * h / sweep.ZOOM
         want = evaluate_every_centre(base, 64, peak)
         assert repr((theta, r_star)) == repr(want[:2])
         assert scan == want[2]
